@@ -33,7 +33,7 @@ from .monitor import monitor, write_monitor_csv
 from .semigroup import TimeGrid
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
-                     cross_validate, etdrk4_integrate, kato_smallness,
+                     compare_trajectories, etdrk4_integrate, kato_smallness,
                      picard_solve, profile_from_spec)
 from .verification import run_checks, summary_csv
 
@@ -124,13 +124,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             break
 
     if code == EXIT_OK and len(trajs) == 2:
-        scale = max(1.0, max(linf(s) for s in trajs["etdrk4"].states))
-        shared = min(len(trajs["picard"].states), len(trajs["etdrk4"].states))
-        errs = [linf(trajs["picard"].states[m] - trajs["etdrk4"].states[m]) / scale
-                for m in range(shared)]
-        disc = max(errs)
-        report["cross_validation"] = {"discrepancy": disc, "tolerance": cfg.cross_tol,
-                                      "passed": disc <= cfg.cross_tol, "node_errors": errs}
+        report["cross_validation"] = compare_trajectories(trajs["picard"], trajs["etdrk4"],
+                                                          cfg.cross_tol)
 
     _dump_json(outdir / "report.json", report)
     if report["error"] is not None:
@@ -159,12 +154,15 @@ def _collect_snapshot_paths(items: list[str]) -> list[Path]:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    paths = _collect_snapshot_paths(args.snapshots)
-    states, times = [], []
-    for p in paths:
+    loaded = []
+    for p in _collect_snapshot_paths(args.snapshots):
         f, t = read_snapshot(p)
-        states.append(f)
-        times.append(t)
+        loaded.append((t, f, p))
+    # order by header time, not file name: state_10000.snap sorts before state_1001.snap
+    loaded.sort(key=lambda item: item[0])
+    times = [t for t, _, _ in loaded]
+    states = [f for _, f, _ in loaded]
+    paths = [p for _, _, p in loaded]
     grid = states[0].grid
     for f in states[1:]:
         if f.grid != grid:

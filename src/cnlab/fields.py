@@ -7,6 +7,14 @@ velocity convention downstream is mean-zero (c(0) = 0 per component), upheld by
 the profile builders and solvers rather than enforced at construction (tests
 use constant fields for quadrature checks).
 
+Physical values are real, so the transform pair works on the real-to-complex
+half of the spectrum (the first res//2 + 1 entries of the last axis):
+phys_values is an inverse real transform of that half, and spectral_values a
+forward real transform followed by one Hermitian completion, so the full
+spectra it returns are exactly Hermitian. These two are the only FFT call
+sites; products, divergences and projections that feed a physical evaluation
+run on the half and complete once at the end.
+
 All operations here are pure: inputs are never mutated and returned fields own
 fresh arrays.
 """
@@ -96,19 +104,47 @@ def _same_grid(a: Grid, b: Grid) -> None:
 
 
 # ---------------------------------------------------------------------------
-# raw transforms (leading axes arbitrary, spatial axes trailing)
+# the transform pair (leading axes arbitrary, spatial axes trailing)
 # ---------------------------------------------------------------------------
 
 def phys_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse transform to physical samples (real part; fields are Hermitian)."""
-    axes = grid.spatial_axes
-    return np.fft.ifftn(coeffs, axes=axes).real * grid.npoints
+    """Physical samples of a Hermitian spectrum, by an inverse real transform.
+
+    Only the first grid.half_len entries of the last axis are read, so a full
+    spectrum and its real-to-complex half give the same samples. A spectrum
+    that is not Hermitian is evaluated through its half alone.
+    """
+    return np.fft.irfftn(coeffs[..., :grid.half_len], s=grid.shape,
+                         axes=grid.spatial_axes, norm="forward")
+
+
+def _half_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Real-to-complex half of the plane-wave coefficients of real samples."""
+    if np.iscomplexobj(samples):
+        raise TypeError("spectral_values needs real samples, got a complex array")
+    return np.fft.rfftn(samples, axes=grid.spatial_axes, norm="forward")
+
+
+def _complete(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full spectrum of a real-to-complex half, Hermitian by construction.
+
+    The negative last-axis frequencies are the conjugate mirror entries; the
+    two self-conjugate planes (last index 0 and res/2) are replaced by their
+    Hermitian parts, which is what the inverse real transform reads there.
+    """
+    nyq = grid.nyquist
+    refl = grid.reflect_index
+    full = np.empty(half.shape[:-1] + (grid.res,), dtype=np.complex128)
+    full[..., 1:nyq] = half[..., 1:nyq]
+    np.conjugate(half[..., nyq - 1:0:-1][refl], out=full[..., nyq + 1:])
+    edges = half[..., ::nyq]
+    full[..., ::nyq] = 0.5 * (edges + np.conj(edges[refl]))
+    return full
 
 
 def spectral_values(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Forward transform of physical samples to plane-wave coefficients."""
-    axes = grid.spatial_axes
-    return np.fft.fftn(samples, axes=axes) / grid.npoints
+    """Forward transform of real physical samples to an exactly Hermitian spectrum."""
+    return _complete(grid, _half_spectrum(grid, samples))
 
 
 def to_physical(f: SpectralVectorField) -> np.ndarray:
@@ -149,13 +185,16 @@ def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
 
 
 def divergence_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Spectral divergence sum_a i*k_a c_a(k) of a (dim, *spatial) stack."""
-    return 1j * np.sum(grid.k_deriv * coeffs, axis=0)
+    """Spectral divergence sum_a i*k_a c_a(k) of a (dim, *spatial) stack.
+
+    Works on full spectra and on their real-to-complex halves alike.
+    """
+    return 1j * np.sum(grid.k_deriv[..., :coeffs.shape[-1]] * coeffs, axis=0)
 
 
 def divergence_sup(f: SpectralVectorField) -> float:
     """Physical-space sup of |div f|."""
-    div = divergence_coeffs(f.grid, f.coeffs)
+    div = divergence_coeffs(f.grid, f.coeffs[..., :f.grid.half_len])
     return float(np.max(np.abs(phys_values(f.grid, div))))
 
 
@@ -193,8 +232,33 @@ def hermitian_defect(f: SpectralVectorField) -> float:
 # ---------------------------------------------------------------------------
 
 def dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Zero every mode with any |k_i| > res/3 (2/3 rule)."""
-    return coeffs * grid.dealias_mask
+    """Zero every mode with any |k_i| > res/3 (2/3 rule).
+
+    Works on full spectra and on their real-to-complex halves alike.
+    """
+    return coeffs * grid.dealias_mask[..., :coeffs.shape[-1]]
+
+
+def _tensor_half(grid: Grid, pu: np.ndarray, pv: np.ndarray, use_dealias: bool) -> np.ndarray:
+    """Real-to-complex half of the (dealiased) pointwise product pu (x) pv.
+
+    pu and pv are (dim, *spatial) physical samples; passing the same array
+    twice reuses each symmetric product.
+    """
+    d = grid.dim
+    mask = grid.dealias_mask[..., :grid.half_len]
+    out = np.empty((d, d) + mask.shape, dtype=np.complex128)
+    for a in range(d):
+        for b in range(d):
+            if pv is pu and b < a:
+                out[a, b] = out[b, a]
+                continue
+            prod = _half_spectrum(grid, pu[a] * pv[b])
+            if use_dealias:
+                np.multiply(prod, mask, out=out[a, b])
+            else:
+                out[a, b] = prod
+    return out
 
 
 def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
@@ -209,30 +273,32 @@ def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
     """
     _same_grid(u.grid, v.grid)
     grid = u.grid
-    d = grid.dim
-    if use_dealias:
-        pu = phys_values(grid, dealias(grid, u.coeffs))
-        pv = pu if v is u else phys_values(grid, dealias(grid, v.coeffs))
-    else:
-        pu = phys_values(grid, u.coeffs)
-        pv = pu if v is u else phys_values(grid, v.coeffs)
 
-    out = np.empty((d, d) + grid.shape, dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            if v is u and b < a:
-                out[a, b] = out[b, a]
-                continue
-            prod = spectral_values(grid, pu[a] * pv[b])
-            out[a, b] = dealias(grid, prod) if use_dealias else prod
-    return TensorField(grid, out)
+    def samples(f: SpectralVectorField) -> np.ndarray:
+        half = f.coeffs[..., :grid.half_len]
+        return phys_values(grid, dealias(grid, half) if use_dealias else half)
+
+    pu = samples(u)
+    pv = pu if v is u else samples(v)
+    return TensorField(grid, _complete(grid, _tensor_half(grid, pu, pv, use_dealias)))
+
+
+def _sample_magnitude(grid: Grid, phys: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean magnitude of physical samples over all component axes."""
+    comp = phys.reshape((-1,) + grid.shape)
+    return np.sqrt(np.sum(comp**2, axis=0))
 
 
 def _magnitude(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean magnitude over all component axes, in physical space."""
-    phys = phys_values(grid, coeffs)
-    comp = phys.reshape((-1,) + grid.shape)
-    return np.sqrt(np.sum(comp**2, axis=0))
+    return _sample_magnitude(grid, phys_values(grid, coeffs))
+
+
+def _lp_of_magnitude(grid: Grid, mag: np.ndarray, p: float) -> float:
+    """L^p norm (uniform quadrature; grid max for p = inf) of a magnitude array."""
+    if math.isinf(p):
+        return float(np.max(mag))
+    return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
 
 
 def lp_norm(f: SpectralVectorField | TensorField, p: float) -> float:
@@ -243,10 +309,7 @@ def lp_norm(f: SpectralVectorField | TensorField, p: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
-    mag = _magnitude(f.grid, f.coeffs)
-    if math.isinf(p):
-        return float(np.max(mag))
-    return float((f.grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+    return _lp_of_magnitude(f.grid, _magnitude(f.grid, f.coeffs), p)
 
 
 def linf(f: SpectralVectorField | TensorField) -> float:

@@ -6,9 +6,11 @@ frequency vectors k (numpy FFT ordering, |k_i| <= res/2) and normalized so that
 
     f(x) = sum_k c(k) * exp(i k . x),
 
-i.e. c = fftn(samples) / res^dim. A Grid is immutable once constructed and safe
-to share between threads; the derived tables below are plain caches of pure
-functions of (dim, res).
+i.e. c = fftn(samples) / res^dim. Real fields have Hermitian spectra,
+c(-k) = conj(c(k)), so the first res//2 + 1 entries of the last axis (the
+real-to-complex half, `half_len`) determine the rest. A Grid is immutable
+once constructed and safe to share between threads; the derived tables below
+are plain caches of pure functions of (dim, res).
 """
 
 from __future__ import annotations
@@ -64,6 +66,23 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return (TAU / self.res) ** self.dim
+
+    @property
+    def half_len(self) -> int:
+        """Last-axis length of the real-to-complex half spectrum."""
+        return self.res // 2 + 1
+
+    @cached_property
+    def reflect_index(self) -> tuple:
+        """Index reflecting every spatial axis but the last, i -> -i mod res.
+
+        Applied to a (..., res, ..., res, m) array it reads the entry at -k on
+        the leading spatial axes; the last axis is left to the caller's slice.
+        Hermitian completion of a half spectrum reads its mirror entries
+        through it.
+        """
+        r = (-np.arange(self.res)) % self.res
+        return (Ellipsis,) + np.ix_(*([r] * (self.dim - 1))) + (slice(None),)
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralVectorField, TensorField
+from .fields import SpectralVectorField, TensorField, phys_values
 from .grid import Grid
 
 
@@ -135,13 +135,13 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
     Returns (nstates, jmax+2): column 0 is the S_0 sup, column 1+j the D_j sup.
     Transforms are batched per block over states and components.
     """
-    axes = grid.spatial_axes
-    n = grid.npoints
+    h = grid.half_len
     nstates = stack.shape[0]
     out = np.empty((nstates, part.jmax + 2))
-    mults = np.concatenate([part.s0[np.newaxis], part.delta])
+    half = stack[..., :h]
+    mults = np.concatenate([part.s0[np.newaxis], part.delta])[..., :h]
     for col, mult in enumerate(mults):
-        phys = np.fft.ifftn(stack * mult, axes=axes).real * n
+        phys = phys_values(grid, half * mult)
         mag = np.sqrt(np.sum(phys**2, axis=1))
         out[:, col] = mag.reshape(nstates, -1).max(axis=1)
     return out

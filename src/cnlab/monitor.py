@@ -160,10 +160,10 @@ def expected_blowup_exponent(n: int, p: float) -> float:
     return 0.5 * (ratio - 1.0)
 
 
-def _lp_of_record(rec: MonitorRecord, p: float, n: int) -> float:
+def _lp_of_record(rec: MonitorRecord, p: float, n: int | None) -> float:
     if p == 2.0:
         return rec.lp_2
-    if p == float(n):
+    if n is not None and p == float(n):
         return rec.lp_n
     if math.isinf(p):
         return rec.lp_inf
@@ -179,10 +179,13 @@ def giga_rate_fit(records: Sequence[MonitorRecord], p: float, t_star: float,
     Requires at least eight records, all earlier than t_star, with strictly
     increasing norms; otherwise FitUndefined. A norm following
     c (t_star - t)^gamma is recovered with exponent gamma exactly.
+
+    n is the spatial dimension of the records; the lp_n column answers
+    p = n only when n is given, since records do not carry it. An exponent
+    with no column raises KeyError.
     """
     if len(records) < 8:
         raise FitUndefined(f"need >= 8 records, got {len(records)}")
-    n = n if n is not None else 3
     ts = np.array([r.t for r in records])
     if np.any(ts >= t_star):
         raise FitUndefined("records must lie strictly before t_star")

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import SpectralVectorField, TensorField, _same_grid, dealias, phys_values, spectral_values
+from .fields import (SpectralVectorField, TensorField, _complete, _half_spectrum,
+                     _same_grid, dealias, phys_values)
 from .grid import Grid
 from .littlewood_paley import DyadicPartition
 
@@ -29,19 +30,30 @@ def _check_offset(i: int) -> None:
         raise ValueError(f"paraproduct offset must be 0 or 1, got {i}")
 
 
-def _low_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition, i: int) -> np.ndarray:
-    """Physical values of S_{k+i}(f) for k = 0..jmax, batched over components.
+def _blocks_phys(grid: Grid, coeffs: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """Physical values of each multiplier in mults applied to dealiased coeffs.
 
-    coeffs: (..., *spatial); result: (jmax+1, ..., *spatial).
+    coeffs: (..., *spatial); mults: (J, *spatial); result: (J, ..., *spatial).
+    Works on the real-to-complex half of both.
     """
-    sel = part.lowpass[i : part.jmax + 1 + i]
-    mults = sel.reshape((part.jmax + 1,) + (1,) * (coeffs.ndim - grid.dim) + grid.shape)
-    return phys_values(grid, mults * dealias(grid, coeffs))
+    h = grid.half_len
+    half = mults[..., :h].reshape((mults.shape[0],) + (1,) * (coeffs.ndim - grid.dim)
+                                  + grid.shape[:-1] + (h,))
+    return phys_values(grid, half * dealias(grid, coeffs[..., :h]))
+
+
+def _low_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition, i: int) -> np.ndarray:
+    """Physical values of S_{k+i}(f) for k = 0..jmax, batched over components."""
+    return _blocks_phys(grid, coeffs, part.lowpass[i : part.jmax + 1 + i])
 
 
 def _delta_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    mults = part.delta.reshape((part.jmax + 1,) + (1,) * (coeffs.ndim - grid.dim) + grid.shape)
-    return phys_values(grid, mults * dealias(grid, coeffs))
+    return _blocks_phys(grid, coeffs, part.delta)
+
+
+def _dealiased_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """dealias(spectral_values(samples)), dealiased on the half before completion."""
+    return _complete(grid, dealias(grid, _half_spectrum(grid, samples)))
 
 
 def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,
@@ -52,7 +64,7 @@ def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,
     low = _low_blocks_phys(grid, np.asarray(phi, dtype=np.complex128), part, i)
     high = _delta_blocks_phys(grid, np.asarray(psi, dtype=np.complex128), part)
     acc = np.sum(low * high, axis=0)
-    return dealias(grid, spectral_values(grid, acc))
+    return _dealiased_spectrum(grid, acc)
 
 
 def tensor_paraproduct(i: int, f: SpectralVectorField, g: SpectralVectorField,
@@ -66,7 +78,7 @@ def tensor_paraproduct(i: int, f: SpectralVectorField, g: SpectralVectorField,
     low = _low_blocks_phys(grid, f.coeffs, part, i)      # (J, d, *sp)
     high = _delta_blocks_phys(grid, g.coeffs, part)      # (J, d, *sp)
     acc = np.einsum("ka...,kb...->ab...", low, high)
-    out = dealias(grid, spectral_values(grid, acc))
+    out = _dealiased_spectrum(grid, acc)
     return TensorField(grid, out)
 
 
@@ -89,5 +101,5 @@ def bony_split(h: SpectralVectorField, g: SpectralVectorField,
     low_g = _low_blocks_phys(grid, g.coeffs, part, 1)    # S_{k+1}(g_b)
     high_h = _delta_blocks_phys(grid, h.coeffs, part)    # D_k(h_a)
     acc = np.einsum("kb...,ka...->ab...", low_g, high_h)
-    b_part = TensorField(grid, dealias(grid, spectral_values(grid, acc)))
+    b_part = TensorField(grid, _dealiased_spectrum(grid, acc))
     return a_part, b_part

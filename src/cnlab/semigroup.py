@@ -21,8 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import (SpectralVectorField, TensorField, _same_grid,
-                     divergence_sup, linf, pointwise_tensor)
+from .fields import (SpectralVectorField, TensorField, _complete, _same_grid,
+                     _sample_magnitude, _tensor_half, dealias, divergence_sup,
+                     phys_values)
 from .grid import Grid
 from .phi import phi1, phi2
 
@@ -85,23 +86,30 @@ def heat(f: SpectralVectorField, t: float, nu: float = 1.0) -> SpectralVectorFie
     return SpectralVectorField(f.grid, f.coeffs * np.exp(-nu * t * f.grid.ksq))
 
 
-def leray_project(f: SpectralVectorField) -> SpectralVectorField:
-    """Project onto divergence-free fields: c -> c - k (k.c)/|k|^2, k = 0 kept."""
-    grid = f.grid
-    k = grid.k_deriv
-    ksq = grid.ksq_deriv
+def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Leray projection of a (dim, *spatial) stack, full or real-to-complex half."""
+    w = c.shape[-1]
+    k = grid.k_deriv[..., :w]
+    ksq = grid.ksq_deriv[..., :w]
     # k = 0 (and bare Nyquist lines, where k_deriv vanishes) pass through untouched
     safe = np.where(ksq == 0.0, 1.0, ksq)
-    kdotc = np.sum(k * f.coeffs, axis=0)
-    out = f.coeffs - k * (kdotc / safe)
-    return SpectralVectorField(grid, out)
+    kdotc = np.sum(k * c, axis=0)
+    return c - k * (kdotc / safe)
+
+
+def _div_tensor_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Row-wise divergence of a (dim, dim, *spatial) stack, full or half."""
+    return 1j * np.einsum("b...,ab...->a...", grid.k_deriv[..., :c.shape[-1]], c)
+
+
+def leray_project(f: SpectralVectorField) -> SpectralVectorField:
+    """Project onto divergence-free fields: c -> c - k (k.c)/|k|^2, k = 0 kept."""
+    return SpectralVectorField(f.grid, _leray_coeffs(f.grid, f.coeffs))
 
 
 def div_tensor(F: TensorField) -> SpectralVectorField:
     """Row-wise tensor divergence: v_a = sum_b d_b F_ab."""
-    grid = F.grid
-    out = 1j * np.einsum("b...,ab...->a...", grid.k_deriv, F.coeffs)
-    return SpectralVectorField(grid, out)
+    return SpectralVectorField(F.grid, _div_tensor_coeffs(F.grid, F.coeffs))
 
 
 def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVectorField:
@@ -109,13 +117,21 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
 
     Rejects inputs whose divergence exceeds DIV_FREE_TOL relative to
     max(1, ||u||_inf); for divergence-free u this equals Leray((u.grad) u).
+    Product, divergence and projection run on the real-to-complex half
+    spectrum, completed to the full Hermitian spectrum once at the end.
     """
-    gate = DIV_FREE_TOL * max(1.0, linf(u))
+    grid = u.grid
+    half = u.coeffs[..., :grid.half_len]
+    kept = dealias(grid, half) if use_dealias else half
+    pu = phys_values(grid, kept)
+    # ||u||_inf reads the product's samples when the 2/3 rule removed nothing
+    p_all = pu if kept is half or np.array_equal(kept, half) else phys_values(grid, half)
+    gate = DIV_FREE_TOL * max(1.0, float(np.max(_sample_magnitude(grid, p_all))))
     defect = divergence_sup(u)
     if not defect <= gate:  # also trips on NaN
         raise ValueError(f"nonlinearity needs divergence-free input: |div u| = {defect:.3e}")
-    tens = pointwise_tensor(u, u, use_dealias)
-    return leray_project(div_tensor(tens))
+    div = _div_tensor_coeffs(grid, _tensor_half(grid, pu, pu, use_dealias))
+    return SpectralVectorField(grid, _complete(grid, _leray_coeffs(grid, div)))
 
 
 def duhamel_L(path: Sequence[SpectralVectorField] | Iterable[SpectralVectorField],

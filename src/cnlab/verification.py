@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import (SpectralVectorField, TensorField, linf, lp_norm,
                      pointwise_tensor, random_field, random_tensor_field,
-                     random_vector_field)
+                     random_vector_field, spectral_values, to_spectral)
 from .grid import Grid
 from .littlewood_paley import besov_norm, besov_norm_states, build_partition
 from .paraproduct import bony_split, tensor_paraproduct
@@ -242,9 +242,11 @@ def verify_bony_identity(pairs: int = 200, res_list: Sequence[int] = (16, 32, 64
 
 def _sup_sqrt_heat(grid: Grid, coeffs: np.ndarray, horizon: float, nu: float) -> float:
     from .fields import _magnitude
+    half = coeffs[..., :grid.half_len]
+    ksq = grid.ksq[..., :grid.half_len]
     best = 0.0
     for t in _kato_ladder(horizon):
-        decayed = coeffs * np.exp(-nu * t * grid.ksq)
+        decayed = half * np.exp(-nu * t * ksq)
         best = max(best, math.sqrt(t) * float(np.max(_magnitude(grid, decayed))))
     return best
 
@@ -275,7 +277,7 @@ def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
     for kmod in (1, 2, 4):
         samples = np.zeros((dim,) + grid.shape)
         samples[1] = np.cos(kmod * x)
-        f = SpectralVectorField(grid, np.fft.fftn(samples, axes=grid.spatial_axes) / grid.npoints)
+        f = to_spectral(samples, grid)
         lam = nu * kmod**2
         exact = 1.0 / math.sqrt(2.0 * math.e * lam) if 1.0 / (2 * lam) <= 1.0 else math.exp(-lam)
         measured = _sup_sqrt_heat(grid, f.coeffs, 1.0, nu)
@@ -344,8 +346,7 @@ def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         for m in shells:
             samples = np.zeros((dim, dim) + grid.shape)
             samples[1, 0] = np.cos(m * x1)
-            coeffs = np.fft.fftn(samples, axes=grid.spatial_axes) / grid.npoints
-            probes.append(TensorField(grid, coeffs))
+            probes.append(TensorField(grid, spectral_values(grid, samples)))
         for i in range(trials):
             m = shells[i % len(shells)]
             probes.append(random_tensor_field(grid, rng, slope=0.0, band=(m, m)))
@@ -406,8 +407,7 @@ def verify_embedding(trials: int = 100, res_list: Sequence[int] = (32, 64, 128),
             for kmod in (1, 2, 4):
                 samples = np.zeros((dim,) + grid.shape)
                 samples[-1] = np.cos(kmod * x)
-                fields.append(SpectralVectorField(
-                    grid, np.fft.fftn(samples, axes=grid.spatial_axes) / grid.npoints))
+                fields.append(to_spectral(samples, grid))
             kind = "taylor_green_2d" if dim == 2 else "taylor_green_3d"
             fields.append(make_profile(grid, kind))
         best = 0.0

@@ -9,7 +9,9 @@ import pytest
 from cnlab.cli import main as cli_main
 from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
-from cnlab.snapshots import read_snapshot
+from cnlab.grid import Grid
+from cnlab.semigroup import heat
+from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import kato_smallness, make_profile
 from cnlab.verification import CHECKS, VerificationReport
 
@@ -143,6 +145,8 @@ class TestSimulateCommand:
         assert report["error"] is None
         assert set(report["runs"]) == {"picard", "etdrk4"}
         assert report["cross_validation"]["passed"] is True
+        assert set(report["cross_validation"]) == {"discrepancy", "tolerance",
+                                                   "passed", "node_errors"}
         assert report["config"]["method"] == "both"
         for method in ("picard", "etdrk4"):
             snaps = sorted((tg_simdir / "snapshots" / method).glob("*.snap"))
@@ -227,6 +231,19 @@ class TestMonitorCommand:
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith(("#", "t,"))]
         assert all(r.split(",")[6] == "" for r in rows)
+
+    def test_orders_by_header_time(self, tmp_path):
+        # by name state_10000 < state_1001 < state_999, the reverse of time order
+        u0 = make_profile(Grid(2, 16), "taylor_green_2d")
+        snapdir = tmp_path / "snaps"
+        snapdir.mkdir()
+        for name, t in (("state_999", 0.0), ("state_1001", 0.1), ("state_10000", 0.2)):
+            write_snapshot(snapdir / f"{name}.snap", heat(u0, t), t)
+        out = tmp_path / "m.csv"
+        assert cli_main(["monitor", "--snapshots", str(snapdir), "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines()
+                if l and not l.startswith(("#", "t,"))]
+        assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.1, 0.2]
 
     def test_missing_path(self, tmp_path, capsys):
         code = cli_main(["monitor", "--snapshots", str(tmp_path / "ghost"),

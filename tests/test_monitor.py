@@ -169,6 +169,18 @@ class TestBlowupRateFit:
         assert fit.exponent == pytest.approx(-1.25, abs=1e-9)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-9)
 
+    def test_lp_n_column_needs_dimension(self):
+        # in 2D records the lp_n column is L^2; without n, p = 3 has no column
+        recs = synth_records(1.0, -0.5)
+        for rec in recs:
+            rec.lp_n = rec.lp_2
+        with pytest.raises(KeyError):
+            giga_rate_fit(recs, 3.0, 1.0)
+        with pytest.raises(KeyError):
+            giga_rate_fit(recs, 3.0, 1.0, n=2)
+        assert giga_rate_fit(recs, 2.0, 1.0, n=2).exponent == pytest.approx(-0.5, abs=1e-9)
+        assert giga_rate_fit(recs, 3.0, 1.0, n=3).exponent == pytest.approx(-0.5, abs=1e-9)
+
     def test_undefined_cases(self):
         flat = [MonitorRecord(t, 1.0, 1.0, 1.0, 1.0, None, None, 0.5)
                 for t in np.linspace(0.1, 0.9, 12)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cnlab import solver
 from cnlab.fields import divergence_sup, linf, zero_field
 from cnlab.grid import Grid
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
@@ -173,6 +174,22 @@ class TestEtdrk4:
         assert exc.value.trajectory.meta["blowup_time"] == exc.value.time
         assert len(exc.value.trajectory.states) == 2
         assert np.all(np.isfinite(exc.value.last_state.coeffs))
+
+    def test_weights_built_once_per_step_size(self, monkeypatch):
+        calls = []
+        for name in ("phi1", "phi2", "phi3"):
+            fn = getattr(solver, name)
+            monkeypatch.setattr(solver, name,
+                                lambda z, fn=fn: calls.append(fn) or fn(z))
+        g = Grid(2, 16)
+        cfg = SolverConfig(dim=2, res=16, horizon=0.5,
+                           picard=PicardOptions(node_count=32),
+                           etdrk4=EtdrkOptions(dt=0.004))
+        etdrk4_integrate(make_profile(g, "taylor_green_2d"), cfg)
+        # phi1(z), phi2(z), phi3(z), phi1(z/2) once per distinct step size;
+        # uniform node spacings agree to the bit for most intervals
+        spans = set(np.diff(cfg.time_grid().nodes).tolist())
+        assert len(calls) == 4 * len(spans) < 4 * 32
 
     def test_invalid_dt(self, g2_16):
         cfg = SolverConfig(dim=2, res=16, etdrk4=EtdrkOptions(dt=-0.1))
