@@ -10,8 +10,9 @@ Subcommands:
     bench      time the core kernels
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification check
-failed, 3 fixed-point iteration did not converge, 4 suspected blow-up. Errors
-are emitted as a single JSON object on stderr.
+failed or simulate --method both failed cross-validation (after writing all
+artifacts), 3 fixed-point iteration did not converge, 4 suspected blow-up.
+Errors are emitted as a single JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .fields import linf, lp_norm
 from .littlewood_paley import besov_norm
 from .monitor import monitor, write_monitor_csv
 from .semigroup import TimeGrid
-from .snapshots import SnapshotError, read_snapshot, write_snapshot
+from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
 from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
                      compare_trajectories, etdrk4_integrate, kato_smallness,
                      picard_solve, profile_from_spec)
@@ -60,7 +61,7 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 
 
 def _dump_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             break
 
     if code == EXIT_OK and len(trajs) == 2:
-        report["cross_validation"] = compare_trajectories(trajs["picard"], trajs["etdrk4"],
-                                                          cfg.cross_tol)
+        cross = compare_trajectories(trajs["picard"], trajs["etdrk4"], cfg.cross_tol)
+        report["cross_validation"] = cross
+        if not cross["passed"]:
+            report["error"] = {"type": "CrossValidationFailed",
+                               "message": f"discrepancy {cross['discrepancy']:.6g} exceeds "
+                                          f"cross_tol {cfg.cross_tol:.6g}"}
+            code = EXIT_CHECK_FAILED
 
     _dump_json(outdir / "report.json", report)
     if report["error"] is not None:
@@ -207,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_checks(checks, seed=seed, sizes=sizes)
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
-    (outdir / "summary.csv").write_text(summary_csv(reports))
+    atomic_write(outdir / "summary.csv", summary_csv(reports).encode())
     failed = [r.name for r in reports if not r.passed]
     if failed:
         _emit_error("CheckFailed", f"{len(failed)} check(s) failed: {failed}",
@@ -279,7 +285,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     }
     out = json.dumps(results, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(out + "\n")
+        atomic_write(args.out, (out + "\n").encode())
     print(out)
     return EXIT_OK
 
@@ -298,7 +304,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--config", required=True, help="JSON run configuration")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--method", choices=["picard", "etdrk4", "both"],
-                       default="picard")
+                       default="picard",
+                       help="'both' solves by both routes and cross-validates; "
+                            "exit code 2 if they differ by more than cross_tol")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_mon = sub.add_parser("monitor", help="monitor stored snapshots")
@@ -307,7 +315,8 @@ def build_parser() -> _Parser:
     p_mon.add_argument("--out", required=True, help="output CSV path")
     p_mon.add_argument("--nu", type=float, default=1.0)
     p_mon.add_argument("--p", type=float, nargs="*", default=[],
-                       help="extra Lebesgue exponents (kept in memory only)")
+                       help="extra Lebesgue exponents; computed but not written, "
+                            "since the CSV columns are fixed")
     p_mon.add_argument("--kato-horizon", default="default",
                        help="'default', 'none', or a number")
     p_mon.add_argument("--cutoff", choices=["sharp", "smooth"], default="sharp")

@@ -130,20 +130,35 @@ def block_sup_norms(grid: Grid, coeffs: np.ndarray, part: DyadicPartition) -> tu
 
 
 def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    """Per-state block sup norms for a (nstates, ncomp, *spatial) stack.
+    """Per-state block sup norms for a (nstates, ncomp, *spatial) stack of full
+    spectra or of their real-to-complex halves.
 
     Returns (nstates, jmax+2): column 0 is the S_0 sup, column 1+j the D_j sup.
-    Transforms are batched per block over states and components.
+    Transforms are batched per block over states and components. A block is
+    transformed only for the states whose spectral support meets the support
+    of its multiplier; the others have an all-zero block, whose sup is exactly
+    0. States with a non-finite coefficient are transformed for every block,
+    since inf * 0 is nan.
     """
     h = grid.half_len
     nstates = stack.shape[0]
-    out = np.empty((nstates, part.jmax + 2))
+    out = np.zeros((nstates, part.jmax + 2))
     half = stack[..., :h]
     mults = np.concatenate([part.s0[np.newaxis], part.delta])[..., :h]
+    occupied = np.any(half != 0, axis=1).reshape(nstates, -1)
+    nonfinite = ~np.all(np.isfinite(half).reshape(nstates, -1), axis=1)
     for col, mult in enumerate(mults):
-        phys = phys_values(grid, half * mult)
-        mag = np.sqrt(np.sum(phys**2, axis=1))
-        out[:, col] = mag.reshape(nstates, -1).max(axis=1)
+        rows = nonfinite | np.any(occupied[:, mult.ravel() != 0], axis=1)
+        if rows.all():
+            blocks = half * mult
+        elif rows.any():
+            blocks = half[rows]
+            blocks *= mult
+        else:
+            continue
+        phys = phys_values(grid, blocks)
+        mag = np.sum(np.square(phys, out=phys), axis=1)
+        out[rows, col] = np.sqrt(mag, out=mag).reshape(len(blocks), -1).max(axis=1)
     return out
 
 
@@ -177,7 +192,7 @@ def besov_norm_states(states: Sequence[SpectralVectorField], s: float,
     if len(states) == 0:
         return np.zeros(0)
     grid = states[0].grid
-    stack = np.stack([st.coeffs for st in states])
+    stack = np.stack([st.coeffs[..., :grid.half_len] for st in states])
     sups = _stack_block_sups(grid, stack, part)
     return _besov_from_sups(sups, s, part.jmax)
 

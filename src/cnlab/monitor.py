@@ -19,6 +19,7 @@ import numpy as np
 
 from .fields import SpectralVectorField, phys_values
 from .littlewood_paley import DyadicPartition, besov_norm_states, build_partition
+from .snapshots import atomic_write
 from .solver import KatoSmallness, Trajectory, kato_smallness
 
 CSV_COLUMNS = ("t", "lp_2", "lp_n", "lp_inf", "besov_m1", "besov_dist_omega",
@@ -218,7 +219,7 @@ def write_monitor_csv(records: Sequence[MonitorRecord], path: str | Path,
             _fmt(r.t), _fmt(r.lp_2), _fmt(r.lp_n), _fmt(r.lp_inf), _fmt(r.besov_m1),
             _fmt(r.besov_dist_omega), _fmt(r.kato_I), _fmt(r.energy),
         ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_monitor_csv(path: str | Path) -> list[MonitorRecord]:

@@ -12,11 +12,17 @@ Layout (little-endian throughout):
             frequency order (numpy FFT layout), each value as (re, im) f64
 
 Writing and re-reading a snapshot reproduces the coefficient bytes exactly.
+
+Every artifact cnlab writes (snapshots, monitor CSVs, JSON reports,
+summary.csv) goes through atomic_write, so a killed run leaves either the
+previous file or the complete new one, never a truncated file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +39,30 @@ class SnapshotError(ValueError):
     """Raised for malformed or incompatible snapshot files."""
 
 
+def atomic_write(path: str | Path, *chunks: bytes) -> None:
+    """Write the chunks to path so that it holds the old file or the whole new one.
+
+    The chunks go to a temporary file in the same directory, renamed over
+    path with os.replace once all are written and removed if a write
+    raises. Atomic against a killed process; no fsync, so not against a
+    power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_snapshot(path: str | Path, field: SpectralVectorField, time: float) -> None:
     grid = field.grid
     header = _HEADER.pack(MAGIC, VERSION, grid.dim, grid.res, grid.dim, float(time))
-    body = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + body)
+    atomic_write(path, header, np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes())
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralVectorField, float]:

@@ -24,8 +24,9 @@ from .grid import Grid
 from .littlewood_paley import besov_norm, besov_norm_states, build_partition
 from .paraproduct import bony_split, tensor_paraproduct
 from .semigroup import TimeGrid, div_tensor, duhamel_L, heat, leray_project
-from .solver import (SolverConfig, PicardOptions, ProfileSpec, _kato_ladder,
-                     make_profile, picard_solve)
+from .solver import (_BOUND_MARGIN, PicardOptions, ProfileSpec, SolverConfig,
+                     _heat_bounds, _heat_ladder_sup, _kato_ladder, make_profile,
+                     picard_solve)
 
 
 @dataclass
@@ -240,17 +241,6 @@ def verify_bony_identity(pairs: int = 200, res_list: Sequence[int] = (16, 32, 64
 # heat L^n -> L^inf smoothing
 # ---------------------------------------------------------------------------
 
-def _sup_sqrt_heat(grid: Grid, coeffs: np.ndarray, horizon: float, nu: float) -> float:
-    from .fields import _magnitude
-    half = coeffs[..., :grid.half_len]
-    ksq = grid.ksq[..., :grid.half_len]
-    best = 0.0
-    for t in _kato_ladder(horizon):
-        decayed = half * np.exp(-nu * t * ksq)
-        best = max(best, math.sqrt(t) * float(np.max(_magnitude(grid, decayed))))
-    return best
-
-
 def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128),
                         dim: int = 2, seed: int = 0, nu: float = 1.0) -> VerificationReport:
     """The t^{-1/2} smoothing constant of the heat flow from L^n into L^inf.
@@ -261,13 +251,14 @@ def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
     compensated sup-norm decays toward the sqrt(1/2) halving factor as t -> 0.
     """
     rng = np.random.default_rng([seed, 404])
+    ladder = _kato_ladder(1.0)
     ks = []
     for res in res_list:
         grid = Grid(dim, res)
         best = 0.0
         for _ in range(trials):
             f = random_vector_field(grid, rng, slope=float(rng.choice([0.0, 1.0, 2.0, 3.0])))
-            best = max(best, _sup_sqrt_heat(grid, f.coeffs, 1.0, nu)
+            best = max(best, _heat_ladder_sup(grid, f.coeffs, ladder, nu)[0]
                        / lp_norm(f, float(dim)))
         ks.append(best)
 
@@ -280,7 +271,7 @@ def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         f = to_spectral(samples, grid)
         lam = nu * kmod**2
         exact = 1.0 / math.sqrt(2.0 * math.e * lam) if 1.0 / (2 * lam) <= 1.0 else math.exp(-lam)
-        measured = _sup_sqrt_heat(grid, f.coeffs, 1.0, nu)
+        measured = _heat_ladder_sup(grid, f.coeffs, ladder, nu)[0]
         mode_errs.append(abs(measured - exact) / exact)
 
     f = random_vector_field(grid, rng)
@@ -353,7 +344,11 @@ def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         for F in probes:
             # heat factor applied last commutes, so hoist the projected divergence
             v = leray_project(div_tensor(F))
+            # the envelope is a max: a time whose bound stays below it cannot move it
+            bounds = _heat_bounds(grid, v.coeffs, t_grid, nu)
             for idx, t in enumerate(t_grid):
+                if bounds[idx] * _BOUND_MARGIN < envelope[idx]:
+                    continue
                 val = linf(heat(v, float(t), nu))
                 envelope[idx] = max(envelope[idx], val)
         env_by_res[res] = envelope

@@ -10,6 +10,7 @@ from cnlab.cli import main as cli_main
 from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
 from cnlab.grid import Grid
+from cnlab.monitor import CSV_COLUMNS, read_monitor_csv, write_monitor_csv
 from cnlab.semigroup import heat
 from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import kato_smallness, make_profile
@@ -187,6 +188,21 @@ class TestSimulateCommand:
         assert report["error"]["type"] == "NonConvergence"
         assert (out / "monitor_picard.csv").exists()  # partial run still monitored
 
+    def test_failed_cross_validation_exit_code(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {**TG_SIM, "cross_tol": 1e-30})
+        out = tmp_path / "out"
+        code = cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--method", "both"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "CrossValidationFailed"
+        report = json.loads((out / "report.json").read_text())
+        assert report["cross_validation"]["passed"] is False
+        assert report["error"]["type"] == "CrossValidationFailed"
+        for method in ("picard", "etdrk4"):
+            assert report["runs"][method]["states"] == 9
+            assert (out / f"monitor_{method}.csv").exists()
+
     def test_blowup_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
             "dim": 2, "res": 16, "nu": 1e-3, "horizon": 1.0,
@@ -231,6 +247,21 @@ class TestMonitorCommand:
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith(("#", "t,"))]
         assert all(r.split(",")[6] == "" for r in rows)
+
+    def test_extra_exponents_keep_the_eight_columns(self, tg_simdir, tmp_path):
+        snapdir = str(tg_simdir / "snapshots" / "picard")
+        out = tmp_path / "m.csv"
+        assert cli_main(["monitor", "--snapshots", snapdir, "--out", str(out),
+                         "--p", "4"]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1] == ",".join(CSV_COLUMNS) and len(CSV_COLUMNS) == 8
+        assert all(len(line.split(",")) == 8 for line in lines[2:])
+        records = read_monitor_csv(out)
+        assert len(records) == 9 and all(r.extra_lp == {} for r in records)
+        again = tmp_path / "again.csv"
+        echo = json.loads(lines[0][len("# config: "):])
+        write_monitor_csv(records, again, config_echo=echo)
+        assert again.read_bytes() == out.read_bytes()
 
     def test_orders_by_header_time(self, tmp_path):
         # by name state_10000 < state_1001 < state_999, the reverse of time order

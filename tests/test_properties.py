@@ -1,9 +1,14 @@
-"""Property tests of the real-to-complex transform pair and the half-spectrum
-right-hand side, over dims 2/3, res 8..32 and extra leading axes.
+"""Property tests of the real-to-complex transform pair, the half-spectrum
+right-hand side and the exact transform pruning, over dims 2/3, res 8..32
+and extra leading axes.
 
 The oracles (full complex inverse FFT, reflection by flip-and-roll) are
-independent of the library's transform code.
+independent of the library's transform code. The pruned block sups, heat
+ladder and Oseen envelope are compared bit for bit with loops that
+transform everything.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnlab.fields import (hermitianize, phys_values, pointwise_tensor,
-                          random_vector_field, spectral_values)
+                          random_field, random_vector_field, spectral_values)
 from cnlab.grid import Grid
+from cnlab.littlewood_paley import _stack_block_sups, build_partition
 from cnlab.semigroup import div_tensor, leray_project, nonlinearity
+from cnlab.solver import _heat_bounds, _heat_ladder_sup, _kato_ladder
+from cnlab.verification import verify_oseen_kernel
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -78,3 +86,136 @@ def test_spectral_values_rejects_complex_samples(dim):
     samples = np.ones((dim,) + grid.shape, dtype=np.complex128)
     with pytest.raises(TypeError, match="real samples"):
         spectral_values(grid, samples)
+
+
+# ---------------------------------------------------------------------------
+# transform pruning
+# ---------------------------------------------------------------------------
+
+KINDS = ["zero", "single_mode", "single_shell", "band", "broadband",
+         "mode_and_noise", "huge", "nan", "inf"]
+
+
+def make_state(grid, kind, seed):
+    """(dim, *spatial) coefficients of one kind of state."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    top = grid.res // 3
+    if kind == "single_mode":
+        x = grid.coords()[0]
+        samples = np.zeros((grid.dim,) + grid.shape)
+        samples[1] = np.cos(int(rng.integers(1, top + 1)) * x)
+        c = spectral_values(grid, samples)
+    elif kind == "single_shell":
+        m = int(rng.integers(1, top + 1))
+        c = random_field(grid, rng, slope=0.0, band=(m, m))
+    elif kind == "band":
+        lo = int(rng.integers(1, top + 1))
+        c = random_field(grid, rng, slope=1.0, band=(lo, int(rng.integers(lo, top + 1))))
+    elif kind == "mode_and_noise":
+        # a low mode that dominates late behind broadband noise that dominates
+        # the bound early: the largest bound is not where the sup is
+        x = grid.coords()[-1]
+        samples = np.zeros((grid.dim,) + grid.shape)
+        samples[0] = np.cos(x)
+        c = spectral_values(grid, samples) + random_field(grid, rng, slope=0.0, band=(2, top))
+    elif kind != "zero":
+        c = random_field(grid, rng, slope=float(rng.choice([0.0, 2.0])))
+    if kind == "huge":
+        c *= 1e160
+    elif kind in ("nan", "inf"):
+        idx = tuple(int(rng.integers(0, n)) for n in c.shape)
+        c[idx] = np.nan if kind == "nan" else np.inf
+    return c
+
+
+def ladder_reference(grid, coeffs, ts, nu):
+    half = coeffs[..., :grid.half_len]
+    ksq = grid.ksq[..., :grid.half_len]
+    best, t_at = -1.0, float(ts[0])
+    for t in ts:
+        phys = phys_values(grid, half * np.exp(-nu * t * ksq))
+        v = math.sqrt(t) * float(np.max(np.sqrt(np.sum(phys**2, axis=0))))
+        if v > best:
+            best, t_at = v, float(t)
+    return best, t_at
+
+
+def block_sups_reference(grid, stack, part):
+    h = grid.half_len
+    mults = np.concatenate([part.s0[np.newaxis], part.delta])[..., :h]
+    out = np.empty((stack.shape[0], len(mults)))
+    for col, mult in enumerate(mults):
+        phys = phys_values(grid, stack[..., :h] * mult)
+        mag = np.sqrt(np.sum(phys**2, axis=1))
+        out[:, col] = mag.reshape(stack.shape[0], -1).max(axis=1)
+    return out
+
+
+@PROPS
+@given(grids, st.sampled_from(KINDS), seeds, st.sampled_from([1e-3, 0.3, 1.0]),
+       st.sampled_from([0.5, 1.0, 2.0]))
+def test_pruned_heat_ladder_matches_every_transform(grid, kind, seed, horizon, nu):
+    c = make_state(grid, kind, seed)
+    ts = _kato_ladder(horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _heat_ladder_sup(grid, c, ts, nu)
+        ref = ladder_reference(grid, c, ts, nu)
+    assert repr(got) == repr(ref)
+
+
+@PROPS
+@given(grids, st.sampled_from(KINDS[:6]), seeds, st.sampled_from([0.5, 1.0, 2.0]))
+def test_heat_bounds_cap_the_sup_norm(grid, kind, seed, nu):
+    c = make_state(grid, kind, seed)
+    ts = _kato_ladder(1.0)
+    bounds = _heat_bounds(grid, c, ts, nu)
+    half = c[..., :grid.half_len]
+    ksq = grid.ksq[..., :grid.half_len]
+    for t, bound in zip(ts, bounds):
+        phys = phys_values(grid, half * np.exp(-nu * t * ksq))
+        assert np.max(np.sqrt(np.sum(phys**2, axis=0))) <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_heat_bounds_exact_on_one_mode(dim):
+    # a single cosine is its own worst case along every axis, including the
+    # last one, whose mirror mode the real-to-complex half does not store
+    grid = Grid(dim, 16)
+    ts = _kato_ladder(1.0)
+    for axis, m in enumerate((1, 3, 5)[:dim]):
+        c = np.zeros((dim,) + grid.shape, dtype=np.complex128)
+        for k in (m, -m):  # cos(m x_axis) in component 0
+            idx = [0] * dim
+            idx[axis] = k
+            c[(0,) + tuple(idx)] = 0.5
+        exact = np.exp(-0.5 * ts * m * m)
+        assert np.allclose(_heat_bounds(grid, c, ts, 0.5), exact, rtol=1e-13, atol=0)
+
+
+@PROPS
+@given(grids, st.lists(st.sampled_from(KINDS[:6]), min_size=1, max_size=6),
+       st.booleans(), seeds, st.sampled_from(["sharp", "smooth"]))
+def test_pruned_block_sups_match_every_transform(grid, kinds, nonfinite, seed, mode):
+    if nonfinite:
+        kinds = kinds + ["nan"]
+    stack = np.stack([make_state(grid, kind, seed + i) for i, kind in enumerate(kinds)])
+    part = build_partition(grid, mode)
+    with np.errstate(invalid="ignore"):
+        got = _stack_block_sups(grid, stack, part)
+        from_half = _stack_block_sups(grid, stack[..., :grid.half_len].copy(), part)
+        ref = block_sups_reference(grid, stack, part)
+    assert got.tobytes() == ref.tobytes()
+    assert from_half.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 4), seeds, st.sampled_from([0.5, 1.0]))
+def test_pruned_oseen_envelope_matches_every_transform(dim, trials, seed, nu):
+    kwargs = dict(trials=trials, res_list=(8, 16), dim=dim, seed=seed, nu=nu)
+    got = verify_oseen_kernel(**kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cnlab.verification._heat_bounds",
+                   lambda grid, coeffs, ts, nu: np.full(np.shape(ts), np.inf))
+        ref = verify_oseen_kernel(**kwargs)
+    assert repr(got.to_dict()) == repr(ref.to_dict())

@@ -7,7 +7,9 @@ import pytest
 
 from cnlab.fields import random_vector_field
 from cnlab.grid import Grid
-from cnlab.snapshots import MAGIC, VERSION, SnapshotError, read_snapshot, write_snapshot
+from cnlab.monitor import MonitorRecord, write_monitor_csv
+from cnlab.snapshots import (MAGIC, VERSION, SnapshotError, atomic_write,
+                             read_snapshot, write_snapshot)
 
 HEADER = struct.Struct("<4sIIIId")
 
@@ -90,3 +92,35 @@ def test_invalid_grid_in_header(tmp_path, rng):
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError):  # grid validation, before body checks
         read_snapshot(p)
+
+
+def test_atomic_write_failure_keeps_old_file(tmp_path):
+    target = tmp_path / "artifact.csv"
+    target.write_bytes(b"old contents\n")
+    with pytest.raises(TypeError):  # the second chunk is not bytes
+        atomic_write(target, b"half of the new", None)
+    assert target.read_bytes() == b"old contents\n"
+    assert list(tmp_path.iterdir()) == [target]
+    atomic_write(target, b"new ", b"contents\n")
+    assert target.read_bytes() == b"new contents\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("writer", ["snapshot", "monitor_csv"])
+def test_artifact_writers_replace_atomically(tmp_path, rng, monkeypatch, writer):
+    target = tmp_path / "artifact"
+    target.write_bytes(b"old contents\n")
+    f = random_vector_field(Grid(2, 8), rng)
+    rec = MonitorRecord(0.0, 1.0, 1.0, 1.0, 1.0, None, None, 0.5)
+
+    def fail(*args):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("cnlab.snapshots.os.replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        if writer == "snapshot":
+            write_snapshot(target, f, 0.0)
+        else:
+            write_monitor_csv([rec], target)
+    assert target.read_bytes() == b"old contents\n"
+    assert list(tmp_path.iterdir()) == [target]
