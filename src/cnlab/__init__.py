@@ -5,36 +5,3 @@ verification of the quantitative estimates tying them together.
 """
 
 __version__ = "0.1.0"
-
-from .fields import (SpectralVectorField, TensorField, dealias, derivative,
-                     divergence_sup, energy, hermitian_defect, hermitianize,
-                     linf, lp_norm, pointwise_tensor, project_mean_zero,
-                     random_field, random_tensor_field, random_vector_field,
-                     to_physical, to_spectral, zero_field)
-from .grid import Grid, make_grid
-from .littlewood_paley import (DyadicPartition, besov_distance, besov_norm,
-                               besov_norm_states, block, block_sup_norms,
-                               build_partition, low_pass)
-from .monitor import (CSV_COLUMNS, BVResult, FitUndefined, MonitorRecord,
-                      RateFit, giga_rate_fit, bv_variation,
-                      expected_blowup_exponent, kato_functional, monitor,
-                      read_monitor_csv, write_monitor_csv)
-from .paraproduct import bony_split, scalar_paraproduct, tensor_paraproduct
-from .phi import phi1, phi2, phi3
-from .semigroup import (DIV_FREE_TOL, TimeGrid, div_tensor, duhamel_L, heat,
-                        leray_project, nonlinearity, oseen_apply)
-from .snapshots import SnapshotError, read_snapshot, write_snapshot
-from .solver import (BlowupSuspected, ConvergenceReport, CrossValidation,
-                     EtdrkOptions, KatoSmallness, NonConvergence,
-                     PicardOptions, ProbeReport, ProfileSpec, SolverConfig,
-                     Trajectory, cross_validate, etdrk4_integrate,
-                     kato_smallness, make_profile, picard_solve,
-                     probe_contraction_threshold, profile_from_spec)
-from .verification import (CHECKS, VerificationReport, run_checks,
-                           smallest_admissible_constant, summary_csv,
-                           verify_bony_identity, verify_composite_bound,
-                           verify_embedding, verify_heat_ln_linf,
-                           verify_oseen_kernel, verify_paraproduct,
-                           verify_smoothing)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

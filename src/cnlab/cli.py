@@ -33,7 +33,7 @@ from .littlewood_paley import besov_norm
 from .monitor import monitor, write_monitor_csv
 from .semigroup import TimeGrid
 from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
-from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
+from .solver import (BlowupSuspected, NonConvergence, Trajectory,
                      compare_trajectories, etdrk4_integrate, kato_smallness,
                      picard_solve, profile_from_spec)
 from .verification import run_checks, summary_csv

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from .solver import EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig
-from .verification import CHECKS
+from .verification import CHECKS, SIZE_KEYS
 
 
 class ConfigError(ValueError):
@@ -70,8 +70,7 @@ def solver_config_from_dict(data: dict, where: str = "config") -> SolverConfig:
 
 
 def monitor_options_from_dict(data: dict | None, where: str = "config.monitor") -> dict:
-    if data is None:
-        return {"p_list": (), "kato_horizon": "default", "cutoff": "sharp"}
+    data = {} if data is None else data
     _reject_unknown(data, _MONITOR_KEYS, where)
     opts = {
         "p_list": tuple(data.get("p_list", ())),
@@ -90,8 +89,6 @@ def monitor_options_from_dict(data: dict | None, where: str = "config.monitor") 
 
 
 _VERIFY_KEYS = {"checks", "seed", "sizes"}
-_SIZE_KEYS = {"trials", "res", "res_list", "dim", "dims", "nodes", "pairs",
-              "s_list", "T_list"}
 
 
 def verify_config_from_dict(data: dict, where: str = "config") -> tuple[list[str], int, dict]:
@@ -108,5 +105,5 @@ def verify_config_from_dict(data: dict, where: str = "config") -> tuple[list[str
     sizes = data.get("sizes", {})
     _reject_unknown(sizes, set(CHECKS), f"{where}.sizes")
     for name, block in sizes.items():
-        _reject_unknown(block, _SIZE_KEYS, f"{where}.sizes.{name}")
+        _reject_unknown(block, SIZE_KEYS[name], f"{where}.sizes.{name}")
     return list(checks), seed, sizes

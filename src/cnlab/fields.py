@@ -2,10 +2,12 @@
 
 Fields are stored spectrally as complex128 arrays with leading component axes:
 (dim, *spatial) for velocity fields, (dim, dim, *spatial) for rank-2 tensors.
-Real-valuedness corresponds to Hermitian symmetry c(-k) = conj(c(k)); the
-velocity convention downstream is mean-zero (c(0) = 0 per component), upheld by
-the profile builders and solvers rather than enforced at construction (tests
-use constant fields for quadrature checks).
+Both derive from SpectralField, which holds the shape check, the dtype
+coercion, copying and the arithmetic. Real-valuedness corresponds to
+Hermitian symmetry c(-k) = conj(c(k)); the velocity convention downstream is
+mean-zero (c(0) = 0 per component), upheld by the profile builders and
+solvers rather than enforced at construction (tests use constant fields for
+quadrature checks).
 
 Physical values are real, so the transform pair works on the real-to-complex
 half of the spectrum (the first res//2 + 1 entries of the last axis):
@@ -15,6 +17,13 @@ spectra it returns are exactly Hermitian. These two are the only FFT call
 sites; products, divergences and projections that feed a physical evaluation
 run on the half and complete once at the end.
 
+_lp_norms below is the package's only Lebesgue norm: lp_norm, linf, energy,
+the monitor columns, the Picard increment and the divergence guard all use
+it. It rescales where squares or p-th powers would leave the float range
+(by a power of two once the largest magnitude is beyond about 2^+-500), so
+no finite norm overflows or underflows; ordinary values take the plain
+arithmetic. Only the Kato ladder reads the unrescaled magnitude itself.
+
 All operations here are pure: inputs are never mutated and returned fields own
 fresh arrays.
 """
@@ -23,79 +32,62 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .grid import TAU, Grid
+from .grid import Grid
 
 
 @dataclass
-class SpectralVectorField:
+class SpectralField:
+    """Plane-wave coefficients with `rank` leading component axes of length dim.
+
+    Copies and arithmetic return the caller's own type.
+    """
+
+    grid: Grid
+    coeffs: np.ndarray
+    rank: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        expect = (self.grid.dim,) * self.rank + self.grid.shape
+        if self.coeffs.shape != expect:
+            raise ValueError(f"coeff shape {self.coeffs.shape} != {expect}")
+        if self.coeffs.dtype != np.complex128:
+            self.coeffs = self.coeffs.astype(np.complex128)
+
+    def copy(self) -> SpectralField:
+        return type(self)(self.grid, self.coeffs.copy())
+
+    def __add__(self, other: SpectralField) -> SpectralField:
+        _same_grid(self.grid, other.grid)
+        return type(self)(self.grid, self.coeffs + other.coeffs)
+
+    def __sub__(self, other: SpectralField) -> SpectralField:
+        _same_grid(self.grid, other.grid)
+        return type(self)(self.grid, self.coeffs - other.coeffs)
+
+    def __mul__(self, factor: float | np.ndarray) -> SpectralField:
+        """Scale by a number, or by a Fourier multiplier over the spatial axes."""
+        return type(self)(self.grid, self.coeffs * factor)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> SpectralField:
+        return type(self)(self.grid, -self.coeffs)
+
+
+class SpectralVectorField(SpectralField):
     """Velocity field as plane-wave coefficients, shape (dim, res, ..., res)."""
 
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        expect = (self.grid.dim,) + self.grid.shape
-        if self.coeffs.shape != expect:
-            raise ValueError(f"coeff shape {self.coeffs.shape} != {expect}")
-        if self.coeffs.dtype != np.complex128:
-            self.coeffs = self.coeffs.astype(np.complex128)
-
-    def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _same_grid(self.grid, other.grid)
-        return SpectralVectorField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
-        _same_grid(self.grid, other.grid)
-        return SpectralVectorField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, -self.coeffs)
+    rank = 1
 
 
-@dataclass
-class TensorField:
+class TensorField(SpectralField):
     """Rank-2 tensor field, coefficients shaped (dim, dim, res, ..., res)."""
 
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        expect = (self.grid.dim, self.grid.dim) + self.grid.shape
-        if self.coeffs.shape != expect:
-            raise ValueError(f"coeff shape {self.coeffs.shape} != {expect}")
-        if self.coeffs.dtype != np.complex128:
-            self.coeffs = self.coeffs.astype(np.complex128)
-
-    def copy(self) -> "TensorField":
-        return TensorField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "TensorField") -> "TensorField":
-        _same_grid(self.grid, other.grid)
-        return TensorField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TensorField") -> "TensorField":
-        _same_grid(self.grid, other.grid)
-        return TensorField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "TensorField":
-        return TensorField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-Field = SpectralVectorField  # short alias used internally
+    rank = 2
 
 
 def _same_grid(a: Grid, b: Grid) -> None:
@@ -283,25 +275,51 @@ def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
     return TensorField(grid, _complete(grid, _tensor_half(grid, pu, pv, use_dealias)))
 
 
-def _sample_magnitude(grid: Grid, phys: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean magnitude of physical samples over all component axes."""
-    comp = phys.reshape((-1,) + grid.shape)
-    return np.sqrt(np.sum(comp**2, axis=0))
+def _plain_range(top: float, q: float) -> bool:
+    """Whether top**q is a float within [2^-1000, 2^1000], or top is zero or
+    not finite (where no rescaling helps)."""
+    if top == 0.0 or not math.isfinite(top):
+        return True
+    exp = math.frexp(top)[1]  # top in [2^(exp-1), 2^exp)
+    return q * exp <= 1000 and q * (exp - 1) >= -1000
 
 
-def _magnitude(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean magnitude over all component axes, in physical space."""
-    return _sample_magnitude(grid, phys_values(grid, coeffs))
+def _plain_magnitude(grid: Grid, phys: np.ndarray) -> np.ndarray:
+    """sqrt of the summed squares over all component axes; inf where a square overflows."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(phys.reshape((-1,) + grid.shape) ** 2, axis=0))
 
 
-def _lp_of_magnitude(grid: Grid, mag: np.ndarray, p: float) -> float:
-    """L^p norm (uniform quadrature; grid max for p = inf) of a magnitude array."""
-    if math.isinf(p):
-        return float(np.max(mag))
-    return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+def _lp_norms(grid: Grid, phys: np.ndarray, ps: Sequence[float]) -> list[float]:
+    """L^p norms, one per p in ps, of the pointwise Euclidean magnitude of
+    physical samples over all component axes.
+
+    Finite p uses the uniform quadrature ((2*pi/res)^dim * sum_x |f(x)|^p)^(1/p);
+    p = inf is the grid max. Samples whose squares would overflow or
+    underflow (largest magnitude outside [2^-500, 2^500)) are rescaled by a
+    power of two first, and p-th powers that would leave the float range are
+    taken of mag / max(mag), so no finite norm overflows or underflows.
+    """
+    mag = _plain_magnitude(grid, phys)
+    top = float(mag.max())
+    if not 2.0**-500 <= top < 2.0**500:
+        peak = float(np.abs(phys).max())
+        if peak != 0.0 and math.isfinite(peak):
+            scale = math.ldexp(1.0, -math.frexp(peak)[1])
+            mag = _plain_magnitude(grid, phys * scale) / scale
+            top = float(mag.max())
+    norms = []
+    for p in ps:
+        if math.isinf(p):
+            norms.append(top)
+        elif _plain_range(top, p):
+            norms.append(float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p)))
+        else:
+            norms.append(top * float((grid.cell_volume * np.sum((mag / top) ** p)) ** (1.0 / p)))
+    return norms
 
 
-def lp_norm(f: SpectralVectorField | TensorField, p: float) -> float:
+def lp_norm(f: SpectralField, p: float) -> float:
     """L^p norm with |f(x)| the Euclidean (Frobenius) length of the value.
 
     Finite p uses the uniform quadrature ((2*pi/res)^dim * sum_x |f(x)|^p)^(1/p);
@@ -309,16 +327,17 @@ def lp_norm(f: SpectralVectorField | TensorField, p: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
-    return _lp_of_magnitude(f.grid, _magnitude(f.grid, f.coeffs), p)
+    return _lp_norms(f.grid, phys_values(f.grid, f.coeffs), (p,))[0]
 
 
-def linf(f: SpectralVectorField | TensorField) -> float:
+def linf(f: SpectralField) -> float:
     return lp_norm(f, math.inf)
 
 
 def energy(f: SpectralVectorField) -> float:
-    """Kinetic energy 0.5 * ||f||_2^2."""
-    return 0.5 * lp_norm(f, 2.0) ** 2
+    """Kinetic energy 0.5 * ||f||_2^2 (inf when the square overflows)."""
+    l2 = lp_norm(f, 2.0)
+    return 0.5 * l2 * l2
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +368,7 @@ def random_field(grid: Grid, rng: np.random.Generator, slope: float = 2.0,
     c = hermitianize(grid, c)
     c[(slice(None),) + (0,) * d] = 0.0
     if normalize:
-        mag = np.sqrt(np.sum(phys_values(grid, c) ** 2, axis=0))
-        peak = float(np.max(mag))
+        peak = _lp_norms(grid, phys_values(grid, c), (math.inf,))[0]
         if peak > 0:
             c /= peak
     return c
@@ -366,8 +384,3 @@ def random_tensor_field(grid: Grid, rng: np.random.Generator, slope: float = 2.0
     d = grid.dim
     c = random_field(grid, rng, slope, band, ncomp=d * d)
     return TensorField(grid, c.reshape((d, d) + grid.shape))
-
-
-def stack_states(states: Sequence[SpectralVectorField] | Iterable[SpectralVectorField]) -> np.ndarray:
-    """Stack field coefficients into one (nstates, dim, *spatial) array."""
-    return np.stack([s.coeffs for s in states])

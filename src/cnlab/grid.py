@@ -43,10 +43,6 @@ class Grid:
             raise ValueError(f"res must be a power of two >= 8, got {self.res}")
 
     @property
-    def period(self) -> float:
-        return TAU
-
-    @property
     def nyquist(self) -> int:
         return self.res // 2
 
@@ -138,8 +134,3 @@ class Grid:
         """Physical meshgrid arrays x_1..x_dim, each of shape grid.shape."""
         x1 = TAU * np.arange(self.res) / self.res
         return tuple(np.meshgrid(*([x1] * self.dim), indexing="ij"))
-
-
-def make_grid(dim: int, res: int) -> Grid:
-    """Construct a torus grid after validating (dim, res)."""
-    return Grid(dim, res)

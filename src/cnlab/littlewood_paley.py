@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralVectorField, TensorField, phys_values
+from .fields import SpectralField, phys_values
 from .grid import Grid
 
 
@@ -94,33 +94,25 @@ def build_partition(grid: Grid, mode: str = "sharp") -> DyadicPartition:
     return DyadicPartition(grid, mode, jmax, lowpass, delta)
 
 
-def _coeffs_of(f) -> np.ndarray:
-    if isinstance(f, (SpectralVectorField, TensorField)):
-        return f.coeffs
-    return np.asarray(f)
+def _need_field(f) -> None:
+    if not isinstance(f, SpectralField):
+        raise ValueError(f"expected a SpectralVectorField or TensorField, got {type(f).__name__}")
 
 
-def _wrap_like(f, coeffs: np.ndarray):
-    if isinstance(f, SpectralVectorField):
-        return SpectralVectorField(f.grid, coeffs)
-    if isinstance(f, TensorField):
-        return TensorField(f.grid, coeffs)
-    return coeffs
-
-
-def block(f, j: int, part: DyadicPartition):
+def block(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
     """Dyadic block D_j f; j = -1 selects the low-frequency piece S_0 f."""
+    _need_field(f)
     if not -1 <= j <= part.jmax:
         raise ValueError(f"block index {j} outside [-1, {part.jmax}]")
-    mult = part.s0 if j == -1 else part.delta[j]
-    return _wrap_like(f, _coeffs_of(f) * mult)
+    return f * (part.s0 if j == -1 else part.delta[j])
 
 
-def low_pass(f, j: int, part: DyadicPartition):
+def low_pass(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
     """Cumulative low-pass S_j f for 0 <= j <= jmax+1 (sharp: retains |k| < 2^j)."""
+    _need_field(f)
     if not 0 <= j <= part.jmax + 1:
         raise ValueError(f"low-pass index {j} outside [0, {part.jmax + 1}]")
-    return _wrap_like(f, _coeffs_of(f) * part.lowpass[j])
+    return f * part.lowpass[j]
 
 
 def block_sup_norms(grid: Grid, coeffs: np.ndarray, part: DyadicPartition) -> tuple[float, np.ndarray]:
@@ -167,45 +159,46 @@ def _besov_from_sups(sups: np.ndarray, s: float, jmax: int) -> np.ndarray:
     return np.max(sups * weights, axis=-1)
 
 
-def besov_norm(f, s: float, part: DyadicPartition | None = None) -> float:
+# Bytes of half spectra per batched block transform: long 3D trajectories go
+# through in batches, which bounds the transient memory of their block
+# transforms; 2D trajectories fit in one batch.
+_BATCH_BYTES = 8 << 20
+
+
+def _besov_of_fields(fields: Sequence[SpectralField], s: float,
+                     part: DyadicPartition) -> np.ndarray:
+    """Besov norms of same-grid fields, their halves stacked as (n, ncomp, *spatial)
+    in batches of at most _BATCH_BYTES."""
+    grid = part.grid
+    comp = (-1,) + grid.shape[:-1] + (grid.half_len,)
+    halves = [f.coeffs[..., :grid.half_len].reshape(comp) for f in fields]
+    per = max(1, _BATCH_BYTES // halves[0].nbytes)
+    sups = np.concatenate([_stack_block_sups(grid, np.stack(halves[i:i + per]), part)
+                           for i in range(0, len(halves), per)])
+    return _besov_from_sups(sups, s, part.jmax)
+
+
+def besov_norm(f: SpectralField, s: float, part: DyadicPartition | None = None) -> float:
     """Inhomogeneous Besov norm B^{s,inf}_inf via physical-space block sups.
 
-    Accepts velocity fields, tensor fields, or a bare coefficient array whose
-    trailing axes are spatial; the pointwise magnitude is Euclidean over all
-    component axes. When no partition is supplied the field's grid gets the
-    sharp one (bare arrays must pass a partition).
+    Accepts velocity and tensor fields; the pointwise magnitude is Euclidean
+    over all component axes. When no partition is supplied the field's grid
+    gets the sharp one.
     """
-    if part is None:
-        if not isinstance(f, (SpectralVectorField, TensorField)):
-            raise ValueError("bare coefficient arrays need an explicit partition")
-        part = build_partition(f.grid, "sharp")
-    grid = f.grid if isinstance(f, (SpectralVectorField, TensorField)) else part.grid
-    coeffs = _coeffs_of(f).reshape((-1,) + grid.shape)
-    s0_sup, dsups = block_sup_norms(grid, coeffs, part)
-    sups = np.concatenate([[s0_sup], dsups])
-    return float(_besov_from_sups(sups, s, part.jmax))
+    _need_field(f)
+    part = build_partition(f.grid, "sharp") if part is None else part
+    return float(_besov_of_fields([f], s, part)[0])
 
 
-def besov_norm_states(states: Sequence[SpectralVectorField], s: float,
+def besov_norm_states(states: Sequence[SpectralField], s: float,
                       part: DyadicPartition) -> np.ndarray:
     """Vector of Besov norms over a trajectory's states (batched transforms)."""
     if len(states) == 0:
         return np.zeros(0)
-    grid = states[0].grid
-    stack = np.stack([st.coeffs[..., :grid.half_len] for st in states])
-    sups = _stack_block_sups(grid, stack, part)
-    return _besov_from_sups(sups, s, part.jmax)
+    return _besov_of_fields(states, s, part)
 
 
-def besov_distance(f, g, s: float, part: DyadicPartition | None = None) -> float:
+def besov_distance(f: SpectralField, g: SpectralField, s: float,
+                   part: DyadicPartition | None = None) -> float:
     """besov_norm(f - g, s); the B^{s,inf}_inf distance."""
-    if part is None:
-        if not isinstance(f, (SpectralVectorField, TensorField)):
-            raise ValueError("bare coefficient arrays need an explicit partition")
-        part = build_partition(f.grid, "sharp")
-    diff = _coeffs_of(f) - _coeffs_of(g)
-    grid = f.grid if isinstance(f, (SpectralVectorField, TensorField)) else part.grid
-    coeffs = diff.reshape((-1,) + grid.shape)
-    s0_sup, dsups = block_sup_norms(grid, coeffs, part)
-    sups = np.concatenate([[s0_sup], dsups])
-    return float(_besov_from_sups(sups, s, part.jmax))
+    return besov_norm(f - g, s, part)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralVectorField, phys_values
+from .fields import SpectralVectorField, _lp_norms, phys_values
 from .littlewood_paley import DyadicPartition, besov_norm_states, build_partition
 from .snapshots import atomic_write
 from .solver import KatoSmallness, Trajectory, kato_smallness
@@ -58,27 +58,6 @@ class RateFit:
     npoints: int
 
 
-def _state_magnitude(grid, coeffs: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean magnitude, scaled so near-blowup states (finite
-    samples up to ~1e308) do not overflow in the squaring."""
-    phys = phys_values(grid, coeffs)
-    scale = float(np.max(np.abs(phys)))
-    if scale == 0.0 or not np.isfinite(scale):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.sqrt(np.sum(phys**2, axis=0))
-    return scale * np.sqrt(np.sum((phys / scale) ** 2, axis=0))
-
-
-def _lp_from_mag(grid, mag: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(mag))
-    top = float(np.max(mag))
-    if top == 0.0 or not np.isfinite(top):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
-    return float(top * (grid.cell_volume * np.sum((mag / top) ** p)) ** (1.0 / p))
-
-
 def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVectorField | None = None,
             kato_horizon: float | str | None = None, cutoff: str = "sharp",
             nu: float | None = None) -> list[MonitorRecord]:
@@ -104,20 +83,19 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
     records = []
     for m, state in enumerate(traj.states):
         t = float(traj.times[m])
-        mag = _state_magnitude(grid, state.coeffs)
-        lp2 = _lp_from_mag(grid, mag, 2.0)
-        with np.errstate(over="ignore"):
-            energy = float(0.5 * np.float64(lp2) * np.float64(lp2))
+        # one transform per state for every exponent; the same values lp_norm gives
+        lp2, lpn, lpinf, *extra = _lp_norms(grid, phys_values(grid, state.coeffs),
+                                            (2.0, n, math.inf, *p_list))
         rec = MonitorRecord(
             t=t,
             lp_2=lp2,
-            lp_n=_lp_from_mag(grid, mag, n),
-            lp_inf=float(np.max(mag)),
+            lp_n=lpn,
+            lp_inf=lpinf,
             besov_m1=float(besov[m]),
             besov_dist_omega=float(dists[m]) if omega is not None else None,
             kato_I=None,
-            energy=energy,
-            extra_lp={p: _lp_from_mag(grid, mag, p) for p in p_list},
+            energy=0.5 * lp2 * lp2,
+            extra_lp=dict(zip(p_list, extra)),
         )
         if kato_horizon is not None:
             rem = min(1.0, horizon - t) if kato_horizon == "default" else float(kato_horizon)

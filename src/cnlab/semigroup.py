@@ -16,13 +16,14 @@ accumulated by the recursion L(t_{m+1}) = e^{-lam h} L(t_m) - integral_m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import (SpectralVectorField, TensorField, _complete, _same_grid,
-                     _sample_magnitude, _tensor_half, dealias, divergence_sup,
+from .fields import (SpectralVectorField, TensorField, _complete, _lp_norms,
+                     _same_grid, _tensor_half, dealias, divergence_sup,
                      phys_values)
 from .grid import Grid
 from .phi import phi1, phi2
@@ -126,7 +127,7 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
     pu = phys_values(grid, kept)
     # ||u||_inf reads the product's samples when the 2/3 rule removed nothing
     p_all = pu if kept is half or np.array_equal(kept, half) else phys_values(grid, half)
-    gate = DIV_FREE_TOL * max(1.0, float(np.max(_sample_magnitude(grid, p_all))))
+    gate = DIV_FREE_TOL * max(1.0, _lp_norms(grid, p_all, (math.inf,))[0])
     defect = divergence_sup(u)
     if not defect <= gate:  # also trips on NaN
         raise ValueError(f"nonlinearity needs divergence-free input: |div u| = {defect:.3e}")

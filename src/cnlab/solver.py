@@ -26,8 +26,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import (SpectralVectorField, _lp_of_magnitude, _magnitude, linf,
-                     lp_norm, project_mean_zero, random_field, to_spectral)
+from .fields import (SpectralVectorField, _lp_norms, _plain_magnitude, linf,
+                     lp_norm, phys_values, project_mean_zero, random_field,
+                     to_spectral)
 from .grid import Grid
 from .phi import phi1, phi2, phi3
 from .semigroup import TimeGrid, duhamel_L, heat, leray_project, nonlinearity
@@ -196,7 +197,8 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
     sqrt(t) * _heat_bounds, stopping once the bound falls below the best
     value, so every point left out is strictly below the sup. The maximizer
     is the first strict maximum in ladder order; nan values never qualify,
-    and (-1, ts[0]) is returned when every value is nan.
+    and (-1, ts[0]) is returned when every value is nan. Values read the
+    plain magnitude, so a state whose squares overflow has sup inf.
     """
     half = coeffs[..., :grid.half_len]
     ksq = grid.ksq[..., :grid.half_len]
@@ -207,8 +209,8 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
         if bounds[i] * _BOUND_MARGIN < best:
             break
         t = ts[i]
-        decayed = half * np.exp(-nu * t * ksq)
-        vals[i] = math.sqrt(t) * float(np.max(_magnitude(grid, decayed)))
+        mag = _plain_magnitude(grid, phys_values(grid, half * np.exp(-nu * t * ksq)))
+        vals[i] = math.sqrt(t) * float(np.max(mag))
         if vals[i] > best:
             best = vals[i]
     best, t_at = -1.0, float(ts[0])
@@ -277,10 +279,10 @@ def _kato_increment(grid: Grid, prev: list[SpectralVectorField],
     sup_w = 0.0
     sup_n = 0.0
     n = float(grid.dim)
-    for m, (a, b) in enumerate(zip(prev, curr)):
-        mag = _magnitude(grid, b.coeffs - a.coeffs)
-        sup_w = max(sup_w, math.sqrt(float(nodes[m])) * float(np.max(mag)))
-        sup_n = max(sup_n, _lp_of_magnitude(grid, mag, n))
+    for t, a, b in zip(nodes, prev, curr):
+        sup, n_norm = _lp_norms(grid, phys_values(grid, b.coeffs - a.coeffs), (math.inf, n))
+        sup_w = max(sup_w, math.sqrt(float(t)) * sup)
+        sup_n = max(sup_n, n_norm)
     return sup_w + sup_n
 
 

@@ -517,67 +517,42 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
 # registry and summaries
 # ---------------------------------------------------------------------------
 
-CheckRunner = Callable[..., list[VerificationReport]]
+CheckRunner = Callable[[int, dict], list[VerificationReport]]
 
 
-def _run_smoothing(seed: int, sizes: dict) -> list[VerificationReport]:
-    return [verify_smoothing(r, a, trials=sizes.get("trials", 50),
-                             res=sizes.get("res", 64), dim=sizes.get("dim", 2),
-                             nodes=sizes.get("nodes", 64),
-                             T_list=sizes.get("T_list"), seed=seed)
-            for r in (-1.0, 0.0) for a in (1.0, 2.0)]
+def _runner(verify: Callable[..., VerificationReport],
+            variants: Sequence[tuple] = ((),)) -> CheckRunner:
+    """Call verify once per tuple of positional arguments, the sizes as keywords."""
+    def run(seed: int, sizes: dict) -> list[VerificationReport]:
+        return [verify(*args, **sizes, seed=seed) for args in variants]
+    return run
 
 
 def _run_paraproduct(seed: int, sizes: dict) -> list[VerificationReport]:
-    return [verify_paraproduct(s, trials=sizes.get("trials", 50),
-                               res_list=sizes.get("res_list", (32, 64, 128)),
-                               dim=sizes.get("dim", 2), seed=seed)
-            for s in sizes.get("s_list", (1.5, 2.0))]
+    """One report per s in s_list; the other sizes pass through."""
+    rest = {k: v for k, v in sizes.items() if k != "s_list"}
+    return [verify_paraproduct(s, **rest, seed=seed) for s in sizes.get("s_list", (1.5, 2.0))]
 
 
-def _run_bony(seed: int, sizes: dict) -> list[VerificationReport]:
-    return [verify_bony_identity(pairs=sizes.get("pairs", 200),
-                                 res_list=sizes.get("res_list", (16, 32, 64)),
-                                 dims=sizes.get("dims", (2, 3)), seed=seed)]
-
-
-def _run_heat(seed: int, sizes: dict) -> list[VerificationReport]:
-    return [verify_heat_ln_linf(trials=sizes.get("trials", 50),
-                                res_list=sizes.get("res_list", (32, 64, 128)),
-                                dim=sizes.get("dim", 2), seed=seed)]
-
-
-def _run_oseen(seed: int, sizes: dict) -> list[VerificationReport]:
-    return [verify_oseen_kernel(trials=sizes.get("trials", 50),
-                                res_list=sizes.get("res_list", (32, 64, 128)),
-                                dim=sizes.get("dim", 2), seed=seed)]
-
-
-def _run_embedding(seed: int, sizes: dict) -> list[VerificationReport]:
-    return [verify_embedding(trials=sizes.get("trials", 100),
-                             res_list=sizes.get("res_list", (32, 64, 128)),
-                             dim=sizes.get("dim", 2), seed=seed)]
-
-
-def _run_composite(seed: int, sizes: dict) -> list[VerificationReport]:
-    return [verify_composite_bound(res_list=sizes.get("res_list", (16, 32)),
-                                   dim=sizes.get("dim", 2), seed=seed)]
-
-
-CHECKS: dict[str, CheckRunner] = {
-    "smoothing": _run_smoothing,
-    "paraproduct": _run_paraproduct,
-    "bony_identity": _run_bony,
-    "heat_ln_linf": _run_heat,
-    "oseen_kernel": _run_oseen,
-    "embedding": _run_embedding,
-    "composite_bound": _run_composite,
+# Each check's runner and the size overrides it accepts; the defaults live in
+# the verify_* signatures.
+_REGISTRY: dict[str, tuple[CheckRunner, set[str]]] = {
+    "smoothing": (_runner(verify_smoothing, [(r, a) for r in (-1.0, 0.0) for a in (1.0, 2.0)]),
+                  {"trials", "res", "dim", "nodes", "T_list"}),
+    "paraproduct": (_run_paraproduct, {"trials", "res_list", "dim", "s_list"}),
+    "bony_identity": (_runner(verify_bony_identity), {"pairs", "res_list", "dims"}),
+    "heat_ln_linf": (_runner(verify_heat_ln_linf), {"trials", "res_list", "dim"}),
+    "oseen_kernel": (_runner(verify_oseen_kernel), {"trials", "res_list", "dim"}),
+    "embedding": (_runner(verify_embedding), {"trials", "res_list", "dim"}),
+    "composite_bound": (_runner(verify_composite_bound), {"res_list", "dim"}),
 }
+CHECKS: dict[str, CheckRunner] = {name: run for name, (run, _) in _REGISTRY.items()}
+SIZE_KEYS = {name: frozenset(keys) for name, (_, keys) in _REGISTRY.items()}
 
 
 def run_checks(names: Sequence[str], seed: int = 0,
                sizes: dict | None = None) -> list[VerificationReport]:
-    """Run named checks in canonical order with per-check size overrides."""
+    """Run named checks in canonical order, sizes[name] passed to the check as keywords."""
     sizes = sizes or {}
     unknown = [n for n in names if n not in CHECKS]
     if unknown:

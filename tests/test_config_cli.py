@@ -128,6 +128,20 @@ class TestVerifyConfigFromDict:
         with pytest.raises(ConfigError):
             verify_config_from_dict({"sizes": {"embedding": {"resolution": 16}}})
 
+    @pytest.mark.parametrize("sizes", [{"composite_bound": {"trials": 3}},
+                                       {"smoothing": {"res_list": [16]}},
+                                       {"bony_identity": {"trials": 3}}])
+    def test_size_key_the_check_does_not_read(self, sizes):
+        with pytest.raises(ConfigError):
+            verify_config_from_dict({"sizes": sizes})
+
+
+def test_submodule_import_yields_the_module():
+    import types
+
+    import cnlab.monitor as m
+    assert isinstance(m, types.ModuleType) and callable(m.monitor)
+
 
 @pytest.fixture(scope="module")
 def tg_simdir(tmp_path_factory):

@@ -11,8 +11,9 @@ from cnlab.fields import (SpectralVectorField, dealias, derivative,
                           project_mean_zero, random_field,
                           random_vector_field, to_physical, to_spectral,
                           zero_field)
-from cnlab.grid import TAU, Grid, make_grid
+from cnlab.grid import TAU, Grid
 from cnlab.semigroup import heat
+from cnlab.solver import make_profile
 
 from helpers import exact_product_coeffs, rel_err, single_mode_vector
 
@@ -22,7 +23,7 @@ PI_SQRT2 = 4.442882938158366  # || (sin x1, 0) ||_2 on the 2-torus
 class TestGrid:
     @pytest.mark.parametrize("dim,res", [(2, 8), (2, 128), (3, 16)])
     def test_valid(self, dim, res):
-        g = make_grid(dim, res)
+        g = Grid(dim, res)
         assert g.nyquist == res // 2
         assert g.npoints == res**dim
         assert g.shape == (res,) * dim
@@ -198,6 +199,24 @@ class TestNorms:
     def test_energy(self, g2_16, rng):
         f = random_vector_field(g2_16, rng)
         assert energy(f) == pytest.approx(0.5 * lp_norm(f, 2.0) ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_huge_and_tiny_fields_keep_finite_norms(self, g3_16, scale):
+        u = make_profile(g3_16, "random_divfree", seed=4)
+        for p in (1.0, 2.0, 3.0, 4.0, math.inf):
+            got = lp_norm(u * scale, p)
+            assert math.isfinite(got)
+            assert got == pytest.approx(scale * lp_norm(u, p), rel=1e-12, abs=0)
+        assert linf(u * scale) == pytest.approx(scale * linf(u), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p,rel", [(2e3, 1e-2), (1e6, 1e-4)])
+    def test_large_exponents_approach_the_sup_norm(self, g2_16, rng, p, rel):
+        f = random_vector_field(g2_16, rng) * 1.3
+        assert lp_norm(f, p) == pytest.approx(linf(f), rel=rel)
+
+    def test_energy_of_a_huge_field_is_inf(self, g2_16, rng):
+        f = random_vector_field(g2_16, rng) * 1e200
+        assert math.isfinite(lp_norm(f, 2.0)) and energy(f) == math.inf
 
 
 class TestRandomFields:

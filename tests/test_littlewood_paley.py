@@ -146,6 +146,15 @@ class TestBesov:
         with pytest.raises(ValueError):
             besov_norm(f.coeffs, -1.0)
 
+    def test_bare_arrays_rejected(self, g2_16, rng):
+        part = build_partition(g2_16, "sharp")
+        f = random_vector_field(g2_16, rng)
+        for call in (lambda: block(f.coeffs, 1, part), lambda: low_pass(f.coeffs, 1, part),
+                     lambda: besov_norm(f.coeffs, -1.0, part),
+                     lambda: besov_distance(f.coeffs, f.coeffs, -1.0, part)):
+            with pytest.raises(ValueError):
+                call()
+
     def test_monotonicity_literal(self, g2_16, rng):
         part = build_partition(g2_16, "sharp")
         f = random_vector_field(g2_16, rng)
@@ -160,6 +169,13 @@ class TestBesov:
         batched = besov_norm_states(states, -1.0, part)
         singles = [besov_norm(f, -1.0, part) for f in states]
         assert np.allclose(batched, singles, rtol=1e-13, atol=0)
+
+    def test_batches_match_one_stack(self, g3_16, rng, monkeypatch):
+        part = build_partition(g3_16, "sharp")
+        states = [random_vector_field(g3_16, rng) for _ in range(7)]
+        whole = besov_norm_states(states, -1.0, part)
+        monkeypatch.setattr("cnlab.littlewood_paley._BATCH_BYTES", 1)
+        assert besov_norm_states(states, -1.0, part).tobytes() == whole.tobytes()
 
     def test_empty_states(self, g2_16):
         part = build_partition(g2_16, "sharp")

@@ -1,6 +1,8 @@
 """Property tests of the real-to-complex transform pair, the half-spectrum
 right-hand side and the exact transform pruning, over dims 2/3, res 8..32
-and extra leading axes.
+and extra leading axes, and of the single implementation behind each norm:
+the monitor's Lebesgue columns are lp_norm, the Besov distance is the norm
+of the difference.
 
 The oracles (full complex inverse FFT, reflection by flip-and-roll) are
 independent of the library's transform code. The pruned block sups, heat
@@ -15,12 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnlab.fields import (hermitianize, phys_values, pointwise_tensor,
-                          random_field, random_vector_field, spectral_values)
+from cnlab.fields import (energy, hermitianize, linf, lp_norm, phys_values,
+                          pointwise_tensor, random_field, random_tensor_field,
+                          random_vector_field, spectral_values)
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import _stack_block_sups, build_partition
-from cnlab.semigroup import div_tensor, leray_project, nonlinearity
-from cnlab.solver import _heat_bounds, _heat_ladder_sup, _kato_ladder
+from cnlab.littlewood_paley import (_stack_block_sups, besov_distance, besov_norm,
+                                    besov_norm_states, build_partition)
+from cnlab.monitor import monitor
+from cnlab.semigroup import TimeGrid, div_tensor, leray_project, nonlinearity
+from cnlab.solver import Trajectory, _heat_bounds, _heat_ladder_sup, _kato_ladder
 from cnlab.verification import verify_oseen_kernel
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -219,3 +224,32 @@ def test_pruned_oseen_envelope_matches_every_transform(dim, trials, seed, nu):
                    lambda grid, coeffs, ts, nu: np.full(np.shape(ts), np.inf))
         ref = verify_oseen_kernel(**kwargs)
     assert repr(got.to_dict()) == repr(ref.to_dict())
+
+
+@PROPS
+@given(grids, seeds, st.lists(st.sampled_from([0.0, 1e-200, 1e-3, 1.0, 1e150, 1e200, 1e300]),
+                              min_size=1, max_size=4))
+def test_monitor_norm_columns_are_lp_norm(grid, seed, scales):
+    rng = np.random.default_rng(seed)
+    states = [random_vector_field(grid, rng) * a for a in scales]
+    traj = Trajectory(grid, TimeGrid.uniform(1.0, len(states)), states, "synthetic")
+    for rec, u in zip(monitor(traj, p_list=(1.0, 4.0)), states):
+        assert rec.lp_2 == lp_norm(u, 2.0)
+        assert rec.lp_n == lp_norm(u, float(grid.dim))
+        assert rec.lp_inf == lp_norm(u, math.inf) == linf(u)
+        assert rec.extra_lp == {1.0: lp_norm(u, 1.0), 4.0: lp_norm(u, 4.0)}
+        assert rec.energy == energy(u)
+
+
+@PROPS
+@given(grids, seeds, st.sampled_from(["sharp", "smooth"]), st.sampled_from([-1.0, 0.0, 1.5]),
+       st.booleans())
+def test_besov_distance_is_the_norm_of_the_difference(grid, seed, mode, s, tensor):
+    rng = np.random.default_rng(seed)
+    make = random_tensor_field if tensor else random_vector_field
+    f, g = make(grid, rng), make(grid, rng)
+    part = build_partition(grid, mode)
+    assert besov_distance(f, g, s, part) == besov_norm(f - g, s, part)
+    assert besov_distance(f, g, s) == besov_norm(f - g, s)
+    batched = besov_norm_states([f, g, f - g], s, part)
+    assert list(batched) == [besov_norm(h, s, part) for h in (f, g, f - g)]

@@ -132,6 +132,10 @@ class TestRegistry:
         reps = run_checks(["embedding", "bony_identity"], seed=3, sizes=sizes)
         assert [r.name for r in reps] == ["bony_identity", "embedding"]
 
+    def test_size_key_the_check_does_not_take_raises(self):
+        with pytest.raises(TypeError):
+            run_checks(["composite_bound"], sizes={"composite_bound": {"trials": 3}})
+
     def test_registry_names(self):
         assert list(CHECKS) == ["smoothing", "paraproduct", "bony_identity",
                                 "heat_ln_linf", "oseen_kernel", "embedding",
