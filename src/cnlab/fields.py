@@ -1,21 +1,23 @@
-"""Vector/tensor fields on the torus represented by full complex spectra.
+"""Vector/tensor fields on the torus, stored as real-to-complex half spectra.
 
-Fields are stored spectrally as complex128 arrays with leading component axes:
-(dim, *spatial) for velocity fields, (dim, dim, *spatial) for rank-2 tensors.
-Both derive from SpectralField, which holds the shape check, the dtype
-coercion, copying and the arithmetic. Real-valuedness corresponds to
-Hermitian symmetry c(-k) = conj(c(k)); the velocity convention downstream is
-mean-zero (c(0) = 0 per component), upheld by the profile builders and
-solvers rather than enforced at construction (tests use constant fields for
-quadrature checks).
+Fields are real, so their spectra are Hermitian, c(-k) = conj(c(k)), and the
+first res//2 + 1 entries of the last axis determine the rest. That half is
+the only layout: coefficients are complex128 arrays shaped
+(dim, *spectral_shape) for velocity fields and (dim, dim, *spectral_shape)
+for rank-2 tensors (Grid.spectral_shape = (res, ..., res, res//2 + 1)). Both
+derive from SpectralField, which holds the shape check, the dtype coercion,
+copying and the arithmetic. The velocity convention downstream is mean-zero
+(c(0) = 0 per component), upheld by the profile builders and solvers rather
+than enforced at construction (tests use constant fields for quadrature
+checks).
 
-Physical values are real, so the transform pair works on the real-to-complex
-half of the spectrum (the first res//2 + 1 entries of the last axis):
-phys_values is an inverse real transform of that half, and spectral_values a
-forward real transform followed by one Hermitian completion, so the full
-spectra it returns are exactly Hermitian. These two are the only FFT call
-sites; products, divergences and projections that feed a physical evaluation
-run on the half and complete once at the end.
+phys_values (an inverse real transform) and spectral_values (a forward real
+transform) are the package's only FFT call sites, with the product transforms
+of _tensor_half beside them. On the two self-conjugate planes of the half
+(last index 0 and res/2) a half holds both c(k) and c(-k); spectral_values,
+pointwise_tensor and the end of the Navier-Stokes right-hand side replace
+those planes by their Hermitian part, which is what the inverse real
+transform reads there.
 
 _lp_norms below is the package's only Lebesgue norm: lp_norm, linf, energy,
 the monitor columns, the Picard increment and the divergence guard all use
@@ -51,7 +53,7 @@ class SpectralField:
     rank: ClassVar[int]
 
     def __post_init__(self) -> None:
-        expect = (self.grid.dim,) * self.rank + self.grid.shape
+        expect = (self.grid.dim,) * self.rank + self.grid.spectral_shape
         if self.coeffs.shape != expect:
             raise ValueError(f"coeff shape {self.coeffs.shape} != {expect}")
         if self.coeffs.dtype != np.complex128:
@@ -79,13 +81,13 @@ class SpectralField:
 
 
 class SpectralVectorField(SpectralField):
-    """Velocity field as plane-wave coefficients, shape (dim, res, ..., res)."""
+    """Velocity field as plane-wave coefficients, shape (dim, *spectral_shape)."""
 
     rank = 1
 
 
 class TensorField(SpectralField):
-    """Rank-2 tensor field, coefficients shaped (dim, dim, res, ..., res)."""
+    """Rank-2 tensor field, coefficients shaped (dim, dim, *spectral_shape)."""
 
     rank = 2
 
@@ -100,43 +102,35 @@ def _same_grid(a: Grid, b: Grid) -> None:
 # ---------------------------------------------------------------------------
 
 def phys_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Physical samples of a Hermitian spectrum, by an inverse real transform.
+    """Physical samples of a (..., *spectral_shape) stack, by an inverse real transform."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.spatial_axes, norm="forward")
 
-    Only the first grid.half_len entries of the last axis are read, so a full
-    spectrum and its real-to-complex half give the same samples. A spectrum
-    that is not Hermitian is evaluated through its half alone.
+
+def _hermitian_planes(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Replace the self-conjugate planes (last index 0 and res/2) of a half
+    spectrum by their Hermitian parts, in place, and return it.
+
+    On those planes the half holds both c(k) and its mirror c(-k), read
+    through Grid.reflect_index.
     """
-    return np.fft.irfftn(coeffs[..., :grid.half_len], s=grid.shape,
-                         axes=grid.spatial_axes, norm="forward")
+    edges = half[..., ::grid.nyquist]
+    edges[...] = 0.5 * (edges + np.conj(edges[grid.reflect_index]))
+    return half
 
 
-def _half_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Real-to-complex half of the plane-wave coefficients of real samples."""
+def spectral_values(grid: Grid, samples: np.ndarray,
+                    mask: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of real physical samples, Hermitian on the self-conjugate planes.
+
+    A mask (a Fourier multiplier such as the dealias mask) multiplies the
+    coefficients before the planes are made Hermitian.
+    """
     if np.iscomplexobj(samples):
         raise TypeError("spectral_values needs real samples, got a complex array")
-    return np.fft.rfftn(samples, axes=grid.spatial_axes, norm="forward")
-
-
-def _complete(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full spectrum of a real-to-complex half, Hermitian by construction.
-
-    The negative last-axis frequencies are the conjugate mirror entries; the
-    two self-conjugate planes (last index 0 and res/2) are replaced by their
-    Hermitian parts, which is what the inverse real transform reads there.
-    """
-    nyq = grid.nyquist
-    refl = grid.reflect_index
-    full = np.empty(half.shape[:-1] + (grid.res,), dtype=np.complex128)
-    full[..., 1:nyq] = half[..., 1:nyq]
-    np.conjugate(half[..., nyq - 1:0:-1][refl], out=full[..., nyq + 1:])
-    edges = half[..., ::nyq]
-    full[..., ::nyq] = 0.5 * (edges + np.conj(edges[refl]))
-    return full
-
-
-def spectral_values(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Forward transform of real physical samples to an exactly Hermitian spectrum."""
-    return _complete(grid, _half_spectrum(grid, samples))
+    half = np.fft.rfftn(samples, axes=grid.spatial_axes, norm="forward")
+    if mask is not None:
+        half *= mask
+    return _hermitian_planes(grid, half)
 
 
 def to_physical(f: SpectralVectorField) -> np.ndarray:
@@ -161,7 +155,8 @@ def to_spectral(samples: np.ndarray, grid: Grid | None = None) -> SpectralVector
 
 
 def zero_field(grid: Grid) -> SpectralVectorField:
-    return SpectralVectorField(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
+    return SpectralVectorField(grid, np.zeros((grid.dim,) + grid.spectral_shape,
+                                              dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +172,13 @@ def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
 
 
 def divergence_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Spectral divergence sum_a i*k_a c_a(k) of a (dim, *spatial) stack.
-
-    Works on full spectra and on their real-to-complex halves alike.
-    """
-    return 1j * np.sum(grid.k_deriv[..., :coeffs.shape[-1]] * coeffs, axis=0)
+    """Spectral divergence sum_a i*k_a c_a(k) of a (dim, *spectral_shape) stack."""
+    return 1j * np.sum(grid.k_deriv * coeffs, axis=0)
 
 
 def divergence_sup(f: SpectralVectorField) -> float:
     """Physical-space sup of |div f|."""
-    div = divergence_coeffs(f.grid, f.coeffs[..., :f.grid.half_len])
-    return float(np.max(np.abs(phys_values(f.grid, div))))
+    return float(np.max(np.abs(phys_values(f.grid, divergence_coeffs(f.grid, f.coeffs)))))
 
 
 def project_mean_zero(f: SpectralVectorField) -> SpectralVectorField:
@@ -198,54 +189,30 @@ def project_mean_zero(f: SpectralVectorField) -> SpectralVectorField:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian symmetry helpers
-# ---------------------------------------------------------------------------
-
-def _conj_reflect(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """conj(c(-k)) with -k taken modulo the grid, spatial axes trailing."""
-    out = np.conj(coeffs)
-    for ax in grid.spatial_axes:
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
-
-
-def hermitianize(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian (real-field) part of coefficient space."""
-    return 0.5 * (coeffs + _conj_reflect(grid, coeffs))
-
-
-def hermitian_defect(f: SpectralVectorField) -> float:
-    """Max |c(k) - conj(c(-k))|; zero for real-valued fields."""
-    return float(np.max(np.abs(f.coeffs - _conj_reflect(f.grid, f.coeffs))))
-
-
-# ---------------------------------------------------------------------------
 # products and norms
 # ---------------------------------------------------------------------------
 
 def dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Zero every mode with any |k_i| > res/3 (2/3 rule).
-
-    Works on full spectra and on their real-to-complex halves alike.
-    """
-    return coeffs * grid.dealias_mask[..., :coeffs.shape[-1]]
+    """Zero every mode with any |k_i| > res/3 (2/3 rule)."""
+    return coeffs * grid.dealias_mask
 
 
 def _tensor_half(grid: Grid, pu: np.ndarray, pv: np.ndarray, use_dealias: bool) -> np.ndarray:
-    """Real-to-complex half of the (dealiased) pointwise product pu (x) pv.
+    """Half spectrum of the (dealiased) pointwise product pu (x) pv, its
+    self-conjugate planes left as the transform gives them.
 
     pu and pv are (dim, *spatial) physical samples; passing the same array
     twice reuses each symmetric product.
     """
     d = grid.dim
-    mask = grid.dealias_mask[..., :grid.half_len]
+    mask = grid.dealias_mask
     out = np.empty((d, d) + mask.shape, dtype=np.complex128)
     for a in range(d):
         for b in range(d):
             if pv is pu and b < a:
                 out[a, b] = out[b, a]
                 continue
-            prod = _half_spectrum(grid, pu[a] * pv[b])
+            prod = np.fft.rfftn(pu[a] * pv[b], axes=grid.spatial_axes, norm="forward")
             if use_dealias:
                 np.multiply(prod, mask, out=out[a, b])
             else:
@@ -267,12 +234,11 @@ def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
     grid = u.grid
 
     def samples(f: SpectralVectorField) -> np.ndarray:
-        half = f.coeffs[..., :grid.half_len]
-        return phys_values(grid, dealias(grid, half) if use_dealias else half)
+        return phys_values(grid, dealias(grid, f.coeffs) if use_dealias else f.coeffs)
 
     pu = samples(u)
     pv = pu if v is u else samples(v)
-    return TensorField(grid, _complete(grid, _tensor_half(grid, pu, pv, use_dealias)))
+    return TensorField(grid, _hermitian_planes(grid, _tensor_half(grid, pu, pv, use_dealias)))
 
 
 def _plain_range(top: float, q: float) -> bool:
@@ -347,11 +313,14 @@ def energy(f: SpectralVectorField) -> float:
 def random_field(grid: Grid, rng: np.random.Generator, slope: float = 2.0,
                  band: tuple[int, int] | None = None, ncomp: int | None = None,
                  normalize: bool = True) -> np.ndarray:
-    """Random Hermitian mean-zero coefficient stack of shape (ncomp, *spatial).
+    """Random mean-zero half spectrum of shape (ncomp, *spectral_shape).
 
     Gaussian coefficients shaped by |k|^(-slope) on the annulus band[0] <= |k|
     <= band[1] (default [1, res/3]). Normalized to unit sup norm so that norm
     ratios in the verification suite have denominators bounded away from zero.
+    The normal draw covers the full grid, so the random stream consumed is
+    that of a full-spectrum draw; the result is the half of its Hermitian
+    part (c(k) + conj(c(-k))) / 2.
     """
     d = grid.dim
     ncomp = d if ncomp is None else ncomp
@@ -359,13 +328,14 @@ def random_field(grid: Grid, rng: np.random.Generator, slope: float = 2.0,
         band = (1, max(2, grid.res // 3))
     kmod = grid.kmod
     shell = (kmod >= band[0]) & (kmod <= band[1]) & (kmod <= grid.nyquist - 1)
-    amp = np.zeros(grid.shape)
+    amp = np.zeros(grid.spectral_shape)
     amp[shell] = np.power(np.maximum(kmod[shell], 1.0), -slope)
 
     shape = (ncomp,) + grid.shape
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c *= amp
-    c = hermitianize(grid, c)
+    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # c(-k) for k in the half; |k| is even in k, so amp(-k) = amp(k)
+    mirror = draw[..., (-np.arange(grid.half_len)) % grid.res][grid.reflect_index]
+    c = 0.5 * (draw[..., :grid.half_len] * amp + np.conj(mirror * amp))
     c[(slice(None),) + (0,) * d] = 0.0
     if normalize:
         peak = _lp_norms(grid, phys_values(grid, c), (math.inf,))[0]
@@ -383,4 +353,4 @@ def random_tensor_field(grid: Grid, rng: np.random.Generator, slope: float = 2.0
                         band: tuple[int, int] | None = None) -> TensorField:
     d = grid.dim
     c = random_field(grid, rng, slope, band, ncomp=d * d)
-    return TensorField(grid, c.reshape((d, d) + grid.shape))
+    return TensorField(grid, c.reshape((d, d) + grid.spectral_shape))

@@ -8,9 +8,13 @@ frequency vectors k (numpy FFT ordering, |k_i| <= res/2) and normalized so that
 
 i.e. c = fftn(samples) / res^dim. Real fields have Hermitian spectra,
 c(-k) = conj(c(k)), so the first res//2 + 1 entries of the last axis (the
-real-to-complex half, `half_len`) determine the rest. A Grid is immutable
-once constructed and safe to share between threads; the derived tables below
-are plain caches of pure functions of (dim, res).
+real-to-complex half, `half_len`) determine the rest. That half is the only
+spectral layout: every coefficient array and every table below is shaped
+`spectral_shape` = (res, ..., res, res//2 + 1) over the spatial axes. The
+last-axis entry res/2 keeps the FFT-ordering frequency -res/2, as in the
+first half of a full spectrum. A Grid is immutable once constructed and safe
+to share between threads; the derived tables are plain caches of pure
+functions of (dim, res).
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ class Grid:
         return (self.res,) * self.dim
 
     @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Spatial shape of a real-to-complex half spectrum."""
+        return self.shape[:-1] + (self.half_len,)
+
+    @property
     def spatial_axes(self) -> tuple[int, ...]:
         """Axis indices of the spatial dimensions in a (..., res, ..., res) array."""
         return tuple(range(-self.dim, 0))
@@ -74,17 +83,17 @@ class Grid:
 
         Applied to a (..., res, ..., res, m) array it reads the entry at -k on
         the leading spatial axes; the last axis is left to the caller's slice.
-        Hermitian completion of a half spectrum reads its mirror entries
-        through it.
+        The self-conjugate planes of a half spectrum (last index 0 and res/2)
+        and random_field's Hermitian part read their mirror entries through it.
         """
         r = (-np.arange(self.res)) % self.res
         return (Ellipsis,) + np.ix_(*([r] * (self.dim - 1))) + (slice(None),)
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Integer frequency vectors, shape (dim, res, ..., res)."""
+        """Integer frequency vectors, shape (dim, *spectral_shape)."""
         k1 = (np.fft.fftfreq(self.res) * self.res).astype(np.int64)
-        mesh = np.meshgrid(*([k1] * self.dim), indexing="ij")
+        mesh = np.meshgrid(*([k1] * (self.dim - 1) + [k1[:self.half_len]]), indexing="ij")
         k = np.stack(mesh)
         k.setflags(write=False)
         return k

@@ -116,14 +116,13 @@ def low_pass(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
 
 
 def block_sup_norms(grid: Grid, coeffs: np.ndarray, part: DyadicPartition) -> tuple[float, np.ndarray]:
-    """(||S_0 f||_inf, array of ||D_j f||_inf) for a (ncomp, *spatial) stack."""
+    """(||S_0 f||_inf, array of ||D_j f||_inf) for a (ncomp, *spectral_shape) stack."""
     sups = _stack_block_sups(grid, coeffs[np.newaxis], part)
     return float(sups[0, 0]), sups[0, 1:]
 
 
 def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    """Per-state block sup norms for a (nstates, ncomp, *spatial) stack of full
-    spectra or of their real-to-complex halves.
+    """Per-state block sup norms for a (nstates, ncomp, *spectral_shape) stack.
 
     Returns (nstates, jmax+2): column 0 is the S_0 sup, column 1+j the D_j sup.
     Transforms are batched per block over states and components. A block is
@@ -132,19 +131,17 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
     0. States with a non-finite coefficient are transformed for every block,
     since inf * 0 is nan.
     """
-    h = grid.half_len
     nstates = stack.shape[0]
     out = np.zeros((nstates, part.jmax + 2))
-    half = stack[..., :h]
-    mults = np.concatenate([part.s0[np.newaxis], part.delta])[..., :h]
-    occupied = np.any(half != 0, axis=1).reshape(nstates, -1)
-    nonfinite = ~np.all(np.isfinite(half).reshape(nstates, -1), axis=1)
+    mults = np.concatenate([part.s0[np.newaxis], part.delta])
+    occupied = np.any(stack != 0, axis=1).reshape(nstates, -1)
+    nonfinite = ~np.all(np.isfinite(stack).reshape(nstates, -1), axis=1)
     for col, mult in enumerate(mults):
         rows = nonfinite | np.any(occupied[:, mult.ravel() != 0], axis=1)
         if rows.all():
-            blocks = half * mult
+            blocks = stack * mult
         elif rows.any():
-            blocks = half[rows]
+            blocks = stack[rows]
             blocks *= mult
         else:
             continue
@@ -167,14 +164,14 @@ _BATCH_BYTES = 8 << 20
 
 def _besov_of_fields(fields: Sequence[SpectralField], s: float,
                      part: DyadicPartition) -> np.ndarray:
-    """Besov norms of same-grid fields, their halves stacked as (n, ncomp, *spatial)
-    in batches of at most _BATCH_BYTES."""
+    """Besov norms of same-grid fields, their coefficients stacked as
+    (n, ncomp, *spectral_shape) in batches of at most _BATCH_BYTES."""
     grid = part.grid
-    comp = (-1,) + grid.shape[:-1] + (grid.half_len,)
-    halves = [f.coeffs[..., :grid.half_len].reshape(comp) for f in fields]
-    per = max(1, _BATCH_BYTES // halves[0].nbytes)
-    sups = np.concatenate([_stack_block_sups(grid, np.stack(halves[i:i + per]), part)
-                           for i in range(0, len(halves), per)])
+    comp = (-1,) + grid.spectral_shape
+    flat = [f.coeffs.reshape(comp) for f in fields]
+    per = max(1, _BATCH_BYTES // flat[0].nbytes)
+    sups = np.concatenate([_stack_block_sups(grid, np.stack(flat[i:i + per]), part)
+                           for i in range(0, len(flat), per)])
     return _besov_from_sups(sups, s, part.jmax)
 
 

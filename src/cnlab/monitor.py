@@ -20,7 +20,7 @@ import numpy as np
 from .fields import SpectralVectorField, _lp_norms, phys_values
 from .littlewood_paley import DyadicPartition, besov_norm_states, build_partition
 from .snapshots import atomic_write
-from .solver import KatoSmallness, Trajectory, kato_smallness
+from .solver import KatoSmallness, Trajectory, _kato, kato_smallness
 
 CSV_COLUMNS = ("t", "lp_2", "lp_n", "lp_inf", "besov_m1", "besov_dist_omega",
                "kato_I", "energy")
@@ -101,7 +101,7 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
             rem = min(1.0, horizon - t) if kato_horizon == "default" else float(kato_horizon)
             if rem > 0:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    rec.kato_I = kato_smallness(state, rem, nu).value
+                    rec.kato_I = _kato(state, rem, nu, lpn).value
         records.append(rec)
     return records
 

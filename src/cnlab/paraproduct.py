@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import (SpectralVectorField, TensorField, _complete, _half_spectrum,
-                     _same_grid, dealias, phys_values)
+from .fields import (SpectralVectorField, TensorField, _same_grid, dealias,
+                     phys_values, spectral_values)
 from .grid import Grid
 from .littlewood_paley import DyadicPartition
 
@@ -33,13 +33,11 @@ def _check_offset(i: int) -> None:
 def _blocks_phys(grid: Grid, coeffs: np.ndarray, mults: np.ndarray) -> np.ndarray:
     """Physical values of each multiplier in mults applied to dealiased coeffs.
 
-    coeffs: (..., *spatial); mults: (J, *spatial); result: (J, ..., *spatial).
-    Works on the real-to-complex half of both.
+    coeffs: (..., *spectral_shape); mults: (J, *spectral_shape); result:
+    (J, ..., *spatial).
     """
-    h = grid.half_len
-    half = mults[..., :h].reshape((mults.shape[0],) + (1,) * (coeffs.ndim - grid.dim)
-                                  + grid.shape[:-1] + (h,))
-    return phys_values(grid, half * dealias(grid, coeffs[..., :h]))
+    lead = (mults.shape[0],) + (1,) * (coeffs.ndim - grid.dim)
+    return phys_values(grid, mults.reshape(lead + mults.shape[1:]) * dealias(grid, coeffs))
 
 
 def _low_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition, i: int) -> np.ndarray:
@@ -52,8 +50,9 @@ def _delta_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition) ->
 
 
 def _dealiased_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """dealias(spectral_values(samples)), dealiased on the half before completion."""
-    return _complete(grid, dealias(grid, _half_spectrum(grid, samples)))
+    """dealias(spectral_values(samples)), dealiased before the self-conjugate
+    planes are made Hermitian."""
+    return spectral_values(grid, samples, grid.dealias_mask)
 
 
 def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,

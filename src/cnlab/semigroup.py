@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import (SpectralVectorField, TensorField, _complete, _lp_norms,
-                     _same_grid, _tensor_half, dealias, divergence_sup,
-                     phys_values)
+from .fields import (SpectralVectorField, TensorField, _hermitian_planes,
+                     _lp_norms, _same_grid, _tensor_half, dealias,
+                     divergence_sup, phys_values)
 from .grid import Grid
 from .phi import phi1, phi2
 
@@ -88,10 +88,9 @@ def heat(f: SpectralVectorField, t: float, nu: float = 1.0) -> SpectralVectorFie
 
 
 def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Leray projection of a (dim, *spatial) stack, full or real-to-complex half."""
-    w = c.shape[-1]
-    k = grid.k_deriv[..., :w]
-    ksq = grid.ksq_deriv[..., :w]
+    """Leray projection of a (dim, *spectral_shape) stack."""
+    k = grid.k_deriv
+    ksq = grid.ksq_deriv
     # k = 0 (and bare Nyquist lines, where k_deriv vanishes) pass through untouched
     safe = np.where(ksq == 0.0, 1.0, ksq)
     kdotc = np.sum(k * c, axis=0)
@@ -99,8 +98,8 @@ def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
 
 
 def _div_tensor_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Row-wise divergence of a (dim, dim, *spatial) stack, full or half."""
-    return 1j * np.einsum("b...,ab...->a...", grid.k_deriv[..., :c.shape[-1]], c)
+    """Row-wise divergence of a (dim, dim, *spectral_shape) stack."""
+    return 1j * np.einsum("b...,ab...->a...", grid.k_deriv, c)
 
 
 def leray_project(f: SpectralVectorField) -> SpectralVectorField:
@@ -118,21 +117,21 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
 
     Rejects inputs whose divergence exceeds DIV_FREE_TOL relative to
     max(1, ||u||_inf); for divergence-free u this equals Leray((u.grad) u).
-    Product, divergence and projection run on the real-to-complex half
-    spectrum, completed to the full Hermitian spectrum once at the end.
+    The self-conjugate planes of the result are made Hermitian once, after
+    product, divergence and projection.
     """
     grid = u.grid
-    half = u.coeffs[..., :grid.half_len]
-    kept = dealias(grid, half) if use_dealias else half
+    c = u.coeffs
+    kept = dealias(grid, c) if use_dealias else c
     pu = phys_values(grid, kept)
     # ||u||_inf reads the product's samples when the 2/3 rule removed nothing
-    p_all = pu if kept is half or np.array_equal(kept, half) else phys_values(grid, half)
+    p_all = pu if kept is c or np.array_equal(kept, c) else phys_values(grid, c)
     gate = DIV_FREE_TOL * max(1.0, _lp_norms(grid, p_all, (math.inf,))[0])
     defect = divergence_sup(u)
     if not defect <= gate:  # also trips on NaN
         raise ValueError(f"nonlinearity needs divergence-free input: |div u| = {defect:.3e}")
     div = _div_tensor_coeffs(grid, _tensor_half(grid, pu, pu, use_dealias))
-    return SpectralVectorField(grid, _complete(grid, _leray_coeffs(grid, div)))
+    return SpectralVectorField(grid, _hermitian_planes(grid, _leray_coeffs(grid, div)))
 
 
 def duhamel_L(path: Sequence[SpectralVectorField] | Iterable[SpectralVectorField],
@@ -154,8 +153,9 @@ def duhamel_L(path: Sequence[SpectralVectorField] | Iterable[SpectralVectorField
     ksq = grid.ksq
     nodes = tgrid.nodes
 
+    # acc is rebound to a fresh array every step, so the states can hold it
     acc = np.zeros_like(f_prev.coeffs)
-    out = [SpectralVectorField(grid, acc.copy())]
+    out = [SpectralVectorField(grid, acc)]
     decay = w_left = w_right = None
     h_cached = None
     for m in range(tgrid.nintervals):
@@ -173,7 +173,7 @@ def duhamel_L(path: Sequence[SpectralVectorField] | Iterable[SpectralVectorField
             w_right = h * p2
             h_cached = h
         acc = decay * acc - (w_left * f_prev.coeffs + w_right * f_next.coeffs)
-        out.append(SpectralVectorField(grid, acc.copy()))
+        out.append(SpectralVectorField(grid, acc))
         f_prev = f_next
     return out
 

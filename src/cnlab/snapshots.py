@@ -3,15 +3,19 @@
 Layout (little-endian throughout):
 
     magic   4 bytes  b"CNLB"
-    version u32      format version, currently 1
+    version u32      format version, currently 2
     dim     u32
     res     u32
     ncomp   u32      component count (dim for velocity fields)
     time    f64      trajectory time of the snapshot
-    body    ncomp * res^dim complex128 values, per component, row-major
-            frequency order (numpy FFT layout), each value as (re, im) f64
+    body    ncomp * res^(dim-1) * (res//2 + 1) complex128 values: the
+            real-to-complex half spectrum (Grid.spectral_shape) per component,
+            row-major, numpy FFT frequency order, each value as (re, im) f64
 
-Writing and re-reading a snapshot reproduces the coefficient bytes exactly.
+Version 1 files hold the full spectrum, ncomp * res^dim values; they are
+still read, keeping the first res//2 + 1 entries of the last axis (the
+Hermitian mirror entries carry nothing more). Writing and re-reading a
+snapshot reproduces the coefficient bytes exactly.
 
 Every artifact cnlab writes (snapshots, monitor CSVs, JSON reports,
 summary.csv) goes through atomic_write, so a killed run leaves either the
@@ -20,6 +24,7 @@ previous file or the complete new one, never a truncated file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import uuid
@@ -31,7 +36,7 @@ from .fields import SpectralVectorField
 from .grid import Grid
 
 MAGIC = b"CNLB"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sIIIId")
 
 
@@ -72,14 +77,15 @@ def read_snapshot(path: str | Path) -> tuple[SpectralVectorField, float]:
     magic, version, dim, res, ncomp, time = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise SnapshotError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise SnapshotError(f"{path}: unsupported version {version}")
     grid = Grid(dim, res)  # validates dim/res
     if ncomp != dim:
         raise SnapshotError(f"{path}: expected {dim} components, header says {ncomp}")
-    expect = _HEADER.size + ncomp * grid.npoints * 16
-    if len(raw) != expect:
-        raise SnapshotError(f"{path}: body size {len(raw) - _HEADER.size} != {expect - _HEADER.size}")
-    flat = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    coeffs = flat.reshape((ncomp,) + grid.shape).astype(np.complex128)
+    shape = (ncomp,) + (grid.shape if version == 1 else grid.spectral_shape)
+    expect = 16 * math.prod(shape)
+    if len(raw) - _HEADER.size != expect:
+        raise SnapshotError(f"{path}: body size {len(raw) - _HEADER.size} != {expect}")
+    body = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
+    coeffs = body[..., :grid.half_len].astype(np.complex128)
     return SpectralVectorField(grid, coeffs), float(time)

@@ -172,17 +172,17 @@ _BOUND_LIMIT = 1e150
 def _heat_bounds(grid: Grid, coeffs: np.ndarray, ts: np.ndarray, nu: float) -> np.ndarray:
     """Upper bounds sum_k |c(k)| exp(-nu t |k|^2) on ||heat(c, t)||_inf, per t in ts.
 
-    coeffs is a (ncomp, *spatial) stack, |c(k)| the Euclidean length over
-    components, and the sum runs over the spectrum the inverse real
-    transform reads: entries of the real-to-complex half count twice (for
-    the mirror entry), except on the two self-conjugate planes. One
-    matrix-vector product over the occupied shells |k|^2 gives every t.
-    Bounds are inf for non-finite or overflow-scale states.
+    coeffs is a (ncomp, *spectral_shape) stack, |c(k)| the Euclidean length
+    over components, and the sum runs over the spectrum the inverse real
+    transform reads: entries of the half count twice (for the mirror entry),
+    except on the two self-conjugate planes. One matrix-vector product over
+    the occupied shells |k|^2 gives every t. Bounds are inf for non-finite or
+    overflow-scale states.
     """
     h = grid.half_len
-    amp = np.hypot.reduce(np.abs(coeffs[..., :h]), axis=0)
+    amp = np.hypot.reduce(np.abs(coeffs), axis=0)
     amp[..., 1:h - 1] *= 2.0
-    shells = np.bincount(grid.ksq[..., :h].astype(np.int64).ravel(), weights=amp.ravel())
+    shells = np.bincount(grid.ksq.astype(np.int64).ravel(), weights=amp.ravel())
     if not shells.sum() < _BOUND_LIMIT:
         return np.full(ts.shape, np.inf)
     occupied = np.flatnonzero(shells)
@@ -200,8 +200,7 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
     and (-1, ts[0]) is returned when every value is nan. Values read the
     plain magnitude, so a state whose squares overflow has sup inf.
     """
-    half = coeffs[..., :grid.half_len]
-    ksq = grid.ksq[..., :grid.half_len]
+    ksq = grid.ksq
     bounds = np.sqrt(ts) * _heat_bounds(grid, coeffs, ts, nu)
     vals = np.full(ts.shape, np.nan)
     best = -1.0
@@ -209,7 +208,7 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
         if bounds[i] * _BOUND_MARGIN < best:
             break
         t = ts[i]
-        mag = _plain_magnitude(grid, phys_values(grid, half * np.exp(-nu * t * ksq)))
+        mag = _plain_magnitude(grid, phys_values(grid, coeffs * np.exp(-nu * t * ksq)))
         vals[i] = math.sqrt(t) * float(np.max(mag))
         if vals[i] > best:
             best = vals[i]
@@ -220,16 +219,19 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
     return best, t_at
 
 
+def _kato(u0: SpectralVectorField, horizon: float, nu: float, n_norm: float) -> KatoSmallness:
+    """kato_smallness with ||u0||_n supplied by the caller."""
+    value, t_at = _heat_ladder_sup(u0.grid, u0.coeffs, _kato_ladder(horizon), nu)
+    return KatoSmallness((1.0 + n_norm) * value, t_at)
+
+
 def kato_smallness(u0: SpectralVectorField, horizon: float, nu: float = 1.0) -> KatoSmallness:
     """Smallness functional (1 + ||u0||_n) * sup_t sqrt(t) ||heat(u0, t)||_inf.
 
     The sup runs over the fixed geometric time ladder on (0, horizon]; the
     maximizing time is reported alongside the value.
     """
-    grid = u0.grid
-    value, t_at = _heat_ladder_sup(grid, u0.coeffs, _kato_ladder(horizon), nu)
-    n_norm = lp_norm(u0, float(grid.dim))
-    return KatoSmallness((1.0 + n_norm) * value, t_at)
+    return _kato(u0, horizon, nu, lp_norm(u0, float(u0.grid.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +303,7 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     t0 = time.perf_counter()
 
     base = [heat(u0, float(t), cfg.nu) for t in nodes]
-    curr = [f.copy() for f in base]
+    curr = base
     increments: list[float] = []
     converged = False
     blew_up = False
@@ -310,9 +312,10 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.picard.max_iters):
             forcing = (nonlinearity(u, cfg.dealias) for u in curr)
-            correction = duhamel_L(forcing, tg, cfg.nu)
-            nxt = [SpectralVectorField(grid, base[m].coeffs + correction[m].coeffs)
-                   for m in range(len(nodes))]
+            # the Duhamel states are fresh arrays: add the heat term in place
+            nxt = duhamel_L(forcing, tg, cfg.nu)
+            for b, c in zip(base, nxt):
+                c.coeffs += b.coeffs
             inc = _kato_increment(grid, curr, nxt, nodes)
             increments.append(inc)
             curr = nxt
@@ -396,7 +399,7 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
         return -nonlinearity(f, cfg.dealias).coeffs
 
     states = [u0.copy()]
-    u = u0.coeffs.copy()
+    u = u0.coeffs  # never written: every step binds fresh arrays
     # keyed on the exact step: node spacings that agree to the bit share weights
     weights: dict[float, tuple[np.ndarray, ...]] = {}
     traj = Trajectory(grid, tg, states, "etdrk4", {"nu": cfg.nu, "dt": dt_req})
@@ -416,7 +419,7 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
             except (_NonFinite, FloatingPointError):
                 traj.meta["blowup_time"] = float(nodes[m + 1])
                 raise BlowupSuspected(float(nodes[m + 1]), states[-1], traj) from None
-            states.append(SpectralVectorField(grid, u.copy()))
+            states.append(SpectralVectorField(grid, u))
     return traj
 
 

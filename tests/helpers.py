@@ -1,8 +1,11 @@
 """Shared test oracles, deliberately independent of the library code paths.
 
-The convolution oracle works on a doubled grid where products of band-limited
-inputs cannot alias; paraproduct oracles re-sum block pairs directly from the
-multiplier tables. Everything here trades speed for obviousness.
+The library stores real-to-complex half spectra; the oracles here work on
+full spectra (mirror entries by flip-and-roll reflection) and cut the result
+back to the half. The convolution oracle works on a doubled grid where
+products of band-limited inputs cannot alias; paraproduct oracles re-sum
+block pairs directly from the multiplier tables. Everything here trades speed
+for obviousness.
 """
 
 from __future__ import annotations
@@ -11,6 +14,40 @@ import numpy as np
 
 from cnlab.fields import SpectralVectorField, TensorField
 from cnlab.grid import Grid
+
+
+def conj_reflect(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """conj(c(-k)) of full spectra, -k by flip-and-roll over the spatial axes."""
+    axes = grid.spatial_axes
+    return np.conj(np.roll(np.flip(c, axis=axes), 1, axis=axes))
+
+
+def hermitian_part(grid: Grid, full: np.ndarray) -> np.ndarray:
+    """(c(k) + conj(c(-k))) / 2 of full spectra: the spectrum of the real part."""
+    return 0.5 * (full + conj_reflect(grid, full))
+
+
+def half_of(grid: Grid, full: np.ndarray) -> np.ndarray:
+    """The real-to-complex half (first res//2 + 1 last-axis entries) of full spectra."""
+    return np.ascontiguousarray(full[..., :grid.half_len])
+
+
+def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full spectra holding `half`, the other last-axis entries the conjugate
+    mirrors conj(c(-k)); Hermitian exactly when the half's self-conjugate
+    planes (last index 0 and res/2) are."""
+    h = grid.half_len
+    full = np.zeros(half.shape[:-1] + (grid.res,), dtype=np.complex128)
+    full[..., :h] = half
+    full[..., h:] = conj_reflect(grid, full)[..., h:]
+    return full
+
+
+def hermitian_defect(grid: Grid, half: np.ndarray) -> float:
+    """max |c(k) - conj(c(-k))| over the full spectra of a half; only the
+    self-conjugate planes can contribute."""
+    full = full_spectrum(grid, half)
+    return float(np.max(np.abs(full - conj_reflect(grid, full))))
 
 
 def embed_coeffs(small: Grid, coeffs: np.ndarray, big: Grid) -> np.ndarray:
@@ -35,20 +72,21 @@ def restrict_coeffs(big: Grid, coeffs: np.ndarray, small: Grid) -> np.ndarray:
 
 
 def exact_product_coeffs(grid: Grid, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Alias-free coefficients of the pointwise product of two scalar fields.
+    """Alias-free half spectrum of the pointwise product of two scalar fields
+    given by their half spectra.
 
-    Zero-pads both spectra onto a grid of twice the resolution, multiplies in
-    physical space there (no wraparound is possible since max |k_a + k_b| stays
-    below the doubled Nyquist), and restricts back.
+    Zero-pads both full spectra onto a grid of twice the resolution,
+    multiplies in physical space there (no wraparound is possible since
+    max |k_a + k_b| stays below the doubled Nyquist), and restricts back.
     """
     big = Grid(grid.dim, grid.res * 2)
-    pa = embed_coeffs(grid, ca, big)
-    pb = embed_coeffs(grid, cb, big)
+    pa = embed_coeffs(grid, full_spectrum(grid, ca), big)
+    pb = embed_coeffs(grid, full_spectrum(grid, cb), big)
     axes = tuple(range(-grid.dim, 0))
     fa = np.fft.ifftn(pa, axes=axes) * big.npoints
     fb = np.fft.ifftn(pb, axes=axes) * big.npoints
     prod = np.fft.fftn(fa * fb, axes=axes) / big.npoints
-    return restrict_coeffs(big, prod, grid)
+    return half_of(grid, restrict_coeffs(big, prod, grid))
 
 
 def mode_index(grid: Grid, k: tuple[int, ...]) -> tuple[int, ...]:
@@ -58,29 +96,24 @@ def mode_index(grid: Grid, k: tuple[int, ...]) -> tuple[int, ...]:
 def single_mode_vector(grid: Grid, k: tuple[int, ...], component: int,
                        amplitude: float = 1.0) -> SpectralVectorField:
     """amplitude * cos(k . x) in one velocity component, exact two-mode spectrum."""
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    coeffs[(component,) + mode_index(grid, k)] = amplitude / 2.0
-    coeffs[(component,) + mode_index(grid, tuple(-ki for ki in k))] += amplitude / 2.0
+    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    coeffs[component] = single_mode_scalar(grid, k, amplitude)
     return SpectralVectorField(grid, coeffs)
 
 
 def single_mode_scalar(grid: Grid, k: tuple[int, ...], amplitude: float = 1.0) -> np.ndarray:
+    """Half spectrum of amplitude * cos(k . x)."""
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs[mode_index(grid, k)] = amplitude / 2.0
     coeffs[mode_index(grid, tuple(-ki for ki in k))] += amplitude / 2.0
-    return coeffs
+    return half_of(grid, coeffs)
 
 
 def axis_tensor(grid: Grid, m: int, row: int = 1, col: int = 0) -> TensorField:
     """cos(m x_1) placed in one tensor entry; the Oseen-probe extremizer."""
-    c = np.zeros((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
+    c = np.zeros((grid.dim, grid.dim) + grid.spectral_shape, dtype=np.complex128)
     c[(row, col)] = single_mode_scalar(grid, (m,) + (0,) * (grid.dim - 1))
     return TensorField(grid, c)
-
-
-def samples_of(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    axes = tuple(range(-grid.dim, 0))
-    return np.fft.ifftn(coeffs, axes=axes).real * grid.npoints
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,21 +1,25 @@
 """Grid tables, transforms, norms, and the dealiased tensor product."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cnlab
+
 from cnlab.fields import (SpectralVectorField, dealias, derivative,
-                          divergence_sup, energy, hermitian_defect,
-                          hermitianize, linf, lp_norm, pointwise_tensor,
-                          project_mean_zero, random_field,
+                          divergence_sup, energy, linf, lp_norm,
+                          pointwise_tensor, project_mean_zero, random_field,
                           random_vector_field, to_physical, to_spectral,
                           zero_field)
 from cnlab.grid import TAU, Grid
 from cnlab.semigroup import heat
 from cnlab.solver import make_profile
 
-from helpers import exact_product_coeffs, rel_err, single_mode_vector
+from helpers import (exact_product_coeffs, full_spectrum, hermitian_defect,
+                     rel_err, single_mode_vector)
 
 PI_SQRT2 = 4.442882938158366  # || (sin x1, 0) ||_2 on the 2-torus
 
@@ -27,6 +31,7 @@ class TestGrid:
         assert g.nyquist == res // 2
         assert g.npoints == res**dim
         assert g.shape == (res,) * dim
+        assert g.spectral_shape == (res,) * (dim - 1) + (res // 2 + 1,)
         assert g.cell_volume == pytest.approx((TAU / res) ** dim)
 
     @pytest.mark.parametrize("dim,res", [(4, 16), (1, 16), (2, 12), (2, 4), (3, 17)])
@@ -36,12 +41,21 @@ class TestGrid:
 
     def test_wavenumber_tables(self, g2_16):
         k = g2_16.wavenumbers
-        assert k.shape == (2, 16, 16)
+        assert k.shape == (2, 16, 9)  # the real-to-complex half
         assert k[0, 0, 0] == 0 and k[0, 8, 0] == -8  # fft order, Nyquist at -N/2
+        assert k[1, 0, 8] == -8 and k[1, 0, 7] == 7  # the half's last entry too
         assert np.all(g2_16.ksq == k[0] ** 2 + k[1] ** 2)
         # odd multipliers zero the unpaired Nyquist line, even ones keep it
-        assert g2_16.k_deriv[0, 8, 0] == 0.0
-        assert g2_16.ksq[8, 0] == 64.0
+        assert g2_16.k_deriv[0, 8, 0] == 0.0 and g2_16.k_deriv[1, 0, 8] == 0.0
+        assert g2_16.ksq[8, 0] == 64.0 and g2_16.ksq[0, 8] == 64.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tables_share_the_half_layout(self, dim):
+        g = Grid(dim, 16)
+        for table in (g.ksq, g.kmod, g.ksq_deriv, g.dealias_mask):
+            assert table.shape == g.spectral_shape
+        for table in (g.wavenumbers, g.k_deriv):
+            assert table.shape == (dim,) + g.spectral_shape
 
     def test_dealias_mask(self, g2_16):
         m = g2_16.dealias_mask
@@ -51,6 +65,16 @@ class TestGrid:
     def test_immutable_tables(self, g2_16):
         with pytest.raises(ValueError):
             g2_16.ksq[0, 0] = 1.0
+
+
+def test_fft_calls_only_in_fields():
+    # the transform pair is the one place that knows the spectral layout;
+    # grid only reads the frequency ordering from fftfreq
+    src = Path(cnlab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for name in re.findall(r"(?:np|numpy)\.fft\b\.?(\w*)", path.read_text()):
+            assert path.name == "fields.py" or (path.name, name) == ("grid.py", "fftfreq"), \
+                f"{path.name} calls np.fft.{name}"
 
 
 class TestTransforms:
@@ -70,14 +94,21 @@ class TestTransforms:
         x1 = g2_32.coords()[0]
         assert rel_err(to_physical(f)[0], 2.0 * np.cos(3 * x1)) <= 1e-13
 
-    def test_hermitian_defect(self, g2_16, rng):
-        f = random_vector_field(g2_16, rng)
-        assert hermitian_defect(f) <= 1e-13
-        broken = f.coeffs.copy()
-        broken[0, 1, 2] += 0.5
-        assert hermitian_defect(SpectralVectorField(g2_16, broken)) > 1e-3
-        fixed = hermitianize(g2_16, broken)
-        assert hermitian_defect(SpectralVectorField(g2_16, fixed)) <= 1e-13
+    def test_hermitian_defect(self, rng):
+        # a stored half is Hermitian off its self-conjugate planes (last index
+        # 0 and res/2) by construction; on them the library keeps it exact
+        for grid in (Grid(2, 16), Grid(3, 16)):
+            dim = grid.dim
+            f = random_vector_field(grid, rng)
+            x = grid.coords()[-1]
+            g = to_spectral(np.stack([np.sin(x + 0.3)] * dim) + to_physical(f), grid)
+            for c in (f.coeffs, g.coeffs, pointwise_tensor(f, g).coeffs):
+                assert hermitian_defect(grid, c) == 0.0
+            broken = f.coeffs.copy()
+            broken[(0, 1) + (0,) * (dim - 2) + (2,)] += 0.5
+            assert hermitian_defect(grid, broken) == 0.0
+            broken[(0, 1) + (0,) * (dim - 1)] += 0.5
+            assert hermitian_defect(grid, broken) > 1e-3
 
     def test_mean_zero_projection(self, g2_16, rng):
         c = random_field(g2_16, rng)
@@ -160,7 +191,7 @@ class TestPointwiseTensor:
 
 class TestNorms:
     def test_constant_field_closed_form(self, g2_16):
-        c = np.zeros((2,) + g2_16.shape, dtype=np.complex128)
+        c = np.zeros((2,) + g2_16.spectral_shape, dtype=np.complex128)
         c[0, 0, 0] = 1.5  # constant velocity (1.5, 0), test-only (not mean-zero)
         f = SpectralVectorField(g2_16, c)
         for p in (1.0, 2.0, 4.0):
@@ -189,7 +220,8 @@ class TestNorms:
         for dim, res in [(2, 16), (2, 64), (2, 128), (3, 16)]:
             grid = Grid(dim, res)
             f = random_vector_field(grid, rng)
-            via_modes = TAU ** (dim / 2.0) * math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2)))
+            full = full_spectrum(grid, f.coeffs)
+            via_modes = TAU ** (dim / 2.0) * math.sqrt(float(np.sum(np.abs(full) ** 2)))
             assert lp_norm(f, 2.0) == pytest.approx(via_modes, rel=1e-12)
 
     def test_p_below_one_rejected(self, g2_16):
@@ -234,8 +266,8 @@ class TestRandomFields:
     def test_mean_zero_and_real(self, g3_16, rng):
         c = random_field(g3_16, rng)
         assert np.all(c[(slice(None),) + (0,) * 3] == 0.0)
-        f = SpectralVectorField(g3_16, c)
-        assert hermitian_defect(f) <= 1e-13
+        assert c.shape == (3,) + g3_16.spectral_shape
+        assert hermitian_defect(g3_16, c) <= 1e-13
 
     def test_unit_sup_normalization(self, g2_16, rng):
         f = random_vector_field(g2_16, rng)

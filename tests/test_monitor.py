@@ -75,6 +75,21 @@ class TestMonitor:
             want = kato_smallness(state, 0.3, 1.0).value
             assert r.kato_I == pytest.approx(want, rel=1e-12)
 
+    def test_kato_column_reuses_the_lp_n_column(self, tg_traj, monkeypatch):
+        # the record's lp_n is ||u||_n to the bit, so no second L^n norm is taken
+        want = [kato_smallness(state, 0.3, 1.0).value for state in tg_traj.states]
+        calls = []
+
+        def counted(f, p):
+            calls.append(p)
+            return lp_norm(f, p)
+
+        monkeypatch.setattr("cnlab.fields.lp_norm", counted)
+        monkeypatch.setattr("cnlab.solver.lp_norm", counted)
+        recs = monitor(tg_traj, kato_horizon=0.3)
+        assert calls == []
+        assert [r.kato_I for r in recs] == want
+
     def test_pure_function_of_trajectory(self, tg_traj):
         a = monitor(tg_traj, p_list=(4.0,), kato_horizon="default")
         b = monitor(tg_traj, p_list=(4.0,), kato_horizon="default")

@@ -25,7 +25,7 @@ def brute_paraproduct(i, phi, psi, part):
     grid = part.grid
     phi = dealias(grid, np.asarray(phi, dtype=np.complex128))
     psi = dealias(grid, np.asarray(psi, dtype=np.complex128))
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    acc = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for k in range(part.jmax + 1):
         dk = psi * part.delta[k]
         for m in range(-1, k + i):  # m = -1 denotes S_0
@@ -49,7 +49,7 @@ class TestScalarParaproduct:
     def test_zero_inputs(self, g2_16, rng):
         part = build_partition(g2_16, "sharp")
         phi = random_field(g2_16, rng, ncomp=1)[0]
-        z = np.zeros(g2_16.shape, dtype=np.complex128)
+        z = np.zeros(g2_16.spectral_shape, dtype=np.complex128)
         assert np.max(np.abs(scalar_paraproduct(0, z, phi, part))) == 0.0
         assert np.max(np.abs(scalar_paraproduct(1, phi, z, part))) == 0.0
 

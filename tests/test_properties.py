@@ -4,8 +4,9 @@ and extra leading axes, and of the single implementation behind each norm:
 the monitor's Lebesgue columns are lp_norm, the Besov distance is the norm
 of the difference.
 
-The oracles (full complex inverse FFT, reflection by flip-and-roll) are
-independent of the library's transform code. The pruned block sups, heat
+The oracles (full complex FFTs of the full spectra that helpers.py
+completes by flip-and-roll reflection) are independent of the library's
+transform code. The pruned block sups, heat
 ladder and Oseen envelope are compared bit for bit with loops that
 transform everything.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnlab.fields import (energy, hermitianize, linf, lp_norm, phys_values,
+from cnlab.fields import (energy, linf, lp_norm, phys_values,
                           pointwise_tensor, random_field, random_tensor_field,
                           random_vector_field, spectral_values)
 from cnlab.grid import Grid
@@ -28,6 +29,8 @@ from cnlab.semigroup import TimeGrid, div_tensor, leray_project, nonlinearity
 from cnlab.solver import Trajectory, _heat_bounds, _heat_ladder_sup, _kato_ladder
 from cnlab.verification import verify_oseen_kernel
 
+from helpers import full_spectrum, half_of, hermitian_defect, hermitian_part
+
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 grids = st.builds(Grid, st.sampled_from([2, 3]), st.sampled_from([8, 16, 32]))
@@ -35,22 +38,19 @@ leading = st.lists(st.integers(1, 3), max_size=2).map(tuple)
 seeds = st.integers(0, 2**32 - 1)
 
 
-def conj_reflect(grid, c):
-    axes = grid.spatial_axes
-    return np.conj(np.roll(np.flip(c, axis=axes), 1, axis=axes))
-
-
 def hermitian_stack(grid, lead, seed):
+    """Half spectra of a random Hermitian full-spectrum stack."""
     rng = np.random.default_rng(seed)
     shape = lead + grid.shape
-    return hermitianize(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return half_of(grid, hermitian_part(grid, rng.standard_normal(shape)
+                                        + 1j * rng.standard_normal(shape)))
 
 
 @PROPS
 @given(grids, leading, seeds)
 def test_phys_values_matches_full_inverse(grid, lead, seed):
     c = hermitian_stack(grid, lead, seed)
-    ref = np.fft.ifftn(c, axes=grid.spatial_axes).real * grid.npoints
+    ref = np.fft.ifftn(full_spectrum(grid, c), axes=grid.spatial_axes).real * grid.npoints
     got = phys_values(grid, c)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -69,10 +69,11 @@ def test_round_trip_returns_coefficients(grid, lead, seed):
 def test_spectral_values_exactly_hermitian(grid, lead, seed):
     samples = np.random.default_rng(seed).standard_normal(lead + grid.shape)
     c = spectral_values(grid, samples)
-    assert c.shape == lead + grid.shape
-    assert np.max(np.abs(c - conj_reflect(grid, c))) == 0.0
+    assert c.shape == lead + grid.spectral_shape
+    assert hermitian_defect(grid, c) == 0.0
     ref = np.fft.fftn(samples, axes=grid.spatial_axes) / grid.npoints
-    assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
+    full = full_spectrum(grid, c)
+    assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @PROPS
@@ -82,7 +83,7 @@ def test_nonlinearity_matches_full_layout_operators(grid, seed, use_dealias):
     got = nonlinearity(u, use_dealias).coeffs
     ref = leray_project(div_tensor(pointwise_tensor(u, u, use_dealias))).coeffs
     assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1e-300)
-    assert np.max(np.abs(got - conj_reflect(grid, got))) == 0.0
+    assert hermitian_defect(grid, got) == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -102,9 +103,9 @@ KINDS = ["zero", "single_mode", "single_shell", "band", "broadband",
 
 
 def make_state(grid, kind, seed):
-    """(dim, *spatial) coefficients of one kind of state."""
+    """(dim, *spectral_shape) coefficients of one kind of state."""
     rng = np.random.default_rng(seed)
-    c = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    c = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     top = grid.res // 3
     if kind == "single_mode":
         x = grid.coords()[0]
@@ -135,11 +136,9 @@ def make_state(grid, kind, seed):
 
 
 def ladder_reference(grid, coeffs, ts, nu):
-    half = coeffs[..., :grid.half_len]
-    ksq = grid.ksq[..., :grid.half_len]
     best, t_at = -1.0, float(ts[0])
     for t in ts:
-        phys = phys_values(grid, half * np.exp(-nu * t * ksq))
+        phys = phys_values(grid, coeffs * np.exp(-nu * t * grid.ksq))
         v = math.sqrt(t) * float(np.max(np.sqrt(np.sum(phys**2, axis=0))))
         if v > best:
             best, t_at = v, float(t)
@@ -147,11 +146,10 @@ def ladder_reference(grid, coeffs, ts, nu):
 
 
 def block_sups_reference(grid, stack, part):
-    h = grid.half_len
-    mults = np.concatenate([part.s0[np.newaxis], part.delta])[..., :h]
+    mults = np.concatenate([part.s0[np.newaxis], part.delta])
     out = np.empty((stack.shape[0], len(mults)))
     for col, mult in enumerate(mults):
-        phys = phys_values(grid, stack[..., :h] * mult)
+        phys = phys_values(grid, stack * mult)
         mag = np.sqrt(np.sum(phys**2, axis=1))
         out[:, col] = mag.reshape(stack.shape[0], -1).max(axis=1)
     return out
@@ -175,10 +173,8 @@ def test_heat_bounds_cap_the_sup_norm(grid, kind, seed, nu):
     c = make_state(grid, kind, seed)
     ts = _kato_ladder(1.0)
     bounds = _heat_bounds(grid, c, ts, nu)
-    half = c[..., :grid.half_len]
-    ksq = grid.ksq[..., :grid.half_len]
     for t, bound in zip(ts, bounds):
-        phys = phys_values(grid, half * np.exp(-nu * t * ksq))
+        phys = phys_values(grid, c * np.exp(-nu * t * grid.ksq))
         assert np.max(np.sqrt(np.sum(phys**2, axis=0))) <= bound * (1.0 + 1e-12)
 
 
@@ -195,7 +191,8 @@ def test_heat_bounds_exact_on_one_mode(dim):
             idx[axis] = k
             c[(0,) + tuple(idx)] = 0.5
         exact = np.exp(-0.5 * ts * m * m)
-        assert np.allclose(_heat_bounds(grid, c, ts, 0.5), exact, rtol=1e-13, atol=0)
+        bounds = _heat_bounds(grid, half_of(grid, c), ts, 0.5)
+        assert np.allclose(bounds, exact, rtol=1e-13, atol=0)
 
 
 @PROPS
@@ -208,10 +205,8 @@ def test_pruned_block_sups_match_every_transform(grid, kinds, nonfinite, seed, m
     part = build_partition(grid, mode)
     with np.errstate(invalid="ignore"):
         got = _stack_block_sups(grid, stack, part)
-        from_half = _stack_block_sups(grid, stack[..., :grid.half_len].copy(), part)
         ref = block_sups_reference(grid, stack, part)
     assert got.tobytes() == ref.tobytes()
-    assert from_half.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)

@@ -8,6 +8,7 @@ import pytest
 from cnlab import solver
 from cnlab.fields import divergence_sup, linf, zero_field
 from cnlab.grid import Grid
+from cnlab.semigroup import TimeGrid, duhamel_L, heat
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
                           PicardOptions, SolverConfig, cross_validate,
                           etdrk4_integrate, kato_smallness, make_profile,
@@ -195,6 +196,43 @@ class TestEtdrk4:
         cfg = SolverConfig(dim=2, res=16, etdrk4=EtdrkOptions(dt=-0.1))
         with pytest.raises(ValueError):
             etdrk4_integrate(zero_field(g2_16), cfg)
+
+
+class TestStatesOwnTheirArrays:
+    """No two states of a result share memory, with each other or with u0."""
+
+    @staticmethod
+    def assert_disjoint(u0, states):
+        arrays = [u0.coeffs] + [s.coeffs for s in states]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def setup_method(self):
+        self.u0 = make_profile(Grid(2, 16), "random_divfree", amplitude=0.3, seed=5)
+        self.kept = self.u0.coeffs.copy()
+        self.cfg = SolverConfig(dim=2, res=16, horizon=0.1,
+                                picard=PicardOptions(node_count=4),
+                                etdrk4=EtdrkOptions(dt=0.01))
+
+    def teardown_method(self):
+        assert np.array_equal(self.u0.coeffs, self.kept)  # u0 is never written
+
+    def test_picard(self):
+        traj, _ = picard_solve(self.u0, self.cfg)
+        self.assert_disjoint(self.u0, traj.states)
+        self.cfg.picard.max_iters = 0  # the heat term alone
+        with pytest.raises(NonConvergence) as exc:
+            picard_solve(self.u0, self.cfg)
+        self.assert_disjoint(self.u0, exc.value.trajectory.states)
+
+    def test_etdrk4(self):
+        self.assert_disjoint(self.u0, etdrk4_integrate(self.u0, self.cfg).states)
+
+    def test_duhamel(self):
+        tg = TimeGrid.uniform(0.1, 4)
+        path = [heat(self.u0, float(t)) for t in tg.nodes]
+        self.assert_disjoint(self.u0, path + duhamel_L(path, tg))
 
 
 class TestCrossValidate:
