@@ -7,7 +7,6 @@ Subcommands:
     verify     run the estimate-verification suite, writing per-check JSON
                reports and a deterministic summary.csv
     profile    materialize configured initial data as a snapshot
-    bench      time the core kernels
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification check
 failed or simulate --method both failed cross-validation (after writing all
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -249,48 +247,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .fields import random_vector_field
-    from .grid import Grid
-    from .littlewood_paley import build_partition
-    from .semigroup import duhamel_L, heat, leray_project, nonlinearity
-
-    grid = Grid(args.dim, args.res)
-    rng = np.random.default_rng(0)
-    u = leray_project(random_vector_field(grid, rng))
-    part = build_partition(grid, "smooth")
-    tg = TimeGrid.uniform(0.1, 16)
-    path = [heat(u, float(t)) for t in tg.nodes]
-
-    def timeit(fn) -> float:
-        fn()  # warm caches before timing
-        runs = []
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            fn()
-            runs.append(time.perf_counter() - t0)
-        return min(runs)
-
-    results = {
-        "grid": {"dim": args.dim, "res": args.res},
-        "seconds": {
-            "nonlinearity": timeit(lambda: nonlinearity(u)),
-            "besov_m1": timeit(lambda: besov_norm(u, -1.0, part)),
-            "heat": timeit(lambda: heat(u, 0.1)),
-            "duhamel_16_nodes": timeit(lambda: duhamel_L(path, tg)),
-        },
-    }
-    out = json.dumps(results, indent=2, sort_keys=True)
-    if args.out:
-        atomic_write(args.out, (out + "\n").encode())
-    print(out)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
 
@@ -339,12 +295,6 @@ def build_parser() -> _Parser:
     p_prof.add_argument("--out", required=True, help="snapshot path")
     p_prof.set_defaults(func=_cmd_profile)
 
-    p_bench = sub.add_parser("bench", help="time core kernels")
-    p_bench.add_argument("--dim", type=int, default=2)
-    p_bench.add_argument("--res", type=int, default=64)
-    p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

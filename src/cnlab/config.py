@@ -43,7 +43,7 @@ _PICARD_KEYS = {"max_iters", "contraction_tol", "node_count", "grading", "gradin
 _ETDRK4_KEYS = {"dt"}
 _PROFILE_KEYS = {"kind", "amplitude", "slope", "seed", "band"}
 _SOLVER_KEYS = {"dim", "res", "nu", "horizon", "dealias", "cross_tol",
-                "epsilon_n_probe", "picard", "etdrk4", "profile"}
+                "picard", "etdrk4", "profile"}
 _MONITOR_KEYS = {"p_list", "kato_horizon", "cutoff"}
 _SIMULATE_KEYS = _SOLVER_KEYS | {"monitor"}
 

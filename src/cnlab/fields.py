@@ -13,18 +13,21 @@ checks).
 
 phys_values (an inverse real transform) and spectral_values (a forward real
 transform) are the package's only FFT call sites, with the product transforms
-of _tensor_half beside them. On the two self-conjugate planes of the half
+of _products (shared by pointwise_tensor and the Navier-Stokes right-hand
+side) beside them. On the two self-conjugate planes of the half
 (last index 0 and res/2) a half holds both c(k) and c(-k); spectral_values,
 pointwise_tensor and the end of the Navier-Stokes right-hand side replace
 those planes by their Hermitian part, which is what the inverse real
 transform reads there.
 
 _lp_norms below is the package's only Lebesgue norm: lp_norm, linf, energy,
-the monitor columns, the Picard increment and the divergence guard all use
-it. It rescales where squares or p-th powers would leave the float range
+the monitor columns, the Picard increment and the exact divergence guard all
+use it. It rescales where squares or p-th powers would leave the float range
 (by a power of two once the largest magnitude is beyond about 2^+-500), so
 no finite norm overflows or underflows; ordinary values take the plain
-arithmetic. Only the Kato ladder reads the unrescaled magnitude itself.
+arithmetic. Only the Kato ladder reads the unrescaled magnitude itself. The
+exact divergence guard runs only where the transform-free _divergence_bound
+cannot pass the input.
 
 All operations here are pure: inputs are never mutated and returned fields own
 fresh arrays.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -106,15 +109,21 @@ def phys_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.spatial_axes, norm="forward")
 
 
+def _reflect(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """a (..., res, ..., res, m) read at -k on all spatial axes but the last."""
+    for axis in range(-grid.dim, -1):
+        a = np.take(a, grid.reflect_index, axis=axis)
+    return a
+
+
 def _hermitian_planes(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Replace the self-conjugate planes (last index 0 and res/2) of a half
     spectrum by their Hermitian parts, in place, and return it.
 
-    On those planes the half holds both c(k) and its mirror c(-k), read
-    through Grid.reflect_index.
+    On those planes the half holds both c(k) and its mirror c(-k).
     """
     edges = half[..., ::grid.nyquist]
-    edges[...] = 0.5 * (edges + np.conj(edges[grid.reflect_index]))
+    edges[...] = 0.5 * (edges + np.conj(_reflect(grid, edges)))
     return half
 
 
@@ -173,12 +182,29 @@ def derivative(f: SpectralVectorField, axis: int) -> SpectralVectorField:
 
 def divergence_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Spectral divergence sum_a i*k_a c_a(k) of a (dim, *spectral_shape) stack."""
-    return 1j * np.sum(grid.k_deriv * coeffs, axis=0)
+    k = grid.k_deriv
+    div = k[0] * coeffs[0]
+    for a in range(1, grid.dim):
+        div += k[a] * coeffs[a]
+    div *= 1j
+    return div
 
 
 def divergence_sup(f: SpectralVectorField) -> float:
     """Physical-space sup of |div f|."""
     return float(np.max(np.abs(phys_values(f.grid, divergence_coeffs(f.grid, f.coeffs)))))
+
+
+# A transform-free bound decides only below its threshold by this factor, far
+# above the transform roundoff relative to the coefficient sum.
+_BOUND_MARGIN = 1.0 + 1e-9
+
+
+def _divergence_bound(grid: Grid, coeffs: np.ndarray) -> float:
+    """Bound sum_k |k . c(k)| over the full spectrum on sup |div f|, with no
+    transform; a bound for non-Hermitian self-conjugate planes too, and nan or
+    inf for non-finite or overflow-scale input."""
+    return float(np.vdot(grid.mirror_weights, np.abs(divergence_coeffs(grid, coeffs))))
 
 
 def project_mean_zero(f: SpectralVectorField) -> SpectralVectorField:
@@ -197,27 +223,22 @@ def dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return coeffs * grid.dealias_mask
 
 
-def _tensor_half(grid: Grid, pu: np.ndarray, pv: np.ndarray, use_dealias: bool) -> np.ndarray:
-    """Half spectrum of the (dealiased) pointwise product pu (x) pv, its
+def _products(grid: Grid, pu: np.ndarray, pv: np.ndarray,
+              use_dealias: bool) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (a, b, half spectrum of pu[a] * pv[b]) over the component pairs
+    in row-major order, each dealiased in place if asked and its
     self-conjugate planes left as the transform gives them.
 
     pu and pv are (dim, *spatial) physical samples; passing the same array
-    twice reuses each symmetric product.
+    twice yields only the pairs b >= a of the symmetric product.
     """
-    d = grid.dim
     mask = grid.dealias_mask
-    out = np.empty((d, d) + mask.shape, dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            if pv is pu and b < a:
-                out[a, b] = out[b, a]
-                continue
+    for a in range(grid.dim):
+        for b in range(a if pv is pu else 0, grid.dim):
             prod = np.fft.rfftn(pu[a] * pv[b], axes=grid.spatial_axes, norm="forward")
             if use_dealias:
-                np.multiply(prod, mask, out=out[a, b])
-            else:
-                out[a, b] = prod
-    return out
+                prod *= mask
+            yield a, b, prod
 
 
 def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
@@ -238,7 +259,12 @@ def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
 
     pu = samples(u)
     pv = pu if v is u else samples(v)
-    return TensorField(grid, _hermitian_planes(grid, _tensor_half(grid, pu, pv, use_dealias)))
+    out = np.empty((grid.dim, grid.dim) + grid.spectral_shape, dtype=np.complex128)
+    for a, b, prod in _products(grid, pu, pv, use_dealias):
+        out[a, b] = prod
+        if pv is pu:
+            out[b, a] = prod
+    return TensorField(grid, _hermitian_planes(grid, out))
 
 
 def _plain_range(top: float, q: float) -> bool:
@@ -334,7 +360,7 @@ def random_field(grid: Grid, rng: np.random.Generator, slope: float = 2.0,
     shape = (ncomp,) + grid.shape
     draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # c(-k) for k in the half; |k| is even in k, so amp(-k) = amp(k)
-    mirror = draw[..., (-np.arange(grid.half_len)) % grid.res][grid.reflect_index]
+    mirror = _reflect(grid, draw[..., (-np.arange(grid.half_len)) % grid.res])
     c = 0.5 * (draw[..., :grid.half_len] * amp + np.conj(mirror * amp))
     c[(slice(None),) + (0,) * d] = 0.0
     if normalize:

@@ -78,16 +78,12 @@ class Grid:
         return self.res // 2 + 1
 
     @cached_property
-    def reflect_index(self) -> tuple:
-        """Index reflecting every spatial axis but the last, i -> -i mod res.
-
-        Applied to a (..., res, ..., res, m) array it reads the entry at -k on
-        the leading spatial axes; the last axis is left to the caller's slice.
-        The self-conjugate planes of a half spectrum (last index 0 and res/2)
-        and random_field's Hermitian part read their mirror entries through it.
-        """
+    def reflect_index(self) -> np.ndarray:
+        """Indices i -> -i mod res; taken along every spatial axis but the last
+        (fields._reflect) they read the mirror entry at -k."""
         r = (-np.arange(self.res)) % self.res
-        return (Ellipsis,) + np.ix_(*([r] * (self.dim - 1))) + (slice(None),)
+        r.setflags(write=False)
+        return r
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
@@ -130,6 +126,31 @@ class Grid:
         ksq = np.sum(self.k_deriv**2, axis=0)
         ksq.setflags(write=False)
         return ksq
+
+    @cached_property
+    def projected_divergence(self) -> np.ndarray:
+        """M[p, a] with Leray(div T)_a = i * sum_p M[p, a] T_bc for symmetric T,
+        over the pairs p = (b, c), b <= c, in row-major order: P_ac k_b + P_ab k_c
+        (P_ab k_b if b = c), P the Leray matrix on k_deriv (identity where it
+        vanishes, so M is 0 there). Shape (dim (dim + 1) / 2, dim, *spectral_shape).
+        """
+        d = self.dim
+        k = self.k_deriv
+        safe = np.where(self.ksq_deriv == 0.0, 1.0, self.ksq_deriv)
+        leray = np.eye(d).reshape((d, d) + (1,) * d) - k[:, np.newaxis] * k / safe
+        m = np.stack([leray[:, b] * k[b] if b == c else leray[:, c] * k[b] + leray[:, b] * k[c]
+                      for b in range(d) for c in range(b, d)])
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def mirror_weights(self) -> np.ndarray:
+        """Full-spectrum entries each half entry stands for: 2 (itself and its
+        mirror), 1 on the self-conjugate planes (last index 0 and res/2)."""
+        w = np.full(self.spectral_shape, 2.0)
+        w[..., ::self.nyquist] = 1.0
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

@@ -22,10 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import (SpectralVectorField, TensorField, _hermitian_planes,
-                     _lp_norms, _same_grid, _tensor_half, dealias,
-                     divergence_sup, phys_values)
-from .grid import Grid
+from .fields import (_BOUND_MARGIN, SpectralVectorField, TensorField,
+                     _divergence_bound, _hermitian_planes, _lp_norms,
+                     _products, _same_grid, dealias, divergence_sup,
+                     phys_values)
 from .phi import phi1, phi2
 
 DIV_FREE_TOL = 1e-8
@@ -87,29 +87,20 @@ def heat(f: SpectralVectorField, t: float, nu: float = 1.0) -> SpectralVectorFie
     return SpectralVectorField(f.grid, f.coeffs * np.exp(-nu * t * f.grid.ksq))
 
 
-def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Leray projection of a (dim, *spectral_shape) stack."""
-    k = grid.k_deriv
-    ksq = grid.ksq_deriv
-    # k = 0 (and bare Nyquist lines, where k_deriv vanishes) pass through untouched
-    safe = np.where(ksq == 0.0, 1.0, ksq)
-    kdotc = np.sum(k * c, axis=0)
-    return c - k * (kdotc / safe)
-
-
-def _div_tensor_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Row-wise divergence of a (dim, dim, *spectral_shape) stack."""
-    return 1j * np.einsum("b...,ab...->a...", grid.k_deriv, c)
-
-
 def leray_project(f: SpectralVectorField) -> SpectralVectorField:
     """Project onto divergence-free fields: c -> c - k (k.c)/|k|^2, k = 0 kept."""
-    return SpectralVectorField(f.grid, _leray_coeffs(f.grid, f.coeffs))
+    k = f.grid.k_deriv
+    ksq = f.grid.ksq_deriv
+    # k = 0 (and bare Nyquist lines, where k_deriv vanishes) pass through untouched
+    safe = np.where(ksq == 0.0, 1.0, ksq)
+    kdotc = np.sum(k * f.coeffs, axis=0)
+    return SpectralVectorField(f.grid, f.coeffs - k * (kdotc / safe))
 
 
 def div_tensor(F: TensorField) -> SpectralVectorField:
     """Row-wise tensor divergence: v_a = sum_b d_b F_ab."""
-    return SpectralVectorField(F.grid, _div_tensor_coeffs(F.grid, F.coeffs))
+    div = np.einsum("b...,ab...->a...", F.grid.k_deriv, F.coeffs)
+    return SpectralVectorField(F.grid, 1j * div)
 
 
 def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVectorField:
@@ -117,21 +108,31 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
 
     Rejects inputs whose divergence exceeds DIV_FREE_TOL relative to
     max(1, ||u||_inf); for divergence-free u this equals Leray((u.grad) u).
-    The self-conjugate planes of the result are made Hermitian once, after
-    product, divergence and projection.
+    Inputs whose transform-free bound on sup |div u| (fields._divergence_bound,
+    at roundoff on Leray-projected states) is below DIV_FREE_TOL pass at once;
+    all others, non-finite ones included, get the exact sup against the gate.
+    Each product u_b u_c (b <= c) goes straight into the result through
+    Grid.projected_divergence; its self-conjugate planes are made Hermitian
+    once, at the end.
     """
     grid = u.grid
     c = u.coeffs
     kept = dealias(grid, c) if use_dealias else c
     pu = phys_values(grid, kept)
-    # ||u||_inf reads the product's samples when the 2/3 rule removed nothing
-    p_all = pu if kept is c or np.array_equal(kept, c) else phys_values(grid, c)
-    gate = DIV_FREE_TOL * max(1.0, _lp_norms(grid, p_all, (math.inf,))[0])
-    defect = divergence_sup(u)
-    if not defect <= gate:  # also trips on NaN
-        raise ValueError(f"nonlinearity needs divergence-free input: |div u| = {defect:.3e}")
-    div = _div_tensor_coeffs(grid, _tensor_half(grid, pu, pu, use_dealias))
-    return SpectralVectorField(grid, _hermitian_planes(grid, _leray_coeffs(grid, div)))
+    if not _divergence_bound(grid, c) * _BOUND_MARGIN <= DIV_FREE_TOL:
+        # ||u||_inf reads the product's samples when the 2/3 rule removed nothing
+        p_all = pu if kept is c or np.array_equal(kept, c) else phys_values(grid, c)
+        gate = DIV_FREE_TOL * max(1.0, _lp_norms(grid, p_all, (math.inf,))[0])
+        defect = divergence_sup(u)
+        if not defect <= gate:  # also trips on NaN
+            raise ValueError(f"nonlinearity needs divergence-free input: |div u| = {defect:.3e}")
+    table = grid.projected_divergence
+    pairs = _products(grid, pu, pu, use_dealias)
+    out = table[0] * next(pairs)[2]
+    for p, (_, _, prod) in enumerate(pairs, 1):
+        out += table[p] * prod
+    out *= 1j
+    return SpectralVectorField(grid, _hermitian_planes(grid, out))
 
 
 def duhamel_L(path: Sequence[SpectralVectorField] | Iterable[SpectralVectorField],

@@ -26,9 +26,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import (SpectralVectorField, _lp_norms, _plain_magnitude, linf,
-                     lp_norm, phys_values, project_mean_zero, random_field,
-                     to_spectral)
+from .fields import (_BOUND_MARGIN, SpectralVectorField, _lp_norms,
+                     _plain_magnitude, linf, lp_norm, phys_values,
+                     project_mean_zero, random_field, to_spectral)
 from .grid import Grid
 from .phi import phi1, phi2, phi3
 from .semigroup import TimeGrid, duhamel_L, heat, leray_project, nonlinearity
@@ -84,7 +84,6 @@ class SolverConfig:
     horizon: float = 1.0
     dealias: bool = True
     cross_tol: float = 1e-4
-    epsilon_n_probe: float = 0.25     # candidate smallness threshold, report-only
     picard: PicardOptions = field(default_factory=PicardOptions)
     etdrk4: EtdrkOptions = field(default_factory=EtdrkOptions)
     profile: ProfileSpec = field(default_factory=ProfileSpec)
@@ -160,12 +159,10 @@ def _kato_ladder(horizon: float) -> np.ndarray:
     return ts
 
 
-# A skipped ladder point needs its bound below the best value by this factor,
-# far above the transform roundoff relative to the coefficient sum.
-_BOUND_MARGIN = 1.0 + 1e-9
-# Squared sample magnitudes overflow near 1.3e154, turning a value the bound
-# caps into inf; no point of a state whose coefficient sum reaches this is
-# skipped.
+# A skipped ladder point needs its bound below the best value by
+# _BOUND_MARGIN. Squared sample magnitudes overflow near 1.3e154, turning a
+# value the bound caps into inf; no point of a state whose coefficient sum
+# reaches this is skipped.
 _BOUND_LIMIT = 1e150
 
 
@@ -174,14 +171,11 @@ def _heat_bounds(grid: Grid, coeffs: np.ndarray, ts: np.ndarray, nu: float) -> n
 
     coeffs is a (ncomp, *spectral_shape) stack, |c(k)| the Euclidean length
     over components, and the sum runs over the spectrum the inverse real
-    transform reads: entries of the half count twice (for the mirror entry),
-    except on the two self-conjugate planes. One matrix-vector product over
+    transform reads (Grid.mirror_weights). One matrix-vector product over
     the occupied shells |k|^2 gives every t. Bounds are inf for non-finite or
     overflow-scale states.
     """
-    h = grid.half_len
-    amp = np.hypot.reduce(np.abs(coeffs), axis=0)
-    amp[..., 1:h - 1] *= 2.0
+    amp = np.hypot.reduce(np.abs(coeffs), axis=0) * grid.mirror_weights
     shells = np.bincount(grid.ksq.astype(np.int64).ravel(), weights=amp.ravel())
     if not shells.sum() < _BOUND_LIMIT:
         return np.full(ts.shape, np.inf)
@@ -278,11 +272,15 @@ def profile_from_spec(grid: Grid, spec: ProfileSpec) -> SpectralVectorField:
 
 def _kato_increment(grid: Grid, prev: list[SpectralVectorField],
                     curr: list[SpectralVectorField], nodes: np.ndarray) -> float:
+    """sup_m sqrt(t_m) ||du(t_m)||_inf + sup_m ||du(t_m)||_n, du = curr - prev;
+    non-finite as soon as one node's norms are (max() would drop a nan)."""
     sup_w = 0.0
     sup_n = 0.0
     n = float(grid.dim)
     for t, a, b in zip(nodes, prev, curr):
         sup, n_norm = _lp_norms(grid, phys_values(grid, b.coeffs - a.coeffs), (math.inf, n))
+        if not math.isfinite(sup + n_norm):
+            return sup + n_norm
         sup_w = max(sup_w, math.sqrt(float(t)) * sup)
         sup_n = max(sup_n, n_norm)
     return sup_w + sup_n

@@ -17,14 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (SpectralVectorField, TensorField, linf, lp_norm,
-                     pointwise_tensor, random_field, random_tensor_field,
+from .fields import (_BOUND_MARGIN, SpectralVectorField, TensorField, linf,
+                     lp_norm, pointwise_tensor, random_field, random_tensor_field,
                      random_vector_field, spectral_values, to_spectral)
 from .grid import Grid
 from .littlewood_paley import besov_norm, besov_norm_states, build_partition
 from .paraproduct import bony_split, tensor_paraproduct
 from .semigroup import TimeGrid, div_tensor, duhamel_L, heat, leray_project
-from .solver import (_BOUND_MARGIN, PicardOptions, ProfileSpec, SolverConfig,
+from .solver import (PicardOptions, ProfileSpec, SolverConfig,
                      _heat_bounds, _heat_ladder_sup, _kato_ladder, make_profile,
                      picard_solve)
 

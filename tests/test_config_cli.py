@@ -77,6 +77,11 @@ class TestSolverConfigFromDict:
         with pytest.raises(ConfigError):
             solver_config_from_dict({"dim": 2, "res": 16, "nu": -1.0})
 
+    def test_removed_epsilon_n_probe_key(self):
+        # the report-only threshold nothing read is gone; old configs fail loudly
+        with pytest.raises(ConfigError, match="epsilon_n_probe"):
+            solver_config_from_dict({"dim": 2, "res": 16, "epsilon_n_probe": 0.25})
+
 
 class TestMonitorOptionsFromDict:
     def test_defaults(self):
@@ -201,6 +206,19 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["error"]["type"] == "NonConvergence"
         assert (out / "monitor_picard.csv").exists()  # partial run still monitored
+
+    def test_nan_trajectory_exit_code(self, tmp_path, capsys):
+        # squares of 1e155 overflow, so the first Picard iterate is nan; that
+        # is divergence, not convergence
+        cfg = write_json(tmp_path / "cfg.json", {
+            "dim": 2, "res": 16, "nu": 1.0, "horizon": 0.1,
+            "profile": {"kind": "random_divfree", "amplitude": 1e155}})
+        out = tmp_path / "out"
+        code = cli_main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "NonConvergence", "message": "increment diverged",
+                                "report_json": str(out / "report.json")}
 
     def test_failed_cross_validation_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {**TG_SIM, "cross_tol": 1e-30})
@@ -345,20 +363,6 @@ class TestProfileCommand:
         assert info["lp_inf"] == pytest.approx(0.3, rel=1e-12)
         assert info["kato_I"] == pytest.approx(
             kato_smallness(want, 0.5, 1.0).value, rel=1e-12)
-
-
-class TestBenchCommand:
-    def test_runs_and_reports(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = cli_main(["bench", "--dim", "2", "--res", "16", "--reps", "1",
-                         "--out", str(out)])
-        assert code == 0
-        stdout = json.loads(capsys.readouterr().out)
-        stored = json.loads(out.read_text())
-        assert stdout == stored
-        secs = stored["seconds"]
-        assert set(secs) == {"nonlinearity", "besov_m1", "heat", "duhamel_16_nodes"}
-        assert all(v > 0 for v in secs.values())
 
 
 class TestTopLevel:

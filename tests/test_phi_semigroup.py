@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cnlab import semigroup
 from cnlab.fields import (divergence_sup, linf, lp_norm, pointwise_tensor,
                           random_vector_field, to_physical, to_spectral,
                           zero_field)
@@ -176,6 +177,24 @@ class TestNonlinearity:
         u = single_mode_vector(g2_16, (1, 0), 0)  # div = -sin(x1)
         with pytest.raises(ValueError):
             nonlinearity(u)
+
+    @pytest.mark.parametrize("dim,res", [(2, 64), (3, 32)])
+    def test_projected_input_needs_no_divergence_transform(self, dim, res, rng, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return divergence_sup(f)
+
+        monkeypatch.setattr(semigroup, "divergence_sup", counted)
+        grid = Grid(dim, res)
+        u = leray_project(random_vector_field(grid, rng))
+        nonlinearity(u)
+        nonlinearity(u, use_dealias=False)
+        assert calls == []
+        with pytest.raises(ValueError):
+            nonlinearity(single_mode_vector(grid, (1,) + (0,) * (dim - 1), 0))
+        assert len(calls) == 1  # a divergent input gets the exact guard
 
 
 class TestDuhamel:

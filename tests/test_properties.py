@@ -8,24 +8,29 @@ The oracles (full complex FFTs of the full spectra that helpers.py
 completes by flip-and-roll reflection) are independent of the library's
 transform code. The pruned block sups, heat
 ladder and Oseen envelope are compared bit for bit with loops that
-transform everything.
+transform everything. The divergence guard's transform-free bound is
+checked against the transformed sup it bounds, and the guard against the
+exact one.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnlab.fields import (energy, linf, lp_norm, phys_values,
+from cnlab.fields import (SpectralVectorField, _divergence_bound,
+                          divergence_sup, energy, linf, lp_norm, phys_values,
                           pointwise_tensor, random_field, random_tensor_field,
                           random_vector_field, spectral_values)
 from cnlab.grid import Grid
 from cnlab.littlewood_paley import (_stack_block_sups, besov_distance, besov_norm,
                                     besov_norm_states, build_partition)
 from cnlab.monitor import monitor
-from cnlab.semigroup import TimeGrid, div_tensor, leray_project, nonlinearity
+from cnlab.semigroup import (DIV_FREE_TOL, TimeGrid, div_tensor, leray_project,
+                             nonlinearity)
 from cnlab.solver import Trajectory, _heat_bounds, _heat_ladder_sup, _kato_ladder
 from cnlab.verification import verify_oseen_kernel
 
@@ -248,3 +253,54 @@ def test_besov_distance_is_the_norm_of_the_difference(grid, seed, mode, s, tenso
     assert besov_distance(f, g, s) == besov_norm(f - g, s)
     batched = besov_norm_states([f, g, f - g], s, part)
     assert list(batched) == [besov_norm(h, s, part) for h in (f, g, f - g)]
+
+
+# ---------------------------------------------------------------------------
+# the divergence guard
+# ---------------------------------------------------------------------------
+
+def guard_state(grid, kind, seed):
+    """make_state's kinds, plus a stack whose self-conjugate planes are not Hermitian."""
+    if kind != "non_hermitian":
+        return make_state(grid, kind, seed)
+    rng = np.random.default_rng(seed)
+    shape = (grid.dim,) + grid.spectral_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@PROPS
+@given(grids, st.sampled_from(KINDS + ["non_hermitian"]), seeds, st.booleans())
+def test_divergence_bound_caps_the_divergence_sup(grid, kind, seed, project):
+    c = guard_state(grid, kind, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if project:
+            c = leray_project(SpectralVectorField(grid, c)).coeffs
+        bound = _divergence_bound(grid, c)
+        sup = divergence_sup(SpectralVectorField(grid, c))
+    if math.isfinite(sup):
+        assert sup <= bound * (1.0 + 1e-12)
+    else:  # a non-finite state never takes the transform-free pass
+        assert not math.isfinite(bound)
+
+
+@PROPS
+@given(grids, seeds, st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]),
+       st.sampled_from([1.0, 1e3, 1e160]), st.sampled_from(["finite", "nan", "inf"]),
+       st.booleans())
+def test_guard_rejects_what_the_exact_guard_rejects(grid, seed, eps, scale, bad, use_dealias):
+    # projected data plus a divergent part of relative size eps straddles the gate
+    rng = np.random.default_rng(seed)
+    c = scale * (leray_project(random_vector_field(grid, rng)).coeffs
+                 + eps * random_field(grid, rng))
+    if bad != "finite":
+        c[(0,) + (1,) * grid.dim] = np.nan if bad == "nan" else np.inf
+    u = SpectralVectorField(grid, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = divergence_sup(u)
+        gate = DIV_FREE_TOL * max(1.0, linf(u))
+        if defect <= gate:
+            nonlinearity(u, use_dealias)
+        else:
+            message = f"nonlinearity needs divergence-free input: |div u| = {defect:.3e}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                nonlinearity(u, use_dealias)

@@ -134,6 +134,16 @@ class TestPicard:
         assert len(rep.increments) == 3
         assert len(exc.value.trajectory.states) == 17
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_increment_not_finite_when_a_node_is_not(self, g2_16, bad):
+        # max() drops a nan, so a nan node once read as increment 0: converged
+        nodes = np.linspace(0.0, 1.0, 3)
+        prev = [zero_field(g2_16) for _ in nodes]
+        curr = [single_mode_vector(g2_16, (1, 0), 1) for _ in nodes]
+        curr[1].coeffs[0, 0, 1] = bad
+        assert not math.isfinite(solver._kato_increment(g2_16, prev, curr, nodes))
+        assert math.isfinite(solver._kato_increment(g2_16, prev, curr[:1], nodes))
+
 
 class TestEtdrk4:
     def test_taylor_green_exact(self):
