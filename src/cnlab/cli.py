@@ -81,7 +81,7 @@ def _write_trajectory_artifacts(outdir: Path, traj: Trajectory, method: str,
     csv_path = outdir / f"monitor_{method}.csv"
     write_monitor_csv(records, csv_path, config_echo=echo)
     return {"snapshots": paths, "monitor_csv": str(csv_path),
-            "states": len(traj.states)}
+            "states": len(traj.coeffs)}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -164,13 +164,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         loaded.append((t, f, p))
     # order by header time, not file name: state_10000.snap sorts before state_1001.snap
     loaded.sort(key=lambda item: item[0])
-    times = [t for t, _, _ in loaded]
-    states = [f for _, f, _ in loaded]
-    paths = [p for _, _, p in loaded]
+    times, states, paths = zip(*loaded)
     grid = states[0].grid
-    for f in states[1:]:
-        if f.grid != grid:
-            raise UsageError("snapshots mix different grids")
+    if any(f.grid != grid for f in states):
+        raise UsageError("snapshots mix different grids")
     if len(times) < 2:
         raise UsageError("need at least two snapshots to form a trajectory")
     try:
@@ -180,7 +177,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     omega = read_snapshot(args.omega)[0] if args.omega else None
     kh = None if args.kato_horizon == "none" else (
         "default" if args.kato_horizon == "default" else float(args.kato_horizon))
-    traj = Trajectory(grid, tgrid, states, method="snapshots", meta={"nu": args.nu})
+    traj = Trajectory(grid, tgrid, np.stack([f.coeffs for f in states]),
+                      method="snapshots", meta={"nu": args.nu})
     records = monitor(traj, p_list=tuple(args.p), omega=omega, kato_horizon=kh,
                       cutoff=args.cutoff, nu=args.nu)
     echo = {"nu": args.nu, "cutoff": args.cutoff, "kato_horizon": args.kato_horizon,
@@ -271,8 +269,9 @@ def build_parser() -> _Parser:
     p_mon.add_argument("--out", required=True, help="output CSV path")
     p_mon.add_argument("--nu", type=float, default=1.0)
     p_mon.add_argument("--p", type=float, nargs="*", default=[],
-                       help="extra Lebesgue exponents; computed but not written, "
-                            "since the CSV columns are fixed")
+                       help="extra Lebesgue exponents; their norms go to "
+                            "<out stem>.extra_lp.json beside the CSV (t plus one "
+                            "list per exponent), since the CSV columns are fixed")
     p_mon.add_argument("--kato-horizon", default="default",
                        help="'default', 'none', or a number")
     p_mon.add_argument("--cutoff", choices=["sharp", "smooth"], default="sharp")

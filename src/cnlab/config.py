@@ -26,6 +26,21 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(data: dict, where: str, ints: tuple[str, ...] = (),
+                 bools: tuple[str, ...] = ()) -> None:
+    """JSON integers (not true/false) at the keys in ints, JSON booleans at bools."""
+    for key in ints:
+        if key in data and not _is_int(data[key]):
+            raise ConfigError(f"{where}.{key} must be an integer, got {data[key]!r}")
+    for key in bools:
+        if key in data and not isinstance(data[key], bool):
+            raise ConfigError(f"{where}.{key} must be true or false, got {data[key]!r}")
+
+
 def load_json(path: str | Path) -> dict:
     try:
         with open(path) as fh:
@@ -50,15 +65,18 @@ _SIMULATE_KEYS = _SOLVER_KEYS | {"monitor"}
 
 def solver_config_from_dict(data: dict, where: str = "config") -> SolverConfig:
     _reject_unknown(data, _SIMULATE_KEYS, where)
+    _check_types(data, where, ints=("dim", "res"), bools=("dealias",))
     kwargs = {k: data[k] for k in data if k in _SOLVER_KEYS - {"picard", "etdrk4", "profile"}}
     if "picard" in data:
         _reject_unknown(data["picard"], _PICARD_KEYS, f"{where}.picard")
+        _check_types(data["picard"], f"{where}.picard", ints=("max_iters", "node_count"))
         kwargs["picard"] = PicardOptions(**data["picard"])
     if "etdrk4" in data:
         _reject_unknown(data["etdrk4"], _ETDRK4_KEYS, f"{where}.etdrk4")
         kwargs["etdrk4"] = EtdrkOptions(**data["etdrk4"])
     if "profile" in data:
         _reject_unknown(data["profile"], _PROFILE_KEYS, f"{where}.profile")
+        _check_types(data["profile"], f"{where}.profile", ints=("seed",))
         prof = dict(data["profile"])
         if prof.get("band") is not None:
             prof["band"] = tuple(prof["band"])
@@ -80,7 +98,8 @@ def monitor_options_from_dict(data: dict | None, where: str = "config.monitor") 
     if opts["cutoff"] not in ("sharp", "smooth"):
         raise ConfigError(f"{where}.cutoff must be 'sharp' or 'smooth'")
     kh = opts["kato_horizon"]
-    if not (kh is None or kh == "default" or isinstance(kh, (int, float))):
+    if not (kh is None or kh == "default"
+            or isinstance(kh, (int, float)) and not isinstance(kh, bool)):
         raise ConfigError(f"{where}.kato_horizon must be null, 'default', or a number")
     for p in opts["p_list"]:
         if not isinstance(p, (int, float)) or p < 1:
@@ -100,7 +119,7 @@ def verify_config_from_dict(data: dict, where: str = "config") -> tuple[list[str
     if bad:
         raise ConfigError(f"{where}.checks: unknown {bad}; available: {sorted(CHECKS)}")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError(f"{where}.seed must be an integer")
     sizes = data.get("sizes", {})
     _reject_unknown(sizes, set(CHECKS), f"{where}.sizes")

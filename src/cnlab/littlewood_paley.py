@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -162,19 +161,6 @@ def _besov_from_sups(sups: np.ndarray, s: float, jmax: int) -> np.ndarray:
 _BATCH_BYTES = 8 << 20
 
 
-def _besov_of_fields(fields: Sequence[SpectralField], s: float,
-                     part: DyadicPartition) -> np.ndarray:
-    """Besov norms of same-grid fields, their coefficients stacked as
-    (n, ncomp, *spectral_shape) in batches of at most _BATCH_BYTES."""
-    grid = part.grid
-    comp = (-1,) + grid.spectral_shape
-    flat = [f.coeffs.reshape(comp) for f in fields]
-    per = max(1, _BATCH_BYTES // flat[0].nbytes)
-    sups = np.concatenate([_stack_block_sups(grid, np.stack(flat[i:i + per]), part)
-                           for i in range(0, len(flat), per)])
-    return _besov_from_sups(sups, s, part.jmax)
-
-
 def besov_norm(f: SpectralField, s: float, part: DyadicPartition | None = None) -> float:
     """Inhomogeneous Besov norm B^{s,inf}_inf via physical-space block sups.
 
@@ -184,15 +170,20 @@ def besov_norm(f: SpectralField, s: float, part: DyadicPartition | None = None) 
     """
     _need_field(f)
     part = build_partition(f.grid, "sharp") if part is None else part
-    return float(_besov_of_fields([f], s, part)[0])
+    return float(besov_norm_states(f.coeffs[np.newaxis], s, part)[0])
 
 
-def besov_norm_states(states: Sequence[SpectralField], s: float,
-                      part: DyadicPartition) -> np.ndarray:
-    """Vector of Besov norms over a trajectory's states (batched transforms)."""
-    if len(states) == 0:
+def besov_norm_states(coeffs: np.ndarray, s: float, part: DyadicPartition) -> np.ndarray:
+    """Besov norms of an (n, *component axes, *spectral_shape) stack such as
+    Trajectory.coeffs, batched by slicing (views, not copies) at _BATCH_BYTES."""
+    if len(coeffs) == 0:
         return np.zeros(0)
-    return _besov_of_fields(states, s, part)
+    grid = part.grid
+    flat = coeffs.reshape((len(coeffs), -1) + grid.spectral_shape)
+    per = max(1, _BATCH_BYTES // flat[0].nbytes)
+    sups = np.concatenate([_stack_block_sups(grid, flat[i:i + per], part)
+                           for i in range(0, len(flat), per)])
+    return _besov_from_sups(sups, s, part.jmax)
 
 
 def besov_distance(f: SpectralField, g: SpectralField, s: float,

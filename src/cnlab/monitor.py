@@ -4,7 +4,8 @@ Each trajectory state yields one record of the norms that control regularity:
 Lebesgue norms (always including p = dim and p = inf), the critical Besov norm
 of regularity -1, optionally the Besov distance to a reference profile and the
 smallness functional over the remaining horizon, and the kinetic energy.
-Records serialize to CSV with full round-trip float precision.
+Records serialize to CSV with full round-trip float precision; Lebesgue
+norms for extra exponents go to a JSON sidecar beside it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralVectorField, _lp_norms, phys_values
+from .fields import SpectralVectorField, _lp_norms, _same_grid, phys_values
 from .littlewood_paley import DyadicPartition, besov_norm_states, build_partition
 from .snapshots import atomic_write
 from .solver import KatoSmallness, Trajectory, _kato, kato_smallness
@@ -76,10 +77,10 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
 
     # near-blowup states may overflow the block sups; inf columns are honest
     with np.errstate(over="ignore", invalid="ignore"):
-        besov = besov_norm_states(traj.states, -1.0, part)
+        besov = besov_norm_states(traj.coeffs, -1.0, part)
         if omega is not None:
-            diffs = [s - omega for s in traj.states]
-            dists = besov_norm_states(diffs, -1.0, part)
+            _same_grid(grid, omega.grid)
+            dists = besov_norm_states(traj.coeffs - omega.coeffs, -1.0, part)
     records = []
     for m, state in enumerate(traj.states):
         t = float(traj.times[m])
@@ -124,11 +125,10 @@ def bv_variation(traj: Trajectory, s: float, part: DyadicPartition | None = None
     A bounded-variation bound on the trajectory caps this sum independently of
     the node count; the largest single increment localizes where it fails.
     """
-    if len(traj.states) < 2:
+    if len(traj.coeffs) < 2:
         raise ValueError("need at least two stored states")
     part = build_partition(traj.grid, "sharp") if part is None else part
-    diffs = [b - a for a, b in zip(traj.states[:-1], traj.states[1:])]
-    norms = besov_norm_states(diffs, s, part)
+    norms = besov_norm_states(np.diff(traj.coeffs, axis=0), s, part)
     idx = int(np.argmax(norms))
     return BVResult(float(np.sum(norms)), float(norms[idx]), idx)
 
@@ -186,8 +186,17 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else repr(float(x))
 
 
+def _extra_lp_path(csv_path: str | Path) -> Path:
+    """The sidecar <csv stem>.extra_lp.json that holds the extra Lebesgue norms."""
+    csv_path = Path(csv_path)
+    return csv_path.with_name(csv_path.stem + ".extra_lp.json")
+
+
 def write_monitor_csv(records: Sequence[MonitorRecord], path: str | Path,
                       config_echo: dict | None = None) -> None:
+    """Write the fixed CSV columns, and the records' extra Lebesgue norms, if
+    they carry any, to _extra_lp_path(path) as {"t": [...], "<p>": [...]};
+    a sidecar left by an earlier write without them is removed."""
     lines = []
     if config_echo is not None:
         lines.append("# config: " + json.dumps(config_echo, sort_keys=True))
@@ -198,9 +207,17 @@ def write_monitor_csv(records: Sequence[MonitorRecord], path: str | Path,
             _fmt(r.besov_dist_omega), _fmt(r.kato_I), _fmt(r.energy),
         ]))
     atomic_write(path, ("\n".join(lines) + "\n").encode())
+    exponents = list(records[0].extra_lp) if records else []
+    if exponents:
+        extra = {"t": [r.t for r in records],
+                 **{repr(float(p)): [r.extra_lp[p] for r in records] for p in exponents}}
+        atomic_write(_extra_lp_path(path), (json.dumps(extra) + "\n").encode())
+    else:
+        _extra_lp_path(path).unlink(missing_ok=True)
 
 
 def read_monitor_csv(path: str | Path) -> list[MonitorRecord]:
+    """Records of a monitor CSV, with extra_lp read from its sidecar if there is one."""
     records = []
     for line in Path(path).read_text().splitlines():
         if not line or line.startswith("#") or line.startswith("t,"):
@@ -209,4 +226,10 @@ def read_monitor_csv(path: str | Path) -> list[MonitorRecord]:
         vals = [float(v) if v else None for v in parts]
         records.append(MonitorRecord(vals[0], vals[1], vals[2], vals[3], vals[4],
                                      vals[5], vals[6], vals[7]))
+    sidecar = _extra_lp_path(path)
+    if sidecar.is_file():
+        extra = json.loads(sidecar.read_text())
+        del extra["t"]
+        for m, rec in enumerate(records):
+            rec.extra_lp = {float(p): vals[m] for p, vals in extra.items()}
     return records

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -135,13 +135,15 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
     return SpectralVectorField(grid, _hermitian_planes(grid, out))
 
 
-def duhamel_L(path: Sequence[SpectralVectorField] | Iterable[SpectralVectorField],
-              tgrid: TimeGrid, nu: float = 1.0) -> list[SpectralVectorField]:
+def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
+              nu: float = 1.0) -> np.ndarray:
     """Apply the (negative-signed) Duhamel integral along a forcing path.
 
-    path supplies f(t_m) for every node of tgrid, in order; the result list
-    gives L(f) at the same nodes, starting with L(f)(0) = 0. Exact for paths
-    that are piecewise linear in time between nodes.
+    path supplies f(t_m) for every node of tgrid, in order, and is read one
+    field at a time, so a generator never holds the whole forcing trajectory.
+    The result is one fresh (nodes, dim, *spectral_shape) array whose row m is
+    L(f)(t_m), starting with L(f)(0) = 0. Exact for paths that are piecewise
+    linear in time between nodes.
     """
     if nu <= 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
@@ -154,9 +156,7 @@ def duhamel_L(path: Sequence[SpectralVectorField] | Iterable[SpectralVectorField
     ksq = grid.ksq
     nodes = tgrid.nodes
 
-    # acc is rebound to a fresh array every step, so the states can hold it
-    acc = np.zeros_like(f_prev.coeffs)
-    out = [SpectralVectorField(grid, acc)]
+    out = np.zeros((nodes.size,) + f_prev.coeffs.shape, dtype=np.complex128)
     decay = w_left = w_right = None
     h_cached = None
     for m in range(tgrid.nintervals):
@@ -173,8 +173,8 @@ def duhamel_L(path: Sequence[SpectralVectorField] | Iterable[SpectralVectorField
             w_left = h * (p1 - p2)
             w_right = h * p2
             h_cached = h
-        acc = decay * acc - (w_left * f_prev.coeffs + w_right * f_next.coeffs)
-        out.append(SpectralVectorField(grid, acc))
+        np.subtract(decay * out[m], w_left * f_prev.coeffs + w_right * f_next.coeffs,
+                    out=out[m + 1])
         f_prev = f_next
     return out
 

@@ -31,7 +31,7 @@ from .fields import (_BOUND_MARGIN, SpectralVectorField, _lp_norms,
                      project_mean_zero, random_field, to_spectral)
 from .grid import Grid
 from .phi import phi1, phi2, phi3
-from .semigroup import TimeGrid, duhamel_L, heat, leray_project, nonlinearity
+from .semigroup import TimeGrid, duhamel_L, leray_project, nonlinearity
 
 
 class NonConvergence(RuntimeError):
@@ -109,17 +109,27 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Fields sampled on a time grid plus solver provenance."""
+    """States on a time grid plus provenance: row m of coeffs, shaped (n, dim,
+    *spectral_shape), is the state at tgrid.nodes[m] (fewer rows if partial)."""
 
     grid: Grid
     tgrid: TimeGrid
-    states: list[SpectralVectorField]
+    coeffs: np.ndarray
     method: str
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if np.shape(self.coeffs)[1:] != (self.grid.dim,) + self.grid.spectral_shape:
+            raise ValueError(f"trajectory coeffs do not stack states of {self.grid}")
+
+    @property
+    def states(self) -> list[SpectralVectorField]:
+        """The rows as velocity fields that view, not copy, coeffs."""
+        return [SpectralVectorField(self.grid, c) for c in self.coeffs]
+
     @property
     def times(self) -> np.ndarray:
-        return self.tgrid.nodes[: len(self.states)]
+        return self.tgrid.nodes[: len(self.coeffs)]
 
 
 @dataclass
@@ -270,15 +280,15 @@ def profile_from_spec(grid: Grid, spec: ProfileSpec) -> SpectralVectorField:
 # Picard iteration
 # ---------------------------------------------------------------------------
 
-def _kato_increment(grid: Grid, prev: list[SpectralVectorField],
-                    curr: list[SpectralVectorField], nodes: np.ndarray) -> float:
-    """sup_m sqrt(t_m) ||du(t_m)||_inf + sup_m ||du(t_m)||_n, du = curr - prev;
-    non-finite as soon as one node's norms are (max() would drop a nan)."""
+def _kato_increment(grid: Grid, prev: np.ndarray, curr: np.ndarray,
+                    nodes: np.ndarray) -> float:
+    """sup_m sqrt(t_m) ||du(t_m)||_inf + sup_m ||du(t_m)||_n, du = curr - prev by
+    rows; non-finite as soon as one node's norms are (max() would drop a nan)."""
     sup_w = 0.0
     sup_n = 0.0
     n = float(grid.dim)
     for t, a, b in zip(nodes, prev, curr):
-        sup, n_norm = _lp_norms(grid, phys_values(grid, b.coeffs - a.coeffs), (math.inf, n))
+        sup, n_norm = _lp_norms(grid, phys_values(grid, b - a), (math.inf, n))
         if not math.isfinite(sup + n_norm):
             return sup + n_norm
         sup_w = max(sup_w, math.sqrt(float(t)) * sup)
@@ -300,8 +310,9 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     nodes = tg.nodes
     t0 = time.perf_counter()
 
-    base = [heat(u0, float(t), cfg.nu) for t in nodes]
-    curr = base
+    # heat(u0, t_m) by its expressions, u0 itself at t_0 = 0: no held heat term
+    decay = np.exp((-cfg.nu * nodes[1:]).reshape((-1,) + (1,) * grid.dim) * grid.ksq)
+    curr = np.concatenate([u0.coeffs[np.newaxis], u0.coeffs * decay[:, np.newaxis]])
     increments: list[float] = []
     converged = False
     blew_up = False
@@ -309,11 +320,12 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     # through the arithmetic silently instead of spraying warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.picard.max_iters):
-            forcing = (nonlinearity(u, cfg.dealias) for u in curr)
-            # the Duhamel states are fresh arrays: add the heat term in place
+            forcing = (nonlinearity(SpectralVectorField(grid, c), cfg.dealias) for c in curr)
+            # the Duhamel trajectory is a fresh array: add the heat term in place
             nxt = duhamel_L(forcing, tg, cfg.nu)
-            for b, c in zip(base, nxt):
-                c.coeffs += b.coeffs
+            nxt[0] += u0.coeffs
+            for row, d in zip(nxt[1:], decay):
+                row += u0.coeffs * d
             inc = _kato_increment(grid, curr, nxt, nodes)
             increments.append(inc)
             curr = nxt
@@ -378,7 +390,8 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
 
     The requested dt is an upper bound: each inter-node interval is covered by
     an integer number of equal steps so node times are hit exactly. Raises
-    BlowupSuspected (with the partial trajectory) on NaN/overflow.
+    BlowupSuspected on NaN/overflow, with the finite states before it as the
+    partial trajectory, whose last row is last_state.
     """
     grid = u0.grid
     if (grid.dim, grid.res) != (cfg.dim, cfg.res):
@@ -396,11 +409,11 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
         f = SpectralVectorField(grid, coeffs)
         return -nonlinearity(f, cfg.dealias).coeffs
 
-    states = [u0.copy()]
-    u = u0.coeffs  # never written: every step binds fresh arrays
+    out = np.empty((nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
+    out[0] = u0.coeffs
     # keyed on the exact step: node spacings that agree to the bit share weights
     weights: dict[float, tuple[np.ndarray, ...]] = {}
-    traj = Trajectory(grid, tg, states, "etdrk4", {"nu": cfg.nu, "dt": dt_req})
+    meta = {"nu": cfg.nu, "dt": dt_req}
     # rhs screens for non-finite input, so silence the overflow warnings the
     # final doomed step would otherwise emit
     with np.errstate(over="ignore", invalid="ignore"):
@@ -411,14 +424,15 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
             try:
                 if h not in weights:
                     weights[h] = _etdrk4_coefficients(lam, h)
-                u = _etdrk4_segment(u, weights[h], nsteps, rhs)
+                u = _etdrk4_segment(out[m], weights[h], nsteps, rhs)
                 if not np.all(np.isfinite(u)):
                     raise _NonFinite
             except (_NonFinite, FloatingPointError):
-                traj.meta["blowup_time"] = float(nodes[m + 1])
-                raise BlowupSuspected(float(nodes[m + 1]), states[-1], traj) from None
-            states.append(SpectralVectorField(grid, u))
-    return traj
+                meta["blowup_time"] = float(nodes[m + 1])
+                traj = Trajectory(grid, tg, out[: m + 1], "etdrk4", meta)
+                raise BlowupSuspected(float(nodes[m + 1]), traj.states[-1], traj) from None
+            out[m + 1] = u
+    return Trajectory(grid, tg, out, "etdrk4", meta)
 
 
 # ---------------------------------------------------------------------------

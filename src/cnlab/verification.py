@@ -469,8 +469,8 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
         smooth = build_partition(grid, "smooth")
         sharp = build_partition(grid, "sharp")
 
-        eps = float(np.max(besov_norm_states([st - om for st in w], -1.0, smooth)))
-        profile_norms = besov_norm_states(w, 1.0 + s, smooth)
+        eps = float(np.max(besov_norm_states(traj.coeffs - om.coeffs, -1.0, smooth)))
+        profile_norms = besov_norm_states(traj.coeffs, 1.0 + s, smooth)
         denom_base = eps + linf(om) * math.sqrt(delta)
         c_min = smallest_admissible_constant(profile_norms, denom_base)
         if profile_norms[0] > 0:
@@ -488,8 +488,8 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
         resid = 0.0
         scale = max(1e-300, max(linf(st) for st in w))
         for m, t in enumerate(traj.tgrid.nodes):
-            recon = heat(w0, float(t), nu).coeffs + sum(p[m].coeffs for p in pieces)
-            resid = max(resid, float(np.max(np.abs(recon - w[m].coeffs))) / scale)
+            recon = heat(w0, float(t), nu).coeffs + sum(p[m] for p in pieces)
+            resid = max(resid, float(np.max(np.abs(recon - traj.coeffs[m]))) / scale)
         cs.append(c_min)
         resids.append(resid)
         slacks.append(slack)

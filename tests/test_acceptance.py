@@ -266,7 +266,7 @@ def test_a10_monitor_mechanics(tg_runs, all_monitors, tmp_path):
     g = Grid(2, 16)
     a = make_profile(g, "random_divfree", seed=21)
     b = make_profile(g, "random_divfree", seed=22)
-    pair = Trajectory(g, TimeGrid.uniform(1.0, 1), [a, b], "synthetic", {})
+    pair = Trajectory(g, TimeGrid.uniform(1.0, 1), np.stack([a.coeffs, b.coeffs]), "synthetic", {})
     bv = bv_variation(pair, -1.0)
     bv_ok = (bv.total == besov_distance(b, a, -1.0)
              and bv.max_increment == bv.total)

@@ -9,6 +9,7 @@ import pytest
 from cnlab.cli import main as cli_main
 from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
+from cnlab.fields import lp_norm
 from cnlab.grid import Grid
 from cnlab.monitor import CSV_COLUMNS, read_monitor_csv, write_monitor_csv
 from cnlab.semigroup import heat
@@ -77,6 +78,26 @@ class TestSolverConfigFromDict:
         with pytest.raises(ConfigError):
             solver_config_from_dict({"dim": 2, "res": 16, "nu": -1.0})
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_dealias_must_be_a_boolean(self, value):
+        # the string "false" is truthy: it once ran dealiased and echoed "false"
+        with pytest.raises(ConfigError, match="dealias"):
+            solver_config_from_dict({"dim": 2, "res": 16, "dealias": value})
+
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "dim", True), (None, "dim", 2.0), (None, "res", 16.0), (None, "res", True),
+        ("picard", "max_iters", True), ("picard", "max_iters", 2.5),
+        ("picard", "node_count", 8.5), ("picard", "node_count", False),
+        ("profile", "seed", True), ("profile", "seed", 1.0)])
+    def test_integer_keys_reject_floats_and_booleans(self, block, key, value):
+        data = {"dim": 2, "res": 16}
+        if block is None:
+            data[key] = value
+        else:
+            data[block] = {key: value}
+        with pytest.raises(ConfigError, match=key):
+            solver_config_from_dict(data)
+
     def test_removed_epsilon_n_probe_key(self):
         # the report-only threshold nothing read is gone; old configs fail loudly
         with pytest.raises(ConfigError, match="epsilon_n_probe"):
@@ -102,6 +123,11 @@ class TestMonitorOptionsFromDict:
         with pytest.raises(ConfigError):
             monitor_options_from_dict({"kato_horizon": "sometimes"})
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_kato_horizon_is_not_a_boolean(self, value):
+        with pytest.raises(ConfigError, match="kato_horizon"):
+            monitor_options_from_dict({"kato_horizon": value})
+
     def test_bad_p_entry(self):
         with pytest.raises(ConfigError):
             monitor_options_from_dict({"p_list": [0.5]})
@@ -126,6 +152,10 @@ class TestVerifyConfigFromDict:
     def test_bad_seed(self):
         with pytest.raises(ConfigError):
             verify_config_from_dict({"seed": "seven"})
+
+    def test_boolean_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            verify_config_from_dict({"seed": True})
 
     def test_sizes_validation(self):
         with pytest.raises(ConfigError):
@@ -192,6 +222,27 @@ class TestSimulateCommand:
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
+
+    def test_p_list_writes_the_sidecar(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {**TG_SIM, "monitor": {"p_list": [4]}})
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        records = read_monitor_csv(out / "monitor_picard.csv")
+        snaps = sorted((out / "snapshots" / "picard").glob("*.snap"))
+        assert [r.extra_lp for r in records] == [
+            {4.0: lp_norm(read_snapshot(p)[0], 4.0)} for p in snaps]
+        assert (out / "monitor_picard.extra_lp.json").is_file()
+
+    def test_fractional_node_count_is_a_config_error(self, tmp_path, capsys):
+        # once accepted by the reader, then a TypeError traceback in the solver
+        cfg = write_json(tmp_path / "bad.json", {**TG_SIM, "picard": {"node_count": 8.5}})
+        out = tmp_path / "never"
+        code = cli_main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "node_count" in err["error"]["message"]
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -284,16 +335,38 @@ class TestMonitorCommand:
         snapdir = str(tg_simdir / "snapshots" / "picard")
         out = tmp_path / "m.csv"
         assert cli_main(["monitor", "--snapshots", snapdir, "--out", str(out),
-                         "--p", "4"]) == 0
+                         "--p", "4", "6"]) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == ",".join(CSV_COLUMNS) and len(CSV_COLUMNS) == 8
         assert all(len(line.split(",")) == 8 for line in lines[2:])
+        # the extra norms go to the sidecar, and they are the ones lp_norm gives
+        sidecar = json.loads((tmp_path / "m.extra_lp.json").read_text())
+        states = [read_snapshot(p) for p in sorted(Path(snapdir).glob("*.snap"))]
+        assert list(sidecar) == ["t", "4.0", "6.0"]
+        assert sidecar["t"] == [t for _, t in states]
+        for p in (4.0, 6.0):
+            assert sidecar[repr(p)] == [lp_norm(f, p) for f, _ in states]
         records = read_monitor_csv(out)
-        assert len(records) == 9 and all(r.extra_lp == {} for r in records)
+        assert len(records) == 9
+        assert [r.extra_lp for r in records] == [
+            {4.0: a, 6.0: b} for a, b in zip(sidecar["4.0"], sidecar["6.0"])]
         again = tmp_path / "again.csv"
         echo = json.loads(lines[0][len("# config: "):])
         write_monitor_csv(records, again, config_echo=echo)
         assert again.read_bytes() == out.read_bytes()
+        assert ((tmp_path / "again.extra_lp.json").read_bytes()
+                == (tmp_path / "m.extra_lp.json").read_bytes())
+
+    def test_no_sidecar_without_exponents(self, tg_simdir, tmp_path):
+        snapdir = str(tg_simdir / "snapshots" / "picard")
+        out = tmp_path / "m.csv"
+        assert cli_main(["monitor", "--snapshots", snapdir, "--out", str(out),
+                         "--p", "4"]) == 0
+        assert (tmp_path / "m.extra_lp.json").is_file()
+        # a rewrite without exponents leaves no stale sidecar behind
+        assert cli_main(["monitor", "--snapshots", snapdir, "--out", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+        assert not list(tg_simdir.glob("*.extra_lp.json"))
 
     def test_orders_by_header_time(self, tmp_path):
         # by name state_10000 < state_1001 < state_999, the reverse of time order

@@ -166,20 +166,20 @@ class TestBesov:
     def test_batched_matches_single(self, g2_16, rng):
         part = build_partition(g2_16, "sharp")
         states = [random_vector_field(g2_16, rng) for _ in range(5)]
-        batched = besov_norm_states(states, -1.0, part)
+        batched = besov_norm_states(np.stack([f.coeffs for f in states]), -1.0, part)
         singles = [besov_norm(f, -1.0, part) for f in states]
         assert np.allclose(batched, singles, rtol=1e-13, atol=0)
 
     def test_batches_match_one_stack(self, g3_16, rng, monkeypatch):
         part = build_partition(g3_16, "sharp")
-        states = [random_vector_field(g3_16, rng) for _ in range(7)]
+        states = np.stack([random_vector_field(g3_16, rng).coeffs for _ in range(7)])
         whole = besov_norm_states(states, -1.0, part)
         monkeypatch.setattr("cnlab.littlewood_paley._BATCH_BYTES", 1)
         assert besov_norm_states(states, -1.0, part).tobytes() == whole.tobytes()
 
     def test_empty_states(self, g2_16):
         part = build_partition(g2_16, "sharp")
-        assert besov_norm_states([], -1.0, part).size == 0
+        assert besov_norm_states(np.zeros((0, 2) + g2_16.spectral_shape, complex), -1.0, part).size == 0
 
 
 class TestBesovDistance:

@@ -32,7 +32,7 @@ def tg_traj():
 class TestMonitor:
     def test_zero_trajectory(self, g2_16):
         tg = TimeGrid.uniform(1.0, 4)
-        traj = Trajectory(g2_16, tg, [zero_field(g2_16) for _ in range(5)],
+        traj = Trajectory(g2_16, tg, np.stack([zero_field(g2_16).coeffs for _ in range(5)]),
                           "synthetic", {"nu": 1.0})
         recs = monitor(traj)
         assert len(recs) == 5
@@ -127,7 +127,7 @@ class TestKatoFunctional:
 class TestBvVariation:
     def _synthetic(self, grid, states, horizon=1.0):
         tg = TimeGrid.uniform(horizon, len(states) - 1)
-        return Trajectory(grid, tg, states, "synthetic", {})
+        return Trajectory(grid, tg, np.stack([s.coeffs for s in states]), "synthetic", {})
 
     def test_constant_trajectory(self, g2_16, rng):
         u = make_profile(g2_16, "random_divfree", seed=8)
@@ -153,7 +153,7 @@ class TestBvVariation:
 
     def test_needs_two_states(self, g2_16):
         tg = TimeGrid.uniform(1.0, 1)
-        traj = Trajectory(g2_16, tg, [zero_field(g2_16)], "synthetic", {})
+        traj = Trajectory(g2_16, tg, zero_field(g2_16).coeffs[np.newaxis], "synthetic", {})
         with pytest.raises(ValueError):
             bv_variation(traj, -1.0)
 

@@ -232,7 +232,8 @@ def test_pruned_oseen_envelope_matches_every_transform(dim, trials, seed, nu):
 def test_monitor_norm_columns_are_lp_norm(grid, seed, scales):
     rng = np.random.default_rng(seed)
     states = [random_vector_field(grid, rng) * a for a in scales]
-    traj = Trajectory(grid, TimeGrid.uniform(1.0, len(states)), states, "synthetic")
+    traj = Trajectory(grid, TimeGrid.uniform(1.0, len(states)), np.stack([u.coeffs for u in states]),
+                      "synthetic")
     for rec, u in zip(monitor(traj, p_list=(1.0, 4.0)), states):
         assert rec.lp_2 == lp_norm(u, 2.0)
         assert rec.lp_n == lp_norm(u, float(grid.dim))
@@ -251,7 +252,7 @@ def test_besov_distance_is_the_norm_of_the_difference(grid, seed, mode, s, tenso
     part = build_partition(grid, mode)
     assert besov_distance(f, g, s, part) == besov_norm(f - g, s, part)
     assert besov_distance(f, g, s) == besov_norm(f - g, s)
-    batched = besov_norm_states([f, g, f - g], s, part)
+    batched = besov_norm_states(np.stack([f.coeffs, g.coeffs, (f - g).coeffs]), s, part)
     assert list(batched) == [besov_norm(h, s, part) for h in (f, g, f - g)]
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from cnlab import solver
-from cnlab.fields import divergence_sup, linf, zero_field
+from cnlab.fields import SpectralVectorField, divergence_sup, linf, zero_field
 from cnlab.grid import Grid
 from cnlab.semigroup import TimeGrid, duhamel_L, heat
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
-                          PicardOptions, SolverConfig, cross_validate,
+                          PicardOptions, SolverConfig, Trajectory, cross_validate,
                           etdrk4_integrate, kato_smallness, make_profile,
                           picard_solve, probe_contraction_threshold)
 
@@ -134,13 +134,29 @@ class TestPicard:
         assert len(rep.increments) == 3
         assert len(exc.value.trajectory.states) == 17
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_iteration_leaves_the_heat_trajectory(self, dim):
+        # the heat term comes from one decay table, by the expressions of heat();
+        # negated, the empty modes are -0.0, which heat(u0, 0) copies as they are
+        g = Grid(dim, 16)
+        u0 = -make_profile(g, "random_divfree", amplitude=0.3, seed=7)
+        cfg = SolverConfig(dim=dim, res=16, nu=0.7, horizon=0.2,
+                           picard=PicardOptions(max_iters=0, node_count=6,
+                                                grading="graded"))
+        with pytest.raises(NonConvergence) as exc:
+            picard_solve(u0, cfg)
+        traj = exc.value.trajectory
+        assert traj.coeffs.shape == (7, dim) + g.spectral_shape
+        for t, row in zip(traj.times, traj.coeffs):
+            assert row.tobytes() == heat(u0, float(t), 0.7).coeffs.tobytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_increment_not_finite_when_a_node_is_not(self, g2_16, bad):
         # max() drops a nan, so a nan node once read as increment 0: converged
         nodes = np.linspace(0.0, 1.0, 3)
-        prev = [zero_field(g2_16) for _ in nodes]
-        curr = [single_mode_vector(g2_16, (1, 0), 1) for _ in nodes]
-        curr[1].coeffs[0, 0, 1] = bad
+        prev = np.stack([zero_field(g2_16).coeffs for _ in nodes])
+        curr = np.stack([single_mode_vector(g2_16, (1, 0), 1).coeffs for _ in nodes])
+        curr[1, 0, 0, 1] = bad
         assert not math.isfinite(solver._kato_increment(g2_16, prev, curr, nodes))
         assert math.isfinite(solver._kato_increment(g2_16, prev, curr[:1], nodes))
 
@@ -186,6 +202,24 @@ class TestEtdrk4:
         assert len(exc.value.trajectory.states) == 2
         assert np.all(np.isfinite(exc.value.last_state.coeffs))
 
+    def test_blowup_trajectory_is_the_finite_states(self):
+        g = Grid(2, 16)
+        u0 = make_profile(g, "random_divfree", amplitude=1e3, seed=1)
+        cfg = SolverConfig(dim=2, res=16, nu=1e-3, horizon=1.0,
+                           picard=PicardOptions(node_count=10),
+                           etdrk4=EtdrkOptions(dt=0.05))
+        with pytest.raises(BlowupSuspected) as exc:
+            etdrk4_integrate(u0, cfg)
+        coeffs = exc.value.trajectory.coeffs
+        # the states at t = 0 and 0.1, as a run that stops at 0.1 records them
+        short = SolverConfig(dim=2, res=16, nu=1e-3, horizon=0.1,
+                             picard=PicardOptions(node_count=1),
+                             etdrk4=EtdrkOptions(dt=0.05))
+        assert coeffs.tobytes() == etdrk4_integrate(u0, short).coeffs.tobytes()
+        assert np.all(np.isfinite(coeffs))
+        last = exc.value.last_state.coeffs
+        assert np.shares_memory(last, coeffs[-1]) and np.array_equal(last, coeffs[-1])
+
     def test_weights_built_once_per_step_size(self, monkeypatch):
         calls = []
         for name in ("phi1", "phi2", "phi3"):
@@ -206,6 +240,21 @@ class TestEtdrk4:
         cfg = SolverConfig(dim=2, res=16, etdrk4=EtdrkOptions(dt=-0.1))
         with pytest.raises(ValueError):
             etdrk4_integrate(zero_field(g2_16), cfg)
+
+
+class TestTrajectory:
+    def test_states_view_the_rows(self, g2_16):
+        u = single_mode_vector(g2_16, (1, 0), 1)
+        traj = Trajectory(g2_16, TimeGrid.uniform(1.0, 1), np.stack([u.coeffs, u.coeffs]), "x")
+        assert all(np.shares_memory(s.coeffs, row) for s, row in zip(traj.states, traj.coeffs))
+        assert np.array_equal(traj.times, [0.0, 1.0])
+
+    def test_rejects_what_does_not_stack_states(self, g2_16):
+        u = single_mode_vector(g2_16, (1, 0), 1)
+        tg = TimeGrid.uniform(1.0, 1)
+        for bad in ([u, u], u.coeffs, np.stack([u.coeffs, u.coeffs])[:, :1]):
+            with pytest.raises(ValueError, match="do not stack states"):
+                Trajectory(g2_16, tg, bad, "x")
 
 
 class TestStatesOwnTheirArrays:
@@ -242,7 +291,8 @@ class TestStatesOwnTheirArrays:
     def test_duhamel(self):
         tg = TimeGrid.uniform(0.1, 4)
         path = [heat(self.u0, float(t)) for t in tg.nodes]
-        self.assert_disjoint(self.u0, path + duhamel_L(path, tg))
+        out = duhamel_L(path, tg)
+        self.assert_disjoint(self.u0, path + [SpectralVectorField(self.u0.grid, c) for c in out])
 
 
 class TestCrossValidate:
