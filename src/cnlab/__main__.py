@@ -1,0 +1,7 @@
+"""`python -m cnlab ...`: the cnlab command line, as the installed script runs it."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

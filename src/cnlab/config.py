@@ -30,12 +30,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_types(data: dict, where: str, ints: tuple[str, ...] = (),
-                 bools: tuple[str, ...] = ()) -> None:
-    """JSON integers (not true/false) at the keys in ints, JSON booleans at bools."""
+                 bools: tuple[str, ...] = (), numbers: tuple[str, ...] = (),
+                 nullable: tuple[str, ...] = ()) -> None:
+    """JSON integers (not true/false) at the keys in ints, JSON booleans at
+    bools, JSON numbers (not strings or true/false) at numbers, and numbers
+    or null at nullable."""
     for key in ints:
         if key in data and not _is_int(data[key]):
             raise ConfigError(f"{where}.{key} must be an integer, got {data[key]!r}")
+    for key in numbers + nullable:
+        value = data.get(key)
+        if key in data and not (_is_number(value) or value is None and key in nullable):
+            kind = "a number or null" if key in nullable else "a number"
+            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
     for key in bools:
         if key in data and not isinstance(data[key], bool):
             raise ConfigError(f"{where}.{key} must be true or false, got {data[key]!r}")
@@ -65,18 +77,22 @@ _SIMULATE_KEYS = _SOLVER_KEYS | {"monitor"}
 
 def solver_config_from_dict(data: dict, where: str = "config") -> SolverConfig:
     _reject_unknown(data, _SIMULATE_KEYS, where)
-    _check_types(data, where, ints=("dim", "res"), bools=("dealias",))
+    _check_types(data, where, ints=("dim", "res"), bools=("dealias",),
+                 numbers=("nu", "horizon", "cross_tol"))
     kwargs = {k: data[k] for k in data if k in _SOLVER_KEYS - {"picard", "etdrk4", "profile"}}
     if "picard" in data:
         _reject_unknown(data["picard"], _PICARD_KEYS, f"{where}.picard")
-        _check_types(data["picard"], f"{where}.picard", ints=("max_iters", "node_count"))
+        _check_types(data["picard"], f"{where}.picard", ints=("max_iters", "node_count"),
+                     numbers=("contraction_tol", "grading_power"))
         kwargs["picard"] = PicardOptions(**data["picard"])
     if "etdrk4" in data:
         _reject_unknown(data["etdrk4"], _ETDRK4_KEYS, f"{where}.etdrk4")
+        _check_types(data["etdrk4"], f"{where}.etdrk4", nullable=("dt",))
         kwargs["etdrk4"] = EtdrkOptions(**data["etdrk4"])
     if "profile" in data:
         _reject_unknown(data["profile"], _PROFILE_KEYS, f"{where}.profile")
-        _check_types(data["profile"], f"{where}.profile", ints=("seed",))
+        _check_types(data["profile"], f"{where}.profile", ints=("seed",),
+                     numbers=("amplitude", "slope"))
         prof = dict(data["profile"])
         if prof.get("band") is not None:
             prof["band"] = tuple(prof["band"])

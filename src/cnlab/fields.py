@@ -11,14 +11,21 @@ copying and the arithmetic. The velocity convention downstream is mean-zero
 than enforced at construction (tests use constant fields for quadrature
 checks).
 
-phys_values (an inverse real transform) and spectral_values (a forward real
-transform) are the package's only FFT call sites, with the product transforms
-of _products (shared by pointwise_tensor and the Navier-Stokes right-hand
-side) beside them. On the two self-conjugate planes of the half
-(last index 0 and res/2) a half holds both c(k) and c(-k); spectral_values,
-pointwise_tensor and the end of the Navier-Stokes right-hand side replace
-those planes by their Hermitian part, which is what the inverse real
-transform reads there.
+The package's FFTs are here. phys_values and spectral_values are the real
+transform pair of a whole half. _box_phys_values and _box_spectrum are the
+band-limited pair: they hold a spectrum only on the box max_i |k_i| <= r,
+gathered by Grid.box_index, and skip the transform lines the box leaves
+empty. The transform of an all-zero line is exactly zero, so they give the
+full pair's values cut to the box, and once r >= res/2 they are the full
+pair. The 2/3 rule keeps the box r = res // 3, so every dealiased product
+(_products, behind pointwise_tensor, the Navier-Stokes right-hand side and
+the paraproducts) and every Besov block runs on the band-limited pair.
+
+On the two self-conjugate planes of the half (last index 0 and res/2) a
+half holds both c(k) and c(-k); spectral_values, pointwise_tensor, the
+paraproducts and the end of the Navier-Stokes right-hand side replace those
+planes by their Hermitian part, which is what the inverse real transform
+reads there.
 
 _lp_norms below is the package's only Lebesgue norm: lp_norm, linf, energy,
 the monitor columns, the Picard increment and the exact divergence guard all
@@ -127,19 +134,69 @@ def _hermitian_planes(grid: Grid, half: np.ndarray) -> np.ndarray:
     return half
 
 
-def spectral_values(grid: Grid, samples: np.ndarray,
-                    mask: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum of real physical samples, Hermitian on the self-conjugate planes.
-
-    A mask (a Fourier multiplier such as the dealias mask) multiplies the
-    coefficients before the planes are made Hermitian.
-    """
+def spectral_values(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Half spectrum of real physical samples, Hermitian on the self-conjugate planes."""
     if np.iscomplexobj(samples):
         raise TypeError("spectral_values needs real samples, got a complex array")
     half = np.fft.rfftn(samples, axes=grid.spatial_axes, norm="forward")
-    if mask is not None:
-        half *= mask
     return _hermitian_planes(grid, half)
+
+
+# ---------------------------------------------------------------------------
+# the band-limited pair: transforms of spectra held only on the box
+# max_i |k_i| <= radius, in the compact layout Grid.box_index gathers
+# ---------------------------------------------------------------------------
+
+def _box_spread(grid: Grid, a: np.ndarray, axis: int, radius: int) -> np.ndarray:
+    """a with its 2r+1 box rows along axis put back on their res rows, zeros between."""
+    shape = list(a.shape)
+    shape[axis] = grid.res
+    out = np.zeros(shape, dtype=a.dtype)
+    out[(Ellipsis, grid.box_rows(radius)) + (slice(None),) * (-1 - axis)] = a
+    return out
+
+
+def _box_phys_values(grid: Grid, box: np.ndarray, radius: int) -> np.ndarray:
+    """Physical samples of a (..., *box shape) stack: irfftn of the half
+    spectrum that is box inside the box and zero outside.
+
+    Each complex stage (axis -dim first, as irfftn runs them) transforms only
+    the lines the box can fill; the transform of an all-zero line is exactly
+    zero, so the samples are irfftn's. Once radius >= res/2 the box is the
+    whole half and this is phys_values.
+    """
+    if radius >= grid.nyquist:
+        return phys_values(grid, box)
+    a = box
+    for axis in range(-grid.dim, -1):
+        a = np.fft.ifft(_box_spread(grid, a, axis, radius), axis=axis, norm="forward")
+    return np.fft.irfft(a, n=grid.res, axis=-1, norm="forward")
+
+
+def _box_spectrum(grid: Grid, samples: np.ndarray, radius: int) -> np.ndarray:
+    """The box of rfftn(samples) in the compact layout, self-conjugate planes
+    as the transform gives them.
+
+    rfft on the last axis, then the complex stages on axes -2 .. -dim (in
+    rfftn's order), each run only on the lines that reach the box and cut to
+    the box rows after it. Once radius >= res/2 this is rfftn.
+    """
+    if radius >= grid.nyquist:
+        return np.fft.rfftn(samples, axes=grid.spatial_axes, norm="forward")
+    rows = grid.box_rows(radius)
+    a = np.fft.rfft(samples, axis=-1, norm="forward")[..., :radius + 1]
+    for axis in range(-2, -grid.dim - 1, -1):
+        a = np.fft.fft(a, axis=axis, norm="forward").take(rows, axis=axis)
+    return a
+
+
+def _from_box(grid: Grid, box: np.ndarray, radius: int) -> np.ndarray:
+    """The half spectrum that is box inside the box and zero outside."""
+    if radius >= grid.nyquist:
+        return box
+    half = np.zeros(box.shape[:-grid.dim] + grid.spectral_shape, dtype=np.complex128)
+    half[(Ellipsis,) + grid.box_index(radius)] = box
+    return half
 
 
 def to_physical(f: SpectralVectorField) -> np.ndarray:
@@ -218,27 +275,24 @@ def project_mean_zero(f: SpectralVectorField) -> SpectralVectorField:
 # products and norms
 # ---------------------------------------------------------------------------
 
-def dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Zero every mode with any |k_i| > res/3 (2/3 rule)."""
-    return coeffs * grid.dealias_mask
-
-
 def _products(grid: Grid, pu: np.ndarray, pv: np.ndarray,
-              use_dealias: bool) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (a, b, half spectrum of pu[a] * pv[b]) over the component pairs
-    in row-major order, each dealiased in place if asked and its
-    self-conjugate planes left as the transform gives them.
+              radius: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (a, b, box of the half spectrum of pu[a] * pv[b]) over the
+    component pairs in row-major order, on the box max_i |k_i| <= radius
+    (the whole half once radius >= res/2), self-conjugate planes left as the
+    transform gives them.
 
     pu and pv are (dim, *spatial) physical samples; passing the same array
     twice yields only the pairs b >= a of the symmetric product.
     """
-    mask = grid.dealias_mask
     for a in range(grid.dim):
         for b in range(a if pv is pu else 0, grid.dim):
-            prod = np.fft.rfftn(pu[a] * pv[b], axes=grid.spatial_axes, norm="forward")
-            if use_dealias:
-                prod *= mask
-            yield a, b, prod
+            yield a, b, _box_spectrum(grid, pu[a] * pv[b], radius)
+
+
+def _product_radius(grid: Grid, use_dealias: bool) -> int:
+    """The box a product keeps: the 2/3 box, or the whole half."""
+    return grid.dealias_radius if use_dealias else grid.nyquist
 
 
 def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
@@ -253,17 +307,19 @@ def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
     """
     _same_grid(u.grid, v.grid)
     grid = u.grid
+    radius = _product_radius(grid, use_dealias)
+    box = grid.box_index(radius)
 
     def samples(f: SpectralVectorField) -> np.ndarray:
-        return phys_values(grid, dealias(grid, f.coeffs) if use_dealias else f.coeffs)
+        return _box_phys_values(grid, f.coeffs[(Ellipsis,) + box], radius)
 
     pu = samples(u)
     pv = pu if v is u else samples(v)
-    out = np.empty((grid.dim, grid.dim) + grid.spectral_shape, dtype=np.complex128)
-    for a, b, prod in _products(grid, pu, pv, use_dealias):
-        out[a, b] = prod
+    out = np.zeros((grid.dim, grid.dim) + grid.spectral_shape, dtype=np.complex128)
+    for a, b, prod in _products(grid, pu, pv, radius):
+        out[(a, b) + box] = prod
         if pv is pu:
-            out[b, a] = prod
+            out[(b, a) + box] = prod
     return TensorField(grid, _hermitian_planes(grid, out))
 
 

@@ -12,9 +12,13 @@ real-to-complex half, `half_len`) determine the rest. That half is the only
 spectral layout: every coefficient array and every table below is shaped
 `spectral_shape` = (res, ..., res, res//2 + 1) over the spatial axes. The
 last-axis entry res/2 keeps the FFT-ordering frequency -res/2, as in the
-first half of a full spectrum. A Grid is immutable once constructed and safe
-to share between threads; the derived tables are plain caches of pure
-functions of (dim, res).
+first half of a full spectrum. The one exception is the box of radius r,
+max_i |k_i| <= r: box_index gathers it from a half as a compact
+(2r+1, ..., 2r+1, r+1) array, and the projected-divergence table is held on
+it (the 2/3 box r = res // 3 for dealiased products, 28 % of the half on
+3D/32). A Grid is immutable once constructed and safe to share between
+threads; the derived tables are plain caches of pure functions of (dim, res)
+and, for the box tables, the radius.
 """
 
 from __future__ import annotations
@@ -127,21 +131,70 @@ class Grid:
         ksq.setflags(write=False)
         return ksq
 
+    @property
+    def dealias_radius(self) -> int:
+        """K = res // 3: the 2/3 rule keeps the box max_i |k_i| <= K."""
+        return self.res // 3
+
     @cached_property
-    def projected_divergence(self) -> np.ndarray:
+    def kinf(self) -> np.ndarray:
+        """max_i |k_i|: the radius of the smallest box holding each entry."""
+        kinf = np.max(np.abs(self.wavenumbers), axis=0)
+        kinf.setflags(write=False)
+        return kinf
+
+    @cached_property
+    def _per_radius(self) -> dict:
+        """Box tables keyed by (name, radius), each built on first use."""
+        return {}
+
+    def _box_table(self, name: str, radius: int, build):
+        key = (name, min(radius, self.nyquist))
+        table = self._per_radius.get(key)
+        if table is None:
+            table = self._per_radius[key] = build(key[1])
+        return table
+
+    def box_rows(self, radius: int) -> np.ndarray:
+        """Indices 0..r, res-r..res-1 (r = radius) of the box rows along a
+        full-length axis; all res rows once radius >= res/2."""
+        def build(r: int) -> np.ndarray:
+            rows = np.arange(self.res) if r == self.nyquist else np.r_[0:r + 1, self.res - r:self.res]
+            rows.setflags(write=False)
+            return rows
+        return self._box_table("rows", radius, build)
+
+    def box_index(self, radius: int) -> tuple:
+        """Index of the box max_i |k_i| <= radius over the spatial axes of a
+        half spectrum: a[(..., *box_index(r))] gathers its entries, shaped
+        (2r+1, ..., 2r+1, r+1) with the rows in FFT order. Once radius >=
+        res/2 the box is the whole half and the index is plain slices, so the
+        gather is a view."""
+        def build(r: int) -> tuple:
+            if r == self.nyquist:
+                return (slice(None),) * self.dim
+            return np.ix_(*[self.box_rows(r)] * (self.dim - 1)) + (slice(0, r + 1),)
+        return self._box_table("index", radius, build)
+
+    def projected_divergence(self, radius: int) -> np.ndarray:
         """M[p, a] with Leray(div T)_a = i * sum_p M[p, a] T_bc for symmetric T,
         over the pairs p = (b, c), b <= c, in row-major order: P_ac k_b + P_ab k_c
         (P_ab k_b if b = c), P the Leray matrix on k_deriv (identity where it
-        vanishes, so M is 0 there). Shape (dim (dim + 1) / 2, dim, *spectral_shape).
+        vanishes, so M is 0 there), on the box max_i |k_i| <= radius. Shape
+        (dim (dim + 1) / 2, dim, *box shape).
         """
-        d = self.dim
-        k = self.k_deriv
-        safe = np.where(self.ksq_deriv == 0.0, 1.0, self.ksq_deriv)
-        leray = np.eye(d).reshape((d, d) + (1,) * d) - k[:, np.newaxis] * k / safe
-        m = np.stack([leray[:, b] * k[b] if b == c else leray[:, c] * k[b] + leray[:, b] * k[c]
-                      for b in range(d) for c in range(b, d)])
-        m.setflags(write=False)
-        return m
+        def build(r: int) -> np.ndarray:
+            d = self.dim
+            box = (Ellipsis,) + self.box_index(r)
+            k = self.k_deriv[box]
+            ksq = self.ksq_deriv[box]
+            safe = np.where(ksq == 0.0, 1.0, ksq)
+            leray = np.eye(d).reshape((d, d) + (1,) * d) - k[:, np.newaxis] * k / safe
+            m = np.stack([leray[:, b] * k[b] if b == c else leray[:, c] * k[b] + leray[:, b] * k[c]
+                          for b in range(d) for c in range(b, d)])
+            m.setflags(write=False)
+            return m
+        return self._box_table("projected_divergence", radius, build)
 
     @cached_property
     def mirror_weights(self) -> np.ndarray:

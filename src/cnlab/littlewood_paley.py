@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralField, phys_values
+from .fields import SpectralField, _box_phys_values
 from .grid import Grid
 
 
@@ -62,10 +62,18 @@ class DyadicPartition:
     jmax: int
     lowpass: np.ndarray = field(repr=False, compare=False)  # (jmax+2, *spatial)
     delta: np.ndarray = field(repr=False, compare=False)    # (jmax+1, *spatial)
+    # radius of the support box (max_i |k_i| over the nonzero entries) of
+    # S_0, D_0 .. D_jmax, in that order
+    radii: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def s0(self) -> np.ndarray:
         return self.lowpass[0]
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The multipliers S_0, D_0 .. D_jmax (views)."""
+        return (self.s0, *self.delta)
 
     def partition_sum(self) -> np.ndarray:
         """S_0 + sum_j D_j, identically 1 up to roundoff."""
@@ -90,7 +98,8 @@ def build_partition(grid: Grid, mode: str = "sharp") -> DyadicPartition:
     delta = lowpass[1:] - lowpass[:-1]
     lowpass.setflags(write=False)
     delta.setflags(write=False)
-    return DyadicPartition(grid, mode, jmax, lowpass, delta)
+    radii = tuple(int(grid.kinf[m != 0].max(initial=0)) for m in (lowpass[0], *delta))
+    return DyadicPartition(grid, mode, jmax, lowpass, delta, radii)
 
 
 def _need_field(f) -> None:
@@ -127,24 +136,28 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
     Transforms are batched per block over states and components. A block is
     transformed only for the states whose spectral support meets the support
     of its multiplier; the others have an all-zero block, whose sup is exactly
-    0. States with a non-finite coefficient are transformed for every block,
-    since inf * 0 is nan.
+    0. The transform runs on the smaller of two boxes (fields._box_phys_values):
+    the multiplier's (part.radii) and the batch's support box (Grid.kinf over
+    its nonzero entries); outside both the block is zero. A batch with a
+    non-finite coefficient is transformed on the whole half, and its
+    non-finite states for every block, since inf * 0 is nan.
     """
     nstates = stack.shape[0]
     out = np.zeros((nstates, part.jmax + 2))
-    mults = np.concatenate([part.s0[np.newaxis], part.delta])
     occupied = np.any(stack != 0, axis=1).reshape(nstates, -1)
     nonfinite = ~np.all(np.isfinite(stack).reshape(nstates, -1), axis=1)
-    for col, mult in enumerate(mults):
+    if nonfinite.any():
+        radii = [grid.nyquist] * len(part.radii)
+    else:
+        support = int(grid.kinf.ravel()[occupied.any(axis=0)].max(initial=0))
+        radii = [min(reach, support) for reach in part.radii]
+    for col, (mult, radius) in enumerate(zip(part.blocks, radii)):
         rows = nonfinite | np.any(occupied[:, mult.ravel() != 0], axis=1)
-        if rows.all():
-            blocks = stack * mult
-        elif rows.any():
-            blocks = stack[rows]
-            blocks *= mult
-        else:
+        if not rows.any():
             continue
-        phys = phys_values(grid, blocks)
+        box = (Ellipsis,) + grid.box_index(radius)
+        blocks = (stack if rows.all() else stack[rows])[box] * mult[box]
+        phys = _box_phys_values(grid, blocks, radius)
         mag = np.sum(np.square(phys, out=phys), axis=1)
         out[rows, col] = np.sqrt(mag, out=mag).reshape(len(blocks), -1).max(axis=1)
     return out

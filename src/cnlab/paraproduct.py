@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import (SpectralVectorField, TensorField, _same_grid, dealias,
-                     phys_values, spectral_values)
+from .fields import (SpectralVectorField, TensorField, _box_phys_values,
+                     _box_spectrum, _from_box, _hermitian_planes, _same_grid)
 from .grid import Grid
 from .littlewood_paley import DyadicPartition
 
@@ -34,10 +34,13 @@ def _blocks_phys(grid: Grid, coeffs: np.ndarray, mults: np.ndarray) -> np.ndarra
     """Physical values of each multiplier in mults applied to dealiased coeffs.
 
     coeffs: (..., *spectral_shape); mults: (J, *spectral_shape); result:
-    (J, ..., *spatial).
+    (J, ..., *spatial). Only the 2/3 box of coeffs and mults is read.
     """
-    lead = (mults.shape[0],) + (1,) * (coeffs.ndim - grid.dim)
-    return phys_values(grid, mults.reshape(lead + mults.shape[1:]) * dealias(grid, coeffs))
+    radius = grid.dealias_radius
+    box = (Ellipsis,) + grid.box_index(radius)
+    m = mults[box]
+    lead = (m.shape[0],) + (1,) * (coeffs.ndim - grid.dim)
+    return _box_phys_values(grid, m.reshape(lead + m.shape[1:]) * coeffs[box], radius)
 
 
 def _low_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition, i: int) -> np.ndarray:
@@ -50,9 +53,11 @@ def _delta_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition) ->
 
 
 def _dealiased_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """dealias(spectral_values(samples)), dealiased before the self-conjugate
-    planes are made Hermitian."""
-    return spectral_values(grid, samples, grid.dealias_mask)
+    """The half spectrum of samples on the 2/3 box, zero outside it, with
+    its self-conjugate planes made Hermitian."""
+    radius = grid.dealias_radius
+    half = _from_box(grid, _box_spectrum(grid, samples, radius), radius)
+    return _hermitian_planes(grid, half)
 
 
 def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,

@@ -23,9 +23,9 @@ from typing import Iterable
 import numpy as np
 
 from .fields import (_BOUND_MARGIN, SpectralVectorField, TensorField,
-                     _divergence_bound, _hermitian_planes, _lp_norms,
-                     _products, _same_grid, dealias, divergence_sup,
-                     phys_values)
+                     _box_phys_values, _divergence_bound, _from_box,
+                     _hermitian_planes, _lp_norms, _product_radius, _products,
+                     _same_grid, divergence_sup, phys_values)
 from .phi import phi1, phi2
 
 DIV_FREE_TOL = 1e-8
@@ -111,28 +111,30 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
     Inputs whose transform-free bound on sup |div u| (fields._divergence_bound,
     at roundoff on Leray-projected states) is below DIV_FREE_TOL pass at once;
     all others, non-finite ones included, get the exact sup against the gate.
-    Each product u_b u_c (b <= c) goes straight into the result through
-    Grid.projected_divergence; its self-conjugate planes are made Hermitian
-    once, at the end.
+    Each product u_b u_c (b <= c) is transformed onto the 2/3 box only
+    (fields._box_spectrum) and goes straight into the result through
+    Grid.projected_divergence on that box; the sum is spread onto the half
+    once, and its self-conjugate planes are made Hermitian at the end.
     """
     grid = u.grid
     c = u.coeffs
-    kept = dealias(grid, c) if use_dealias else c
-    pu = phys_values(grid, kept)
+    radius = _product_radius(grid, use_dealias)
+    kept = c[(Ellipsis,) + grid.box_index(radius)]
+    pu = _box_phys_values(grid, kept, radius)
     if not _divergence_bound(grid, c) * _BOUND_MARGIN <= DIV_FREE_TOL:
-        # ||u||_inf reads the product's samples when the 2/3 rule removed nothing
-        p_all = pu if kept is c or np.array_equal(kept, c) else phys_values(grid, c)
+        # ||u||_inf reads the product's samples when the box holds every nonzero mode
+        p_all = pu if np.count_nonzero(kept) == np.count_nonzero(c) else phys_values(grid, c)
         gate = DIV_FREE_TOL * max(1.0, _lp_norms(grid, p_all, (math.inf,))[0])
         defect = divergence_sup(u)
         if not defect <= gate:  # also trips on NaN
             raise ValueError(f"nonlinearity needs divergence-free input: |div u| = {defect:.3e}")
-    table = grid.projected_divergence
-    pairs = _products(grid, pu, pu, use_dealias)
-    out = table[0] * next(pairs)[2]
+    table = grid.projected_divergence(radius)
+    pairs = _products(grid, pu, pu, radius)
+    acc = table[0] * next(pairs)[2]
     for p, (_, _, prod) in enumerate(pairs, 1):
-        out += table[p] * prod
-    out *= 1j
-    return SpectralVectorField(grid, _hermitian_planes(grid, out))
+        acc += table[p] * prod
+    acc *= 1j
+    return SpectralVectorField(grid, _hermitian_planes(grid, _from_box(grid, acc, radius)))
 
 
 def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,

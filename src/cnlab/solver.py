@@ -93,6 +93,8 @@ class SolverConfig:
             raise ValueError(f"viscosity must be positive, got {self.nu}")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if self.picard.grading not in ("uniform", "graded"):
+            raise ValueError(f"picard.grading must be 'uniform' or 'graded', got {self.picard.grading!r}")
         Grid(self.dim, self.res)  # reject bad dim/res at config time
 
     def grid(self) -> Grid:
@@ -457,11 +459,13 @@ def compare_trajectories(a: Trajectory, b: Trajectory, tol: float) -> dict:
     """Sup-norm discrepancy of two trajectories at their shared nodes.
 
     Node errors are ||a(t_m) - b(t_m)||_inf / max(1, sup_m ||b(t_m)||_inf);
-    returns {discrepancy: their max, tolerance, passed, node_errors}.
+    returns {discrepancy: their max, tolerance, passed, node_errors}. A nan
+    at any node of either trajectory makes the discrepancy nan (np.max
+    propagates it where the builtin max() would drop it), which fails.
     """
-    scale = max(1.0, max(linf(s) for s in b.states))
+    scale = float(np.maximum(1.0, np.max([linf(s) for s in b.states])))
     errs = [linf(sa - sb) / scale for sa, sb in zip(a.states, b.states)]
-    disc = max(errs)
+    disc = float(np.max(errs))
     return {"discrepancy": disc, "tolerance": tol, "passed": disc <= tol,
             "node_errors": errs}
 

@@ -50,6 +50,11 @@ def hermitian_defect(grid: Grid, half: np.ndarray) -> float:
     return float(np.max(np.abs(full - conj_reflect(grid, full))))
 
 
+def dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """coeffs with every mode outside the 2/3 box (any |k_i| > res/3) zeroed."""
+    return np.where(grid.dealias_mask, coeffs, 0.0)
+
+
 def embed_coeffs(small: Grid, coeffs: np.ndarray, big: Grid) -> np.ndarray:
     """Place a coefficient array onto a finer grid, preserving frequencies."""
     assert big.res >= small.res and big.dim == small.dim

@@ -1,6 +1,9 @@
 """Strict config parsing and the in-process command line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +100,34 @@ class TestSolverConfigFromDict:
             data[block] = {key: value}
         with pytest.raises(ConfigError, match=key):
             solver_config_from_dict(data)
+
+    @pytest.mark.parametrize("block, key", [
+        (None, "nu"), (None, "horizon"), (None, "cross_tol"), ("etdrk4", "dt"),
+        ("picard", "contraction_tol"), ("picard", "grading_power"),
+        ("profile", "amplitude"), ("profile", "slope")])
+    @pytest.mark.parametrize("value", ["0.5", True, False])
+    def test_number_keys_reject_strings_and_booleans(self, block, key, value):
+        data = {"dim": 2, "res": 16}
+        if block is None:
+            data[key] = value
+        else:
+            data[block] = {key: value}
+        with pytest.raises(ConfigError, match=key):
+            solver_config_from_dict(data)
+
+    def test_number_keys_take_integers_and_dt_takes_null(self):
+        cfg = solver_config_from_dict({"dim": 2, "res": 16, "nu": 1, "horizon": 2,
+                                       "etdrk4": {"dt": None},
+                                       "profile": {"amplitude": 3, "slope": 1}})
+        assert (cfg.nu, cfg.horizon, cfg.etdrk4.dt, cfg.profile.amplitude) == (1, 2, None, 3)
+        with pytest.raises(ConfigError, match="nu"):
+            solver_config_from_dict({"dim": 2, "res": 16, "nu": None})
+
+    @pytest.mark.parametrize("grading", ["gradded", "Graded", "", None])
+    def test_unknown_grading_is_rejected(self, grading):
+        # a typo once ran a uniform grid and echoed itself into report.json
+        with pytest.raises(ConfigError, match="grading"):
+            solver_config_from_dict({"dim": 2, "res": 16, "picard": {"grading": grading}})
 
     def test_removed_epsilon_n_probe_key(self):
         # the report-only threshold nothing read is gone; old configs fail loudly
@@ -243,6 +274,20 @@ class TestSimulateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
         assert "node_count" in err["error"]["message"]
+
+    def test_string_dt_is_a_config_error(self, tmp_path, capsys):
+        # once accepted by the reader, then a TypeError traceback in the solver
+        cfg = write_json(tmp_path / "bad.json", {**TG_SIM, "etdrk4": {"dt": "0.005"}})
+        out = tmp_path / "never"
+        code = cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--method", "etdrk4"])
+        assert code == 1
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"]["type"] == "ConfigError"
+        assert "etdrk4.dt" in err["error"]["message"]
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -455,3 +500,14 @@ class TestTopLevel:
                          "--method", "rk4"])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "UsageError"
+
+    def test_python_m_cnlab_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run([sys.executable, "-m", "cnlab", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: cnlab")
+        for command in ("simulate", "monitor", "verify", "profile"):
+            assert command in done.stdout

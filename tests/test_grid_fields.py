@@ -9,7 +9,7 @@ import pytest
 
 import cnlab
 
-from cnlab.fields import (SpectralVectorField, dealias, derivative,
+from cnlab.fields import (SpectralVectorField, derivative,
                           divergence_sup, energy, linf, lp_norm,
                           pointwise_tensor, project_mean_zero, random_field,
                           random_vector_field, to_physical, to_spectral,
@@ -18,8 +18,8 @@ from cnlab.grid import TAU, Grid
 from cnlab.semigroup import heat
 from cnlab.solver import make_profile
 
-from helpers import (exact_product_coeffs, full_spectrum, hermitian_defect,
-                     rel_err, single_mode_vector)
+from helpers import (dealias, exact_product_coeffs, full_spectrum,
+                     hermitian_defect, rel_err, single_mode_vector)
 
 PI_SQRT2 = 4.442882938158366  # || (sin x1, 0) ||_2 on the 2-torus
 
@@ -65,6 +65,24 @@ class TestGrid:
     def test_immutable_tables(self, g2_16):
         with pytest.raises(ValueError):
             g2_16.ksq[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_box_tables(self, dim):
+        g = Grid(dim, 16)
+        assert g.dealias_radius == 5
+        assert np.array_equal(g.kinf <= g.dealias_radius, g.dealias_mask)
+        box = (Ellipsis,) + g.box_index(5)
+        assert g.kinf[box].shape == (11,) * (dim - 1) + (6,)
+        assert np.array_equal(np.sort(g.kinf[box].ravel()), np.sort(g.kinf[g.dealias_mask]))
+        table = g.projected_divergence(5)
+        assert table.shape == (dim * (dim + 1) // 2, dim) + g.kinf[box].shape
+        assert np.array_equal(table, g.projected_divergence(g.nyquist)[box])
+        # cached per radius, radii past the half share the whole-half tables
+        assert g.projected_divergence(5) is table
+        assert g.box_index(99) is g.box_index(g.nyquist) == (slice(None),) * dim
+        for t in (g.kinf, g.box_rows(5), table):
+            with pytest.raises(ValueError):
+                t.flat[0] = 1
 
 
 def test_fft_calls_only_in_fields():

@@ -10,14 +10,15 @@ g = cos(8 x1) e_b with |k|=8 in block 3, s > 0):
 import numpy as np
 import pytest
 
-from cnlab.fields import (SpectralVectorField, dealias, linf,
+from cnlab.fields import (SpectralVectorField, linf,
                           pointwise_tensor, random_field,
                           random_vector_field, zero_field)
 from cnlab.grid import Grid
 from cnlab.littlewood_paley import besov_norm, build_partition
 from cnlab.paraproduct import bony_split, scalar_paraproduct, tensor_paraproduct
 
-from helpers import exact_product_coeffs, rel_err, single_mode_scalar, single_mode_vector
+from helpers import (dealias, exact_product_coeffs, rel_err, single_mode_scalar,
+                     single_mode_vector)
 
 
 def brute_paraproduct(i, phi, psi, part):

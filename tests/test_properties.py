@@ -1,16 +1,16 @@
-"""Property tests of the real-to-complex transform pair, the half-spectrum
-right-hand side and the exact transform pruning, over dims 2/3, res 8..32
-and extra leading axes, and of the single implementation behind each norm:
-the monitor's Lebesgue columns are lp_norm, the Besov distance is the norm
-of the difference.
+"""Property tests of the real-to-complex transform pair, the band-limited
+(box-pruned) pair, the half-spectrum right-hand side and the exact transform
+pruning, over dims 2/3, res 8..32 and extra leading axes, and of the single
+implementation behind each norm: the monitor's Lebesgue columns are lp_norm,
+the Besov distance is the norm of the difference.
 
 The oracles (full complex FFTs of the full spectra that helpers.py
 completes by flip-and-roll reflection) are independent of the library's
-transform code. The pruned block sups, heat
-ladder and Oseen envelope are compared bit for bit with loops that
-transform everything. The divergence guard's transform-free bound is
-checked against the transformed sup it bounds, and the guard against the
-exact one.
+transform code. The band-limited pair, the products built on it, the
+pruned block sups, heat ladder and Oseen envelope are compared bit for bit
+with numpy's whole-spectrum transforms or loops that transform everything.
+The divergence guard's transform-free bound is checked against the
+transformed sup it bounds, and the guard against the exact one.
 """
 
 import math
@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnlab.fields import (SpectralVectorField, _divergence_bound,
+from cnlab.fields import (SpectralVectorField, _box_phys_values, _box_spectrum,
+                          _divergence_bound,
                           divergence_sup, energy, linf, lp_norm, phys_values,
                           pointwise_tensor, random_field, random_tensor_field,
                           random_vector_field, spectral_values)
@@ -97,6 +98,117 @@ def test_spectral_values_rejects_complex_samples(dim):
     samples = np.ones((dim,) + grid.shape, dtype=np.complex128)
     with pytest.raises(TypeError, match="real samples"):
         spectral_values(grid, samples)
+
+
+# ---------------------------------------------------------------------------
+# the band-limited pair and the products built on it
+# ---------------------------------------------------------------------------
+
+def box_radius_table(grid):
+    """max_i |k_i| over the half spectrum, from the FFT frequencies."""
+    k = np.abs(np.fft.fftfreq(grid.res) * grid.res).astype(int)
+    mesh = np.meshgrid(*([k] * (grid.dim - 1) + [k[:grid.half_len]]), indexing="ij")
+    return np.max(mesh, axis=0)
+
+
+def hermitian_planes_reference(grid, half):
+    """half with its self-conjugate planes (last index 0 and res/2) replaced by
+    their Hermitian parts, the mirror -k by flip-and-roll."""
+    out = half.copy()
+    axes = tuple(range(1 - grid.dim, 0))  # the spatial axes of a plane
+    for i in (0, grid.nyquist):
+        plane = half[..., i]
+        mirror = np.roll(np.flip(plane, axis=axes), 1, axis=axes)
+        out[..., i] = 0.5 * (plane + np.conj(mirror))
+    return out
+
+
+def full_transform_products(grid, u, v, use_dealias):
+    """{(a, b): the (dealiased) half spectrum of u_a v_b}, by full irfftn and
+    rfftn, every mode outside the 2/3 box zeroed before and after."""
+    keep = box_radius_table(grid) <= (grid.res // 3 if use_dealias else grid.res)
+    axes = grid.spatial_axes
+
+    def samples(c):
+        return np.fft.irfftn(np.where(keep, c, 0.0), s=grid.shape, axes=axes, norm="forward")
+
+    pu, pv = samples(u), samples(v)
+    return {(a, b): np.where(keep, np.fft.rfftn(pu[a] * pv[b], axes=axes, norm="forward"), 0.0)
+            for a in range(grid.dim) for b in range(grid.dim)}
+
+
+def projected_divergence_reference(grid):
+    """The Leray-projected divergence table over the whole half, pairs b <= c."""
+    d = grid.dim
+    k1 = np.fft.fftfreq(grid.res) * grid.res
+    k1[grid.nyquist] = 0.0
+    k = np.stack(np.meshgrid(*([k1] * (d - 1) + [k1[:grid.half_len]]), indexing="ij"))
+    ksq = np.sum(k**2, axis=0)
+    safe = np.where(ksq == 0.0, 1.0, ksq)
+    leray = np.eye(d).reshape((d, d) + (1,) * d) - k[:, np.newaxis] * k / safe
+    return [leray[:, b] * k[b] if b == c else leray[:, c] * k[b] + leray[:, b] * k[c]
+            for b in range(d) for c in range(b, d)]
+
+
+def assert_box_bits_and_equal(grid, got, ref, use_dealias):
+    """Bit for bit on the kept box, equal (up to the sign of zero) everywhere."""
+    keep = box_radius_table(grid) <= (grid.res // 3 if use_dealias else grid.res)
+    assert got.shape == ref.shape
+    assert got[..., keep].tobytes() == ref[..., keep].tobytes()
+    assert np.array_equal(got, ref)
+
+
+@PROPS
+@given(grids, leading, seeds, st.data())
+def test_box_pair_is_the_full_pair_cut_to_the_box(grid, lead, seed, data):
+    radius = data.draw(st.integers(0, grid.nyquist + 1), label="radius")
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal(lead + grid.spectral_shape) + 1j * rng.standard_normal(lead + grid.spectral_shape)
+    samples = rng.standard_normal(lead + grid.shape)
+    inside = box_radius_table(grid) <= radius
+    box = (Ellipsis,) + grid.box_index(radius)
+    if radius < grid.nyquist:
+        width = 2 * radius + 1
+        assert half[box].shape == lead + (width,) * (grid.dim - 1) + (radius + 1,)
+    assert np.array_equal(half[box].ravel(), half[..., inside].ravel())
+
+    ref = np.fft.irfftn(np.where(inside, half, 0.0), s=grid.shape, axes=grid.spatial_axes,
+                        norm="forward")
+    got = _box_phys_values(grid, half[box], radius)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    ref = np.fft.rfftn(samples, axes=grid.spatial_axes, norm="forward")[box]
+    got = _box_spectrum(grid, samples, radius)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@PROPS
+@given(grids, seeds, st.booleans(), st.booleans())
+def test_pointwise_tensor_matches_full_transforms(grid, seed, use_dealias, same):
+    u = hermitian_stack(grid, (grid.dim,), seed)
+    v = u if same else hermitian_stack(grid, (grid.dim,), seed + 1)
+    fu = SpectralVectorField(grid, u)
+    got = pointwise_tensor(fu, fu if same else SpectralVectorField(grid, v), use_dealias).coeffs
+    prods = full_transform_products(grid, u, v, use_dealias)
+    ref = np.empty_like(got)
+    for (a, b), prod in prods.items():
+        ref[a, b] = prods[min(a, b), max(a, b)] if same else prod
+    assert_box_bits_and_equal(grid, got, hermitian_planes_reference(grid, ref), use_dealias)
+
+
+@PROPS
+@given(grids, seeds, st.booleans())
+def test_nonlinearity_matches_full_transforms(grid, seed, use_dealias):
+    u = leray_project(SpectralVectorField(grid, hermitian_stack(grid, (grid.dim,), seed)))
+    got = nonlinearity(u, use_dealias).coeffs
+    prods = full_transform_products(grid, u.coeffs, u.coeffs, use_dealias)
+    pairs = [prods[b, c] for b in range(grid.dim) for c in range(b, grid.dim)]
+    table = projected_divergence_reference(grid)
+    ref = table[0] * pairs[0]
+    for m, prod in zip(table[1:], pairs[1:]):
+        ref += m * prod
+    ref *= 1j
+    assert_box_bits_and_equal(grid, got, hermitian_planes_reference(grid, ref), use_dealias)
 
 
 # ---------------------------------------------------------------------------

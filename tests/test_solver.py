@@ -10,8 +10,8 @@ from cnlab.fields import SpectralVectorField, divergence_sup, linf, zero_field
 from cnlab.grid import Grid
 from cnlab.semigroup import TimeGrid, duhamel_L, heat
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
-                          PicardOptions, SolverConfig, Trajectory, cross_validate,
-                          etdrk4_integrate, kato_smallness, make_profile,
+                          PicardOptions, SolverConfig, Trajectory, compare_trajectories,
+                          cross_validate, etdrk4_integrate, kato_smallness, make_profile,
                           picard_solve, probe_contraction_threshold)
 
 from helpers import rel_err, single_mode_vector
@@ -322,6 +322,23 @@ class TestCrossValidate:
         assert cv.passed and cv.discrepancy <= 1e-4
         assert cv.report.iterations <= 10
         assert len(cv.node_errors) == 33
+
+
+    @pytest.mark.parametrize("spoiled", ["a", "b"])
+    def test_nan_at_a_later_node_fails(self, g2_16, spoiled):
+        # the builtin max() dropped a nan unless it came first: this once
+        # reported discrepancy 0.0 and passed
+        u = single_mode_vector(g2_16, (1, 2), 0)
+        rows = np.stack([u.coeffs] * 4)
+        spoilt = rows.copy()
+        spoilt[2, 0, 1, 2] = np.nan
+        tg = TimeGrid.uniform(1.0, 3)
+        good, bad = Trajectory(g2_16, tg, rows, "a"), Trajectory(g2_16, tg, spoilt, "b")
+        a, b = (bad, good) if spoiled == "a" else (good, bad)
+        cmp = compare_trajectories(a, b, 1e-4)
+        assert math.isnan(cmp["discrepancy"])
+        assert cmp["passed"] is False
+        assert math.isnan(cmp["node_errors"][2])
 
 
 class TestContractionProbe:
