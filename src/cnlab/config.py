@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .monitor import check_exponents
 from .solver import EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig
 from .verification import CHECKS, SIZE_KEYS
 
@@ -34,23 +35,31 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_types(data: dict, where: str, ints: tuple[str, ...] = (),
-                 bools: tuple[str, ...] = (), numbers: tuple[str, ...] = (),
-                 nullable: tuple[str, ...] = ()) -> None:
-    """JSON integers (not true/false) at the keys in ints, JSON booleans at
-    bools, JSON numbers (not strings or true/false) at numbers, and numbers
-    or null at nullable."""
-    for key in ints:
-        if key in data and not _is_int(data[key]):
-            raise ConfigError(f"{where}.{key} must be an integer, got {data[key]!r}")
-    for key in numbers + nullable:
-        value = data.get(key)
-        if key in data and not (_is_number(value) or value is None and key in nullable):
-            kind = "a number or null" if key in nullable else "a number"
-            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
-    for key in bools:
-        if key in data and not isinstance(data[key], bool):
-            raise ConfigError(f"{where}.{key} must be true or false, got {data[key]!r}")
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+_KINDS = {
+    "ints": ("an integer", _is_int),
+    "numbers": ("a number", _is_number),
+    "nullable": ("a number or null", lambda v: v is None or _is_number(v)),
+    "bools": ("true or false", lambda v: isinstance(v, bool)),
+    "int_lists": ("a list of integers", _list_of(_is_int)),
+    "number_lists": ("a list of numbers", _list_of(_is_number)),
+    "int_pairs": ("null or a list of two integers",
+                  lambda v: v is None or _list_of(_is_int)(v) and len(v) == 2),
+}
+
+
+def _check_types(data: dict, where: str, **kinds: tuple[str, ...]) -> None:
+    """The value at each key named under a keyword of _KINDS, if present,
+    has that kind: ints=("dim",) wants a JSON integer at data["dim"].
+    Integers and numbers are never true or false."""
+    for kind, keys in kinds.items():
+        what, ok = _KINDS[kind]
+        for key in keys:
+            if key in data and not ok(data[key]):
+                raise ConfigError(f"{where}.{key} must be {what}, got {data[key]!r}")
 
 
 def load_json(path: str | Path) -> dict:
@@ -92,7 +101,7 @@ def solver_config_from_dict(data: dict, where: str = "config") -> SolverConfig:
     if "profile" in data:
         _reject_unknown(data["profile"], _PROFILE_KEYS, f"{where}.profile")
         _check_types(data["profile"], f"{where}.profile", ints=("seed",),
-                     numbers=("amplitude", "slope"))
+                     numbers=("amplitude", "slope"), int_pairs=("band",))
         prof = dict(data["profile"])
         if prof.get("band") is not None:
             prof["band"] = tuple(prof["band"])
@@ -106,6 +115,7 @@ def solver_config_from_dict(data: dict, where: str = "config") -> SolverConfig:
 def monitor_options_from_dict(data: dict | None, where: str = "config.monitor") -> dict:
     data = {} if data is None else data
     _reject_unknown(data, _MONITOR_KEYS, where)
+    _check_types(data, where, number_lists=("p_list",))
     opts = {
         "p_list": tuple(data.get("p_list", ())),
         "kato_horizon": data.get("kato_horizon", "default"),
@@ -114,12 +124,12 @@ def monitor_options_from_dict(data: dict | None, where: str = "config.monitor") 
     if opts["cutoff"] not in ("sharp", "smooth"):
         raise ConfigError(f"{where}.cutoff must be 'sharp' or 'smooth'")
     kh = opts["kato_horizon"]
-    if not (kh is None or kh == "default"
-            or isinstance(kh, (int, float)) and not isinstance(kh, bool)):
+    if not (kh is None or kh == "default" or _is_number(kh)):
         raise ConfigError(f"{where}.kato_horizon must be null, 'default', or a number")
-    for p in opts["p_list"]:
-        if not isinstance(p, (int, float)) or p < 1:
-            raise ConfigError(f"{where}.p_list entries must be numbers >= 1")
+    try:
+        check_exponents(opts["p_list"])
+    except ValueError as exc:
+        raise ConfigError(f"{where}.p_list: {exc}")
     return opts
 
 
@@ -141,4 +151,7 @@ def verify_config_from_dict(data: dict, where: str = "config") -> tuple[list[str
     _reject_unknown(sizes, set(CHECKS), f"{where}.sizes")
     for name, block in sizes.items():
         _reject_unknown(block, SIZE_KEYS[name], f"{where}.sizes.{name}")
+        _check_types(block, f"{where}.sizes.{name}",
+                     ints=("trials", "res", "dim", "nodes", "pairs"),
+                     int_lists=("res_list", "dims"), number_lists=("T_list", "s_list"))
     return list(checks), seed, sizes

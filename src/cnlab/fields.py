@@ -11,19 +11,20 @@ copying and the arithmetic. The velocity convention downstream is mean-zero
 than enforced at construction (tests use constant fields for quadrature
 checks).
 
-The package's FFTs are here. phys_values and spectral_values are the real
-transform pair of a whole half. _box_phys_values and _box_spectrum are the
-band-limited pair: they hold a spectrum only on the box max_i |k_i| <= r,
-gathered by Grid.box_index, and skip the transform lines the box leaves
-empty. The transform of an all-zero line is exactly zero, so they give the
-full pair's values cut to the box, and once r >= res/2 they are the full
-pair. The 2/3 rule keeps the box r = res // 3, so every dealiased product
-(_products, behind pointwise_tensor, the Navier-Stokes right-hand side and
-the paraproducts) and every Besov block runs on the band-limited pair.
+The package's FFTs and the box layout are here. phys_values and
+spectral_values are the real transform pair of a whole half.
+_box_phys_values and _box_spectrum are the band-limited pair on the box
+max_i |k_i| <= r, in the compact layout that _box_of gathers a half into
+(times a multiplier, if given) and _from_box scatters back; no module but
+grid indexes a box. The pair skips the transform lines the box leaves empty;
+the transform of an all-zero line is exactly zero, so it gives the full
+pair's values cut to the box, and once r >= res/2 it is the full pair. Every
+dealiased product (_products, behind pointwise_tensor, the Navier-Stokes
+right-hand side and the paraproducts) runs on it with the 2/3 box
+r = res // 3, and so does every Besov block.
 
 On the two self-conjugate planes of the half (last index 0 and res/2) a
-half holds both c(k) and c(-k); spectral_values, pointwise_tensor, the
-paraproducts and the end of the Navier-Stokes right-hand side replace those
+half holds both c(k) and c(-k); spectral_values and _from_box replace those
 planes by their Hermitian part, which is what the inverse real transform
 reads there.
 
@@ -190,13 +191,23 @@ def _box_spectrum(grid: Grid, samples: np.ndarray, radius: int) -> np.ndarray:
     return a
 
 
+def _box_of(grid: Grid, half: np.ndarray, radius: int,
+            mult: np.ndarray | None = None) -> np.ndarray:
+    """The box of a (..., *spectral_shape) stack in the compact layout, times
+    the box of mult (broadcast against it) when given. Without mult it is a
+    view once radius >= res/2."""
+    box = (Ellipsis,) + grid.box_index(radius)
+    return half[box] if mult is None else half[box] * mult[box]
+
+
 def _from_box(grid: Grid, box: np.ndarray, radius: int) -> np.ndarray:
-    """The half spectrum that is box inside the box and zero outside."""
+    """The half spectrum that is box inside the box and zero outside, its
+    self-conjugate planes made Hermitian (in box itself once radius >= res/2)."""
     if radius >= grid.nyquist:
-        return box
+        return _hermitian_planes(grid, box)
     half = np.zeros(box.shape[:-grid.dim] + grid.spectral_shape, dtype=np.complex128)
     half[(Ellipsis,) + grid.box_index(radius)] = box
-    return half
+    return _hermitian_planes(grid, half)
 
 
 def to_physical(f: SpectralVectorField) -> np.ndarray:
@@ -308,19 +319,15 @@ def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
     _same_grid(u.grid, v.grid)
     grid = u.grid
     radius = _product_radius(grid, use_dealias)
-    box = grid.box_index(radius)
-
-    def samples(f: SpectralVectorField) -> np.ndarray:
-        return _box_phys_values(grid, f.coeffs[(Ellipsis,) + box], radius)
-
-    pu = samples(u)
-    pv = pu if v is u else samples(v)
-    out = np.zeros((grid.dim, grid.dim) + grid.spectral_shape, dtype=np.complex128)
+    kept = _box_of(grid, u.coeffs, radius)
+    pu = _box_phys_values(grid, kept, radius)
+    pv = pu if v is u else _box_phys_values(grid, _box_of(grid, v.coeffs, radius), radius)
+    out = np.empty((grid.dim,) + kept.shape, dtype=np.complex128)
     for a, b, prod in _products(grid, pu, pv, radius):
-        out[(a, b) + box] = prod
+        out[a, b] = prod
         if pv is pu:
-            out[(b, a) + box] = prod
-    return TensorField(grid, _hermitian_planes(grid, out))
+            out[b, a] = prod
+    return TensorField(grid, _from_box(grid, out, radius))
 
 
 def _plain_range(top: float, q: float) -> bool:

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralField, _box_phys_values
+from .fields import SpectralField, _box_of, _box_phys_values
 from .grid import Grid
 
 
@@ -155,8 +155,7 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
         rows = nonfinite | np.any(occupied[:, mult.ravel() != 0], axis=1)
         if not rows.any():
             continue
-        box = (Ellipsis,) + grid.box_index(radius)
-        blocks = (stack if rows.all() else stack[rows])[box] * mult[box]
+        blocks = _box_of(grid, stack if rows.all() else stack[rows], radius, mult)
         phys = _box_phys_values(grid, blocks, radius)
         mag = np.sum(np.square(phys, out=phys), axis=1)
         out[rows, col] = np.sqrt(mag, out=mag).reshape(len(blocks), -1).max(axis=1)

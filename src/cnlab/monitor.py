@@ -59,6 +59,13 @@ class RateFit:
     npoints: int
 
 
+def check_exponents(p_list: Sequence[float]) -> None:
+    """Raise ValueError unless every Lebesgue exponent is in [1, inf]."""
+    bad = [p for p in p_list if not p >= 1]
+    if bad:
+        raise ValueError(f"Lebesgue exponents must satisfy 1 <= p <= inf, got {bad}")
+
+
 def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVectorField | None = None,
             kato_horizon: float | str | None = None, cutoff: str = "sharp",
             nu: float | None = None) -> list[MonitorRecord]:
@@ -69,6 +76,7 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
     min(1, horizon - t) per record; a number fixes the remaining horizon.
     Works on partial (blow-up) trajectories as-is.
     """
+    check_exponents(p_list)
     grid = traj.grid
     nu = float(traj.meta.get("nu", 1.0)) if nu is None else nu
     part = build_partition(grid, cutoff)

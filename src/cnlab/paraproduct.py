@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import (SpectralVectorField, TensorField, _box_phys_values,
-                     _box_spectrum, _from_box, _hermitian_planes, _same_grid)
+from .fields import (SpectralVectorField, TensorField, _box_of,
+                     _box_phys_values, _box_spectrum, _from_box, _same_grid)
 from .grid import Grid
 from .littlewood_paley import DyadicPartition
 
@@ -33,31 +33,21 @@ def _check_offset(i: int) -> None:
 def _blocks_phys(grid: Grid, coeffs: np.ndarray, mults: np.ndarray) -> np.ndarray:
     """Physical values of each multiplier in mults applied to dealiased coeffs.
 
-    coeffs: (..., *spectral_shape); mults: (J, *spectral_shape); result:
+    coeffs: (..., *spectral_shape); mults: (J, *spectral_shape), such as
+    part.delta or the low-pass run part.lowpass[i : jmax + 1 + i]; result:
     (J, ..., *spatial). Only the 2/3 box of coeffs and mults is read.
     """
     radius = grid.dealias_radius
-    box = (Ellipsis,) + grid.box_index(radius)
-    m = mults[box]
-    lead = (m.shape[0],) + (1,) * (coeffs.ndim - grid.dim)
-    return _box_phys_values(grid, m.reshape(lead + m.shape[1:]) * coeffs[box], radius)
-
-
-def _low_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition, i: int) -> np.ndarray:
-    """Physical values of S_{k+i}(f) for k = 0..jmax, batched over components."""
-    return _blocks_phys(grid, coeffs, part.lowpass[i : part.jmax + 1 + i])
-
-
-def _delta_blocks_phys(grid: Grid, coeffs: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    return _blocks_phys(grid, coeffs, part.delta)
+    lead = (len(mults),) + (1,) * (coeffs.ndim - grid.dim)
+    blocks = _box_of(grid, coeffs, radius, mults.reshape(lead + grid.spectral_shape))
+    return _box_phys_values(grid, blocks, radius)
 
 
 def _dealiased_spectrum(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """The half spectrum of samples on the 2/3 box, zero outside it, with
     its self-conjugate planes made Hermitian."""
     radius = grid.dealias_radius
-    half = _from_box(grid, _box_spectrum(grid, samples, radius), radius)
-    return _hermitian_planes(grid, half)
+    return _from_box(grid, _box_spectrum(grid, samples, radius), radius)
 
 
 def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,
@@ -65,8 +55,9 @@ def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,
     """para_i of two scalar coefficient arrays on the partition's grid."""
     _check_offset(i)
     grid = part.grid
-    low = _low_blocks_phys(grid, np.asarray(phi, dtype=np.complex128), part, i)
-    high = _delta_blocks_phys(grid, np.asarray(psi, dtype=np.complex128), part)
+    phi, psi = (np.asarray(a, dtype=np.complex128) for a in (phi, psi))
+    low = _blocks_phys(grid, phi, part.lowpass[i:part.jmax + 1 + i])
+    high = _blocks_phys(grid, psi, part.delta)
     acc = np.sum(low * high, axis=0)
     return _dealiased_spectrum(grid, acc)
 
@@ -79,8 +70,8 @@ def tensor_paraproduct(i: int, f: SpectralVectorField, g: SpectralVectorField,
     if part.grid != f.grid:
         raise ValueError("partition grid does not match the fields")
     grid = f.grid
-    low = _low_blocks_phys(grid, f.coeffs, part, i)      # (J, d, *sp)
-    high = _delta_blocks_phys(grid, g.coeffs, part)      # (J, d, *sp)
+    low = _blocks_phys(grid, f.coeffs, part.lowpass[i:part.jmax + 1 + i])  # (J, d, *sp)
+    high = _blocks_phys(grid, g.coeffs, part.delta)                          # (J, d, *sp)
     acc = np.einsum("ka...,kb...->ab...", low, high)
     out = _dealiased_spectrum(grid, acc)
     return TensorField(grid, out)

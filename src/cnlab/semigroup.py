@@ -16,16 +16,15 @@ accumulated by the recursion L(t_{m+1}) = e^{-lam h} L(t_m) - integral_m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .fields import (_BOUND_MARGIN, SpectralVectorField, TensorField,
+from .fields import (_BOUND_MARGIN, SpectralVectorField, TensorField, _box_of,
                      _box_phys_values, _divergence_bound, _from_box,
-                     _hermitian_planes, _lp_norms, _product_radius, _products,
-                     _same_grid, divergence_sup, phys_values)
+                     _product_radius, _products, _same_grid, divergence_sup,
+                     linf)
 from .phi import phi1, phi2
 
 DIV_FREE_TOL = 1e-8
@@ -110,31 +109,28 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
     max(1, ||u||_inf); for divergence-free u this equals Leray((u.grad) u).
     Inputs whose transform-free bound on sup |div u| (fields._divergence_bound,
     at roundoff on Leray-projected states) is below DIV_FREE_TOL pass at once;
-    all others, non-finite ones included, get the exact sup against the gate.
+    all others, non-finite ones included, get the exact sup against the gate
+    DIV_FREE_TOL * max(1, linf(u)), two whole-half transforms.
     Each product u_b u_c (b <= c) is transformed onto the 2/3 box only
     (fields._box_spectrum) and goes straight into the result through
-    Grid.projected_divergence on that box; the sum is spread onto the half
-    once, and its self-conjugate planes are made Hermitian at the end.
+    Grid.projected_divergence on that box; fields._from_box spreads the sum
+    onto the half once.
     """
     grid = u.grid
-    c = u.coeffs
     radius = _product_radius(grid, use_dealias)
-    kept = c[(Ellipsis,) + grid.box_index(radius)]
-    pu = _box_phys_values(grid, kept, radius)
-    if not _divergence_bound(grid, c) * _BOUND_MARGIN <= DIV_FREE_TOL:
-        # ||u||_inf reads the product's samples when the box holds every nonzero mode
-        p_all = pu if np.count_nonzero(kept) == np.count_nonzero(c) else phys_values(grid, c)
-        gate = DIV_FREE_TOL * max(1.0, _lp_norms(grid, p_all, (math.inf,))[0])
+    if not _divergence_bound(grid, u.coeffs) * _BOUND_MARGIN <= DIV_FREE_TOL:
+        gate = DIV_FREE_TOL * max(1.0, linf(u))
         defect = divergence_sup(u)
         if not defect <= gate:  # also trips on NaN
             raise ValueError(f"nonlinearity needs divergence-free input: |div u| = {defect:.3e}")
+    pu = _box_phys_values(grid, _box_of(grid, u.coeffs, radius), radius)
     table = grid.projected_divergence(radius)
     pairs = _products(grid, pu, pu, radius)
     acc = table[0] * next(pairs)[2]
     for p, (_, _, prod) in enumerate(pairs, 1):
         acc += table[p] * prod
     acc *= 1j
-    return SpectralVectorField(grid, _hermitian_planes(grid, _from_box(grid, acc, radius)))
+    return SpectralVectorField(grid, _from_box(grid, acc, radius))
 
 
 def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,

@@ -380,8 +380,7 @@ def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
 # ---------------------------------------------------------------------------
 
 def verify_embedding(trials: int = 100, res_list: Sequence[int] = (32, 64, 128),
-                     dim: int = 2, seed: int = 0, mode: str = "smooth",
-                     include_probes: bool = True) -> VerificationReport:
+                     dim: int = 2, seed: int = 0, mode: str = "smooth") -> VerificationReport:
     """Measured constant of ||f||_{B^{-1,inf}} <= K ||f||_n.
 
     The ensemble mixes random spectra of several slopes with deterministic
@@ -397,14 +396,13 @@ def verify_embedding(trials: int = 100, res_list: Sequence[int] = (32, 64, 128),
         fields = []
         for _ in range(trials):
             fields.append(random_vector_field(grid, rng, slope=float(rng.choice([0.0, 1.0, 2.0, 3.0]))))
-        if include_probes:
-            x = grid.coords()[0]
-            for kmod in (1, 2, 4):
-                samples = np.zeros((dim,) + grid.shape)
-                samples[-1] = np.cos(kmod * x)
-                fields.append(to_spectral(samples, grid))
-            kind = "taylor_green_2d" if dim == 2 else "taylor_green_3d"
-            fields.append(make_profile(grid, kind))
+        x = grid.coords()[0]
+        for kmod in (1, 2, 4):
+            samples = np.zeros((dim,) + grid.shape)
+            samples[-1] = np.cos(kmod * x)
+            fields.append(to_spectral(samples, grid))
+        kind = "taylor_green_2d" if dim == 2 else "taylor_green_3d"
+        fields.append(make_profile(grid, kind))
         best = 0.0
         for f in fields:
             best = max(best, besov_norm(f, -1.0, part) / lp_norm(f, float(dim)))

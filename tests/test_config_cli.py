@@ -163,6 +163,11 @@ class TestMonitorOptionsFromDict:
         with pytest.raises(ConfigError):
             monitor_options_from_dict({"p_list": [0.5]})
 
+    @pytest.mark.parametrize("p_list", [4, [True], ["4"]])
+    def test_p_list_is_a_list_of_numbers(self, p_list):
+        with pytest.raises(ConfigError, match="p_list"):
+            monitor_options_from_dict({"p_list": p_list})
+
 
 class TestVerifyConfigFromDict:
     def test_defaults_cover_all_checks(self):
@@ -193,6 +198,23 @@ class TestVerifyConfigFromDict:
             verify_config_from_dict({"sizes": {"bogus": {}}})
         with pytest.raises(ConfigError):
             verify_config_from_dict({"sizes": {"embedding": {"resolution": 16}}})
+
+    @pytest.mark.parametrize("check, key, value", [
+        ("embedding", "trials", "5"), ("embedding", "trials", True), ("paraproduct", "trials", 10.0),
+        ("smoothing", "res", 32.0), ("smoothing", "nodes", "8"), ("embedding", "dim", True),
+        ("bony_identity", "pairs", 6.5),
+        ("embedding", "res_list", 32), ("embedding", "res_list", [32.0]),
+        ("composite_bound", "res_list", [True]), ("bony_identity", "dims", 2),
+        ("bony_identity", "dims", [2, "3"]),
+        ("smoothing", "T_list", 0.5), ("smoothing", "T_list", [0.5, False]),
+        ("paraproduct", "s_list", 1.5), ("paraproduct", "s_list", ["1.5"])])
+    def test_size_values_have_their_types(self, check, key, value):
+        with pytest.raises(ConfigError, match=f"sizes.{check}.{key}"):
+            verify_config_from_dict({"checks": [check], "sizes": {check: {key: value}}})
+
+    def test_size_lists_take_integers_as_numbers(self):
+        sizes = {"smoothing": {"T_list": [1, 0.5]}, "paraproduct": {"s_list": [2]}}
+        assert verify_config_from_dict({"sizes": sizes})[2] == sizes
 
     @pytest.mark.parametrize("sizes", [{"composite_bound": {"trials": 3}},
                                        {"smoothing": {"res_list": [16]}},
@@ -288,6 +310,32 @@ class TestSimulateCommand:
         err = json.loads(lines[0])
         assert err["error"]["type"] == "ConfigError"
         assert "etdrk4.dt" in err["error"]["message"]
+
+    @pytest.mark.parametrize("block, value", [
+        ("monitor", {"p_list": 4}), ("monitor", {"p_list": [True]}),
+        ("monitor", {"p_list": [0.5]}), ("monitor", {"p_list": [4, -2]}),
+        ("profile", {"band": "ab"}), ("profile", {"band": [1]}),
+        ("profile", {"band": [True, 3]}), ("profile", {"band": [1.0, 3]}),
+        ("profile", {"band": [1, 2, 3]})])
+    def test_type_holes_are_config_errors(self, tmp_path, capsys, block, value):
+        # each type hole once ran or died with a raw traceback; p < 1 is the
+        # monitor's rule, which the reader applies before any solve
+        data = {**TG_SIM, block: {**TG_SIM.get(block, {}), **value}}
+        cfg = write_json(tmp_path / "bad.json", data)
+        out = tmp_path / "never"
+        code = cli_main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError"
+        assert f"{block}.{next(iter(value))}" in err["message"]
+
+    def test_band_takes_null(self):
+        cfg = solver_config_from_dict({**TG_SIM, "profile": {"kind": "random_divfree",
+                                                             "band": None}})
+        assert cfg.profile.band is None
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -426,6 +474,17 @@ class TestMonitorCommand:
                 if l and not l.startswith(("#", "t,"))]
         assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.1, 0.2]
 
+    @pytest.mark.parametrize("exponents", [["0.5", "-2"], ["4", "0"], ["nan"]])
+    def test_exponents_below_one_are_rejected(self, tg_simdir, tmp_path, capsys, exponents):
+        # once wrote "0.5" and "-2.0" columns into the sidecar and exited 0
+        snapdir = str(tg_simdir / "snapshots" / "picard")
+        code = cli_main(["monitor", "--snapshots", snapdir, "--out", str(tmp_path / "m.csv"),
+                         "--p", *exponents])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError" and "1 <= p" in err["message"]
+        assert not list(tmp_path.iterdir())
+
     def test_missing_path(self, tmp_path, capsys):
         code = cli_main(["monitor", "--snapshots", str(tmp_path / "ghost"),
                          "--out", str(tmp_path / "m.csv")])
@@ -453,6 +512,17 @@ class TestVerifyCommand:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "check,constant,exponent,pass"
         assert summary[1].startswith("bony_identity,") and summary[1].endswith(",pass")
+
+    @pytest.mark.parametrize("block", [{"trials": "5"}, {"res_list": 32}])
+    def test_size_type_is_a_config_error(self, tmp_path, capsys, block):
+        # each once ended in a raw TypeError traceback inside the check
+        cfg = write_json(tmp_path / "v.json", {"checks": ["embedding"],
+                                               "sizes": {"embedding": block}})
+        out = tmp_path / "v"
+        assert cli_main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "ConfigError"
+        assert not out.exists()
 
     def test_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         fake = VerificationReport(name="bony_identity", passed=False, trials=1)

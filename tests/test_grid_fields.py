@@ -95,6 +95,15 @@ def test_fft_calls_only_in_fields():
                 f"{path.name} calls np.fft.{name}"
 
 
+def test_box_layout_only_in_fields():
+    # fields._box_of gathers a box and fields._from_box scatters it back,
+    # Hermitian planes included; grid builds the index and its box tables
+    src = Path(cnlab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name not in ("fields.py", "grid.py"):
+            assert not re.search(r"box_index|_hermitian_planes\(", path.read_text()), path.name
+
+
 class TestTransforms:
     @pytest.mark.parametrize("dim,res", [(2, 16), (2, 32), (3, 16)])
     def test_round_trip(self, dim, res, rng):

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnlab.fields import (SpectralVectorField, _box_phys_values, _box_spectrum,
-                          _divergence_bound,
+from cnlab.fields import (SpectralVectorField, _box_of, _box_phys_values, _box_spectrum,
+                          _divergence_bound, _from_box,
                           divergence_sup, energy, linf, lp_norm, phys_values,
                           pointwise_tensor, random_field, random_tensor_field,
                           random_vector_field, spectral_values)
@@ -180,6 +180,20 @@ def test_box_pair_is_the_full_pair_cut_to_the_box(grid, lead, seed, data):
     ref = np.fft.rfftn(samples, axes=grid.spatial_axes, norm="forward")[box]
     got = _box_spectrum(grid, samples, radius)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    # the one gather: the multiplied half read on the box, in the box layout
+    mult = rng.standard_normal(grid.spectral_shape)
+    assert _box_of(grid, half, radius).tobytes() == half[..., inside].tobytes()
+    assert _box_of(grid, half, radius, mult).tobytes() == (half * mult)[..., inside].tobytes()
+
+    # the one scatter: zero outside the box, Hermitian on both self-conjugate
+    # planes, the rest of the box as given
+    for r in (radius, grid.nyquist):
+        keep = box_radius_table(grid) <= r
+        spread = _from_box(grid, _box_of(grid, half, r).copy(), r)
+        assert hermitian_defect(grid, spread) == 0.0
+        ref = hermitian_planes_reference(grid, np.where(keep, half, 0.0))
+        assert spread.tobytes() == ref.tobytes()
 
 
 @PROPS
