@@ -86,14 +86,13 @@ def _write_trajectory_artifacts(outdir: Path, traj: Trajectory, method: str,
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     data = load_json(args.config)
-    mon_opts = monitor_options_from_dict(data.pop("monitor", None))
     cfg = solver_config_from_dict(data)
+    mon_opts = monitor_options_from_dict(data.get("monitor"))
     echo = {"solver": cfg.to_dict(), "monitor": mon_opts, "method": args.method}
+    u0 = profile_from_spec(cfg.grid(), cfg.profile)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = cfg.grid()
-    u0 = profile_from_spec(grid, cfg.profile)
 
     report: dict = {"config": echo, "runs": {}, "cross_validation": None, "error": None}
     code = EXIT_OK
@@ -192,17 +191,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks, seed, sizes = None, args.seed, {}
-    if args.config:
-        checks, cfg_seed, sizes = verify_config_from_dict(load_json(args.config))
-        if args.seed is None:
-            seed = cfg_seed
+    data = load_json(args.config) if args.config else {}
     if args.checks:
-        checks, _, _ = verify_config_from_dict({"checks": args.checks})
-    if args.all or checks is None:
-        checks, _, _ = verify_config_from_dict({})
-    if seed is None:
-        seed = 0
+        data["checks"] = args.checks
+    if args.all:
+        data.pop("checks", None)
+    if args.seed is not None:
+        data["seed"] = args.seed
+    checks, seed, sizes = verify_config_from_dict(data)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -223,9 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    data = load_json(args.config)
-    data.pop("monitor", None)
-    cfg = solver_config_from_dict(data)
+    cfg = solver_config_from_dict(load_json(args.config))
     grid = cfg.grid()
     u0 = profile_from_spec(grid, cfg.profile)
     write_snapshot(args.out, u0, 0.0)
@@ -267,13 +261,14 @@ def build_parser() -> _Parser:
     p_mon.add_argument("--snapshots", nargs="+", required=True,
                        help="snapshot files or directories")
     p_mon.add_argument("--out", required=True, help="output CSV path")
-    p_mon.add_argument("--nu", type=float, default=1.0)
+    p_mon.add_argument("--nu", type=float, default=1.0,
+                       help="viscosity of the Kato column, a finite number > 0")
     p_mon.add_argument("--p", type=float, nargs="*", default=[],
                        help="extra Lebesgue exponents; their norms go to "
                             "<out stem>.extra_lp.json beside the CSV (t plus one "
                             "list per exponent), since the CSV columns are fixed")
     p_mon.add_argument("--kato-horizon", default="default",
-                       help="'default', 'none', or a number")
+                       help="'default', 'none', or a finite number > 0")
     p_mon.add_argument("--cutoff", choices=["sharp", "smooth"], default="sharp")
     p_mon.add_argument("--omega", default=None,
                        help="reference snapshot for the Besov distance column")

@@ -1,17 +1,22 @@
-"""JSON run configuration with strict key checking.
+"""JSON run configuration, checked against one schema before anything runs.
 
-Configs are plain JSON objects. Every level rejects keys it does not know
-about, so a typo like "contraction_toll" fails loudly instead of silently
-running with defaults.
+_SIMULATE (its monitor block included) and _VERIFY are the schema: each key
+maps to a nested table or to an entry (what the value must be, its test),
+and each test states type and range. Integers are never true or false and
+numbers never NaN or Infinity, which Python's json reads. _check rejects
+unknown keys and bad values with one ConfigError, before any output or solve.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
-from .monitor import check_exponents
-from .solver import EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig
+from .grid import Grid
+from .monitor import check_exponents, check_kato_horizon
+from .solver import (PROFILE_KINDS, EtdrkOptions, PicardOptions, ProfileSpec,
+                     SolverConfig)
 from .verification import CHECKS, SIZE_KEYS
 
 
@@ -19,47 +24,97 @@ class ConfigError(ValueError):
     pass
 
 
-def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
-def _list_of(ok):
-    return lambda v: isinstance(v, list) and all(map(ok, v))
+def _accepted(check, *args) -> bool:
+    """Whether check(*args), an existing rule that raises ValueError, passes."""
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
 
 
-_KINDS = {
-    "ints": ("an integer", _is_int),
-    "numbers": ("a number", _is_number),
-    "nullable": ("a number or null", lambda v: v is None or _is_number(v)),
-    "bools": ("true or false", lambda v: isinstance(v, bool)),
-    "int_lists": ("a list of integers", _list_of(_is_int)),
-    "number_lists": ("a list of numbers", _list_of(_is_number)),
-    "int_pairs": ("null or a list of two integers",
-                  lambda v: v is None or _list_of(_is_int)(v) and len(v) == 2),
+def _at_least(lo: int) -> tuple:
+    return f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo
+
+
+def _above(lo: float) -> tuple:
+    return f"a finite number > {lo}", lambda v: _is_number(v) and v > lo
+
+
+def _list_of(entry: tuple) -> tuple:
+    return (f"a non-empty list, each {entry[0]}",
+            lambda v: isinstance(v, list) and len(v) > 0 and all(map(entry[1], v)))
+
+
+_DIM = "2 or 3", lambda v: _is_int(v) and _accepted(Grid, v, 8)
+_RES = "a power of two >= 8", lambda v: _is_int(v) and _accepted(Grid, 2, v)
+
+_MONITOR = {
+    "p_list": ("a list of finite numbers >= 1",
+               lambda v: isinstance(v, list) and all(map(_is_number, v))
+               and _accepted(check_exponents, v)),
+    "kato_horizon": ("null, 'default' or a finite number > 0",
+                     lambda v: _accepted(check_kato_horizon, v)),
+    "cutoff": ("'sharp' or 'smooth'", lambda v: v in ("sharp", "smooth")),
+}
+
+_SIMULATE = {
+    "dim": _DIM, "res": _RES, "nu": _above(0), "horizon": _above(0),
+    "dealias": ("true or false", lambda v: isinstance(v, bool)),
+    "cross_tol": ("a finite number >= 0", lambda v: _is_number(v) and v >= 0),
+    "picard": {
+        "max_iters": _at_least(0),
+        "contraction_tol": _above(0),
+        "node_count": _at_least(1),
+        "grading": ("'uniform' or 'graded'", lambda v: v in ("uniform", "graded")),
+        "grading_power": _above(0),
+    },
+    "etdrk4": {"dt": ("null or a finite number > 0", lambda v: v is None or _above(0)[1](v))},
+    "profile": {
+        "kind": (f"one of {list(PROFILE_KINDS)}", lambda v: v in PROFILE_KINDS),
+        "amplitude": ("a finite number", _is_number), "slope": ("a finite number", _is_number),
+        "seed": _at_least(0),
+        "band": ("null or integers [lo, hi] with 0 <= lo <= hi",
+                 lambda v: v is None or isinstance(v, list) and len(v) == 2
+                 and all(map(_is_int, v)) and 0 <= v[0] <= v[1]),
+    },
+    "monitor": _MONITOR,
+}
+
+_SIZES = {
+    "trials": _at_least(1), "nodes": _at_least(1), "pairs": _at_least(1),
+    "res": _RES, "res_list": _list_of(_RES), "dim": _DIM, "dims": _list_of(_DIM),
+    "T_list": _list_of(_above(0)), "s_list": _list_of(_above(1)),
+}
+
+_VERIFY = {
+    "checks": _list_of((f"one of {list(CHECKS)}", lambda v: isinstance(v, str) and v in CHECKS)),
+    "seed": _at_least(0),
+    "sizes": {name: {key: _SIZES[key] for key in keys} for name, keys in SIZE_KEYS.items()},
 }
 
 
-def _check_types(data: dict, where: str, **kinds: tuple[str, ...]) -> None:
-    """The value at each key named under a keyword of _KINDS, if present,
-    has that kind: ints=("dim",) wants a JSON integer at data["dim"].
-    Integers and numbers are never true or false."""
-    for kind, keys in kinds.items():
-        what, ok = _KINDS[kind]
-        for key in keys:
-            if key in data and not ok(data[key]):
-                raise ConfigError(f"{where}.{key} must be {what}, got {data[key]!r}")
+def _check(data, schema: dict, where: str) -> None:
+    """Raise ConfigError unless data is an object whose keys all appear in
+    schema and whose values pass their entries, nested tables recursively."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(schema))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(schema)}")
+    for key, value in data.items():
+        if isinstance(schema[key], dict):
+            _check(value, schema[key], f"{where}.{key}")
+        elif not schema[key][1](value):
+            raise ConfigError(f"{where}.{key} must be {schema[key][0]}, got {value!r}")
 
 
 def load_json(path: str | Path) -> dict:
@@ -75,83 +130,25 @@ def load_json(path: str | Path) -> dict:
     return data
 
 
-_PICARD_KEYS = {"max_iters", "contraction_tol", "node_count", "grading", "grading_power"}
-_ETDRK4_KEYS = {"dt"}
-_PROFILE_KEYS = {"kind", "amplitude", "slope", "seed", "band"}
-_SOLVER_KEYS = {"dim", "res", "nu", "horizon", "dealias", "cross_tol",
-                "picard", "etdrk4", "profile"}
-_MONITOR_KEYS = {"p_list", "kato_horizon", "cutoff"}
-_SIMULATE_KEYS = _SOLVER_KEYS | {"monitor"}
-
-
 def solver_config_from_dict(data: dict, where: str = "config") -> SolverConfig:
-    _reject_unknown(data, _SIMULATE_KEYS, where)
-    _check_types(data, where, ints=("dim", "res"), bools=("dealias",),
-                 numbers=("nu", "horizon", "cross_tol"))
-    kwargs = {k: data[k] for k in data if k in _SOLVER_KEYS - {"picard", "etdrk4", "profile"}}
-    if "picard" in data:
-        _reject_unknown(data["picard"], _PICARD_KEYS, f"{where}.picard")
-        _check_types(data["picard"], f"{where}.picard", ints=("max_iters", "node_count"),
-                     numbers=("contraction_tol", "grading_power"))
-        kwargs["picard"] = PicardOptions(**data["picard"])
-    if "etdrk4" in data:
-        _reject_unknown(data["etdrk4"], _ETDRK4_KEYS, f"{where}.etdrk4")
-        _check_types(data["etdrk4"], f"{where}.etdrk4", nullable=("dt",))
-        kwargs["etdrk4"] = EtdrkOptions(**data["etdrk4"])
-    if "profile" in data:
-        _reject_unknown(data["profile"], _PROFILE_KEYS, f"{where}.profile")
-        _check_types(data["profile"], f"{where}.profile", ints=("seed",),
-                     numbers=("amplitude", "slope"), int_pairs=("band",))
-        prof = dict(data["profile"])
-        if prof.get("band") is not None:
-            prof["band"] = tuple(prof["band"])
-        kwargs["profile"] = ProfileSpec(**prof)
-    try:
-        return SolverConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}")
+    """The solver configuration of a simulate config; its monitor block is
+    checked too, and read by monitor_options_from_dict."""
+    _check(data, _SIMULATE, where)
+    blocks = {"picard": PicardOptions, "etdrk4": EtdrkOptions, "profile": ProfileSpec}
+    kwargs = {k: blocks[k](**v) if k in blocks else v for k, v in data.items() if k != "monitor"}
+    if "profile" in kwargs and kwargs["profile"].band is not None:
+        kwargs["profile"].band = tuple(kwargs["profile"].band)
+    return SolverConfig(**kwargs)
 
 
 def monitor_options_from_dict(data: dict | None, where: str = "config.monitor") -> dict:
     data = {} if data is None else data
-    _reject_unknown(data, _MONITOR_KEYS, where)
-    _check_types(data, where, number_lists=("p_list",))
-    opts = {
-        "p_list": tuple(data.get("p_list", ())),
-        "kato_horizon": data.get("kato_horizon", "default"),
-        "cutoff": data.get("cutoff", "sharp"),
-    }
-    if opts["cutoff"] not in ("sharp", "smooth"):
-        raise ConfigError(f"{where}.cutoff must be 'sharp' or 'smooth'")
-    kh = opts["kato_horizon"]
-    if not (kh is None or kh == "default" or _is_number(kh)):
-        raise ConfigError(f"{where}.kato_horizon must be null, 'default', or a number")
-    try:
-        check_exponents(opts["p_list"])
-    except ValueError as exc:
-        raise ConfigError(f"{where}.p_list: {exc}")
+    _check(data, _MONITOR, where)
+    opts = {"p_list": (), "kato_horizon": "default", "cutoff": "sharp", **data}
+    opts["p_list"] = tuple(opts["p_list"])
     return opts
 
 
-_VERIFY_KEYS = {"checks", "seed", "sizes"}
-
-
 def verify_config_from_dict(data: dict, where: str = "config") -> tuple[list[str], int, dict]:
-    _reject_unknown(data, _VERIFY_KEYS, where)
-    checks = data.get("checks", list(CHECKS))
-    if not isinstance(checks, list) or not checks:
-        raise ConfigError(f"{where}.checks must be a non-empty list")
-    bad = [c for c in checks if c not in CHECKS]
-    if bad:
-        raise ConfigError(f"{where}.checks: unknown {bad}; available: {sorted(CHECKS)}")
-    seed = data.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError(f"{where}.seed must be an integer")
-    sizes = data.get("sizes", {})
-    _reject_unknown(sizes, set(CHECKS), f"{where}.sizes")
-    for name, block in sizes.items():
-        _reject_unknown(block, SIZE_KEYS[name], f"{where}.sizes.{name}")
-        _check_types(block, f"{where}.sizes.{name}",
-                     ints=("trials", "res", "dim", "nodes", "pairs"),
-                     int_lists=("res_list", "dims"), number_lists=("T_list", "s_list"))
-    return list(checks), seed, sizes
+    _check(data, _VERIFY, where)
+    return list(data.get("checks", CHECKS)), data.get("seed", 0), data.get("sizes", {})

@@ -360,8 +360,8 @@ def _lp_norms(grid: Grid, phys: np.ndarray, ps: Sequence[float]) -> list[float]:
     if not 2.0**-500 <= top < 2.0**500:
         peak = float(np.abs(phys).max())
         if peak != 0.0 and math.isfinite(peak):
-            scale = math.ldexp(1.0, -math.frexp(peak)[1])
-            mag = _plain_magnitude(grid, phys * scale) / scale
+            e = math.frexp(peak)[1]
+            mag = np.ldexp(_plain_magnitude(grid, np.ldexp(phys, -e)), e)
             top = float(mag.max())
     norms = []
     for p in ps:
@@ -380,7 +380,7 @@ def lp_norm(f: SpectralField, p: float) -> float:
     Finite p uses the uniform quadrature ((2*pi/res)^dim * sum_x |f(x)|^p)^(1/p);
     p = inf is the grid max.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     return _lp_norms(f.grid, phys_values(f.grid, f.coeffs), (p,))[0]
 

@@ -66,6 +66,15 @@ def check_exponents(p_list: Sequence[float]) -> None:
         raise ValueError(f"Lebesgue exponents must satisfy 1 <= p <= inf, got {bad}")
 
 
+def check_kato_horizon(kato_horizon: float | str | None) -> None:
+    """Raise ValueError unless kato_horizon is None, "default" or a finite number > 0."""
+    if not (kato_horizon is None or kato_horizon == "default"
+            or isinstance(kato_horizon, (int, float)) and not isinstance(kato_horizon, bool)
+            and 0 < kato_horizon < math.inf):
+        raise ValueError(f"kato_horizon must be None, 'default' or a finite number > 0, "
+                         f"got {kato_horizon!r}")
+
+
 def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVectorField | None = None,
             kato_horizon: float | str | None = None, cutoff: str = "sharp",
             nu: float | None = None) -> list[MonitorRecord]:
@@ -77,6 +86,7 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
     Works on partial (blow-up) trajectories as-is.
     """
     check_exponents(p_list)
+    check_kato_horizon(kato_horizon)
     grid = traj.grid
     nu = float(traj.meta.get("nu", 1.0)) if nu is None else nu
     part = build_partition(grid, cutoff)
@@ -121,7 +131,7 @@ def kato_functional(traj: Trajectory, index: int, horizon: float | None = None,
     t0 = float(traj.times[index])
     if horizon is None:
         horizon = min(1.0, traj.tgrid.horizon - t0)
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError(f"no horizon remains after t0 = {t0}")
     nu = float(traj.meta.get("nu", 1.0)) if nu is None else nu
     return kato_smallness(traj.states[index], horizon, nu)

@@ -47,9 +47,11 @@ class TimeGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least two time nodes")
-        if nodes[0] < 0.0:
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("time nodes must be finite")
+        if not nodes[0] >= 0.0:
             raise ValueError("time grid must start at t >= 0")
-        if np.any(np.diff(nodes) <= 0):
+        if not np.all(np.diff(nodes) > 0):
             raise ValueError("time nodes must be strictly increasing")
 
     @property
@@ -62,14 +64,14 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, horizon: float, intervals: int) -> "TimeGrid":
-        if horizon <= 0 or intervals < 1:
+        if not (horizon > 0 and intervals >= 1):
             raise ValueError("horizon must be positive and intervals >= 1")
         return cls(np.linspace(0.0, horizon, intervals + 1))
 
     @classmethod
     def graded(cls, horizon: float, intervals: int, power: float = 2.0) -> "TimeGrid":
         """Nodes horizon * (i/M)^power, clustered near t = 0 for power > 1."""
-        if horizon <= 0 or intervals < 1 or power <= 0:
+        if not (horizon > 0 and intervals >= 1 and power > 0):
             raise ValueError("horizon, intervals and power must be positive")
         frac = np.arange(intervals + 1) / intervals
         return cls(horizon * frac**power)
@@ -77,9 +79,9 @@ class TimeGrid:
 
 def heat(f: SpectralVectorField, t: float, nu: float = 1.0) -> SpectralVectorField:
     """Heat semigroup e^{t nu Laplacian}: multiply modes by exp(-nu t |k|^2)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"heat flow requires t >= 0, got {t}")
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
     if t == 0:
         return f.copy()
@@ -143,7 +145,7 @@ def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
     L(f)(t_m), starting with L(f)(0) = 0. Exact for paths that are piecewise
     linear in time between nodes.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
     it = iter(path)
     try:
@@ -183,6 +185,6 @@ def oseen_apply(F: TensorField, t: float, nu: float = 1.0) -> SpectralVectorFiel
     The composite kernel is the Oseen-type operator whose sup norm decays like
     t^{-1/2} for unit-amplitude tensors; commutes with further heat flow.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"oseen_apply requires t > 0, got {t}")
     return heat(leray_project(div_tensor(F)), t, nu)

@@ -89,9 +89,9 @@ class SolverConfig:
     profile: ProfileSpec = field(default_factory=ProfileSpec)
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError(f"viscosity must be positive, got {self.nu}")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.picard.grading not in ("uniform", "graded"):
             raise ValueError(f"picard.grading must be 'uniform' or 'graded', got {self.picard.grading!r}")
@@ -161,7 +161,7 @@ _LADDER_RATIO = 10.0 ** (6.0 / 63.0)
 
 
 def _kato_ladder(horizon: float) -> np.ndarray:
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     count = max(1, math.ceil(math.log(horizon / _LADDER_BASE, _LADDER_RATIO)) + 1)
     ts = _LADDER_BASE * _LADDER_RATIO ** np.arange(count + 1)
@@ -227,6 +227,8 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
 
 def _kato(u0: SpectralVectorField, horizon: float, nu: float, n_norm: float) -> KatoSmallness:
     """kato_smallness with ||u0||_n supplied by the caller."""
+    if not 0 < nu < math.inf:
+        raise ValueError(f"viscosity must be a finite number > 0, got {nu}")
     value, t_at = _heat_ladder_sup(u0.grid, u0.coeffs, _kato_ladder(horizon), nu)
     return KatoSmallness((1.0 + n_norm) * value, t_at)
 
@@ -243,6 +245,9 @@ def kato_smallness(u0: SpectralVectorField, horizon: float, nu: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 # initial-data profiles
 # ---------------------------------------------------------------------------
+
+PROFILE_KINDS = ("taylor_green_2d", "taylor_green_3d", "random_divfree")
+
 
 def make_profile(grid: Grid, kind: str, amplitude: float = 1.0, slope: float = 2.0,
                  seed: int = 0, band: tuple[int, int] | None = None) -> SpectralVectorField:
@@ -401,7 +406,7 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
     tg = cfg.time_grid()
     nodes = tg.nodes
     dt_req = cfg.etdrk4.dt if cfg.etdrk4.dt is not None else cfg.horizon / 1000.0
-    if dt_req <= 0:
+    if not dt_req > 0:
         raise ValueError(f"dt must be positive, got {dt_req}")
     lam = -cfg.nu * grid.ksq
 

@@ -1,6 +1,8 @@
 """Strict config parsing and the in-process command line surface."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cnlab import config
 from cnlab.cli import main as cli_main
 from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
@@ -17,8 +20,9 @@ from cnlab.grid import Grid
 from cnlab.monitor import CSV_COLUMNS, read_monitor_csv, write_monitor_csv
 from cnlab.semigroup import heat
 from cnlab.snapshots import read_snapshot, write_snapshot
-from cnlab.solver import kato_smallness, make_profile
-from cnlab.verification import CHECKS, VerificationReport
+from cnlab.solver import (EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig,
+                          kato_smallness, make_profile)
+from cnlab.verification import CHECKS, SIZE_KEYS, VerificationReport
 
 
 def write_json(path: Path, obj) -> Path:
@@ -224,6 +228,56 @@ class TestVerifyConfigFromDict:
             verify_config_from_dict({"sizes": sizes})
 
 
+def test_schema_tables_name_every_reader_key():
+    # the tables are the only statement of the config keys: they must match
+    # the dataclasses they fill, the monitor options and the checks' sizes
+    names = lambda cls: {f.name for f in dataclasses.fields(cls)}
+    assert set(config._SIMULATE) == names(SolverConfig) | {"monitor"}
+    for block, cls in (("picard", PicardOptions), ("etdrk4", EtdrkOptions),
+                       ("profile", ProfileSpec)):
+        assert set(config._SIMULATE[block]) == names(cls)
+    assert set(config._SIMULATE["monitor"]) == set(monitor_options_from_dict(None))
+    assert {name: set(keys) for name, keys in config._VERIFY["sizes"].items()} == {
+        name: set(keys) for name, keys in SIZE_KEYS.items()}
+
+
+@pytest.mark.parametrize("argv, data, key", [
+    (["simulate"], {**TG_SIM, "nu": float("nan")}, "config.nu"),
+    (["simulate"], {**TG_SIM, "horizon": float("inf")}, "config.horizon"),
+    (["simulate", "--method", "both"], {**TG_SIM, "etdrk4": {"dt": -1}}, "config.etdrk4.dt"),
+    (["simulate"], {**TG_SIM, "picard": {"max_iters": -3}}, "config.picard.max_iters"),
+    (["simulate"], {**TG_SIM, "monitor": {"kato_horizon": -1}},
+     "config.monitor.kato_horizon"),
+    (["simulate"], {**TG_SIM, "profile": {"kind": "random_divfree", "band": [5, 2]}},
+     "config.profile.band"),
+    (["simulate"], {**TG_SIM, "profile": {"kind": "nope"}}, "config.profile.kind"),
+    (["simulate"], {**TG_SIM, "profile": {"kind": "random_divfree", "seed": -1}},
+     "config.profile.seed"),
+    (["verify"], {"checks": ["embedding"], "sizes": {"embedding": {"res_list": []}}},
+     "config.sizes.embedding.res_list"),
+    (["verify"], {"checks": ["embedding"], "sizes": {"embedding": {"res_list": [12]}}},
+     "config.sizes.embedding.res_list"),
+    (["verify"], {"checks": ["embedding"],
+                  "sizes": {"embedding": {"trials": -1, "res_list": [16]}}},
+     "config.sizes.embedding.trials"),
+    (["verify", "--seed", "-1"], {"checks": ["embedding"],
+                                  "sizes": {"embedding": {"trials": 1, "res_list": [16]}}},
+     "config.seed"),
+])
+def test_bad_configs_are_rejected_up_front(tmp_path, capsys, argv, data, key):
+    # each once ran, exited 0 on meaningless columns, or failed after writing
+    cfg = write_json(tmp_path / "bad.json", data)
+    out = tmp_path / "never"
+    code = cli_main([*argv, "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith(key + " must be")
+
+
 def test_submodule_import_yields_the_module():
     import types
 
@@ -394,6 +448,24 @@ class TestSimulateCommand:
         assert report["runs"]["etdrk4"]["blowup_time"] == pytest.approx(0.2)
 
 
+def test_long_run_reaches_underflow_scale_states(tmp_path):
+    # the state decays through the subnormal range to zero by t = 800;
+    # rescaling such samples for their L^p norms once overflowed
+    cfg = write_json(tmp_path / "cfg.json", {**TG_SIM, "horizon": 800,
+                                             "picard": {"node_count": 64},
+                                             "etdrk4": {"dt": 1.0}})
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["error"] is None
+    snaps = sorted((out / "snapshots" / "picard").glob("*.snap"))
+    assert cli_main(["monitor", "--snapshots", *map(str, snaps),
+                     "--out", str(tmp_path / "m.csv")]) == 0
+    records = read_monitor_csv(tmp_path / "m.csv")
+    assert [r.lp_inf for r in records] == [lp_norm(read_snapshot(p)[0], math.inf)
+                                           for p in snaps]
+    assert records[1].lp_inf > 0.0
+
+
 class TestMonitorCommand:
     def test_recompute_deterministic(self, tg_simdir, tmp_path):
         snapdir = str(tg_simdir / "snapshots" / "picard")
@@ -484,6 +556,28 @@ class TestMonitorCommand:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError" and "1 <= p" in err["message"]
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [["--nu", "nan"], ["--nu", "-1"], ["--nu", "inf"],
+                                       ["--kato-horizon", "-1"], ["--kato-horizon", "nan"]])
+    def test_kato_arguments_out_of_range_are_rejected(self, tg_simdir, tmp_path, capsys,
+                                                      flags):
+        # once exited 0 with a negative, anti-diffusive or empty kato_I column
+        snapdir = str(tg_simdir / "snapshots" / "picard")
+        code = cli_main(["monitor", "--snapshots", snapdir, "--out", str(tmp_path / "m.csv"),
+                         *flags])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+        assert not list(tmp_path.iterdir())
+
+    def test_nan_header_time_is_rejected(self, tmp_path, capsys):
+        # once exited 0 and wrote a nan row
+        u0 = make_profile(Grid(2, 16), "taylor_green_2d")
+        for name, t in (("a", 0.0), ("b", float("nan")), ("c", 0.2)):
+            write_snapshot(tmp_path / f"{name}.snap", u0, t)
+        code = cli_main(["monitor", "--snapshots", str(tmp_path), "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert "finite" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not (tmp_path / "m.csv").exists()
 
     def test_missing_path(self, tmp_path, capsys):
         code = cli_main(["monitor", "--snapshots", str(tmp_path / "ghost"),

@@ -353,7 +353,8 @@ def test_pruned_oseen_envelope_matches_every_transform(dim, trials, seed, nu):
 
 
 @PROPS
-@given(grids, seeds, st.lists(st.sampled_from([0.0, 1e-200, 1e-3, 1.0, 1e150, 1e200, 1e300]),
+@given(grids, seeds, st.lists(st.sampled_from([0.0, 2.0**-1060, 1e-310, 1e-200, 1e-3, 1.0,
+                                                1e150, 1e200, 1e300]),
                               min_size=1, max_size=4))
 def test_monitor_norm_columns_are_lp_norm(grid, seed, scales):
     rng = np.random.default_rng(seed)

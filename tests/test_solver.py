@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cnlab import solver
-from cnlab.fields import SpectralVectorField, divergence_sup, linf, zero_field
+from cnlab.fields import (SpectralVectorField, divergence_sup, linf, lp_norm,
+                          pointwise_tensor, zero_field)
 from cnlab.grid import Grid
-from cnlab.semigroup import TimeGrid, duhamel_L, heat
+from cnlab.monitor import kato_functional, monitor
+from cnlab.semigroup import TimeGrid, duhamel_L, heat, oseen_apply
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
                           PicardOptions, SolverConfig, Trajectory, compare_trajectories,
                           cross_validate, etdrk4_integrate, kato_smallness, make_profile,
@@ -356,3 +358,37 @@ class TestContractionProbe:
         lo = max(e.kato for e in rep.entries if e.converged)
         hi = min(e.kato for e in rep.entries if not e.converged)
         assert lo < rep.candidate_threshold < hi
+
+
+NAN = float("nan")
+_U = make_profile(Grid(2, 8), "taylor_green_2d")
+_TRAJ = Trajectory(_U.grid, TimeGrid.uniform(1.0, 1), np.stack([_U.coeffs] * 2), "synthetic")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: lp_norm(_U, NAN), "1 <= p"),
+    (lambda: kato_functional(_TRAJ, 0, horizon=NAN), "no horizon remains"),
+    (lambda: monitor(_TRAJ, kato_horizon=NAN), "kato_horizon"),
+    (lambda: TimeGrid(np.array([0.0, NAN, 1.0])), "finite"),
+    (lambda: TimeGrid(np.array([0.0, 1.0, math.inf])), "finite"),
+    (lambda: TimeGrid.uniform(NAN, 4), "horizon must be positive"),
+    (lambda: TimeGrid.graded(NAN, 4), "must be positive"),
+    (lambda: TimeGrid.graded(1.0, 4, NAN), "must be positive"),
+    (lambda: heat(_U, NAN), "t >= 0"),
+    (lambda: heat(_U, 0.1, NAN), "viscosity"),
+    (lambda: duhamel_L([_U, _U], TimeGrid.uniform(1.0, 1), NAN), "viscosity"),
+    (lambda: oseen_apply(pointwise_tensor(_U, _U), NAN), "t > 0"),
+    (lambda: SolverConfig(nu=NAN), "viscosity"),
+    (lambda: SolverConfig(horizon=NAN), "horizon"),
+    (lambda: kato_smallness(_U, NAN), "horizon must be positive"),
+    (lambda: kato_smallness(_U, 1.0, NAN), "viscosity"),
+    (lambda: etdrk4_integrate(_U, SolverConfig(res=8, etdrk4=EtdrkOptions(dt=NAN))),
+     "dt must be positive"),
+], ids=["lp_norm", "kato_functional", "monitor", "TimeGrid-nan", "TimeGrid-inf",
+        "uniform", "graded-horizon", "graded-power", "heat-t", "heat-nu", "duhamel_L",
+        "oseen_apply", "SolverConfig-nu", "SolverConfig-horizon", "kato_ladder", "kato-nu",
+        "etdrk4-dt"])
+def test_nan_fails_every_range_guard(call, match):
+    # each guard once read "if x <= 0", which a NaN passes
+    with pytest.raises(ValueError, match=match):
+        call()
