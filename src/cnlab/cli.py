@@ -2,7 +2,9 @@
 
 Subcommands:
     simulate   run the mild solver on a configured profile, writing state
-               snapshots, a monitor CSV, and report.json
+               snapshots, a monitor CSV, and report.json; --method both
+               solves by the two routes side by side on two threads when
+               the states are large enough to gain from it
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-check JSON
                reports and a deterministic summary.csv
@@ -17,8 +19,12 @@ Errors are emitted as a single JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
+import os
 import sys
+from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +90,22 @@ def _write_trajectory_artifacts(outdir: Path, traj: Trajectory, method: str,
             "states": len(traj.coeffs)}
 
 
+# Half-spectrum bytes of one state from which simulate --method both solves
+# by ETDRK4 on a worker thread while Picard runs on the calling thread. The
+# two routes share only u0, and their time goes to FFTs and large
+# elementwise loops, which numpy runs without holding the GIL. On smaller
+# states the GIL hand-offs cost more than the second core gains (measured:
+# 2D/64 and 3D/16 lose, 2D/128 and 3D/32 win).
+_OVERLAP_BYTES = 256 << 10
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     data = load_json(args.config)
     cfg = solver_config_from_dict(data)
@@ -98,28 +120,39 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     code = EXIT_OK
     methods = ["picard", "etdrk4"] if args.method == "both" else [args.method]
     trajs: dict[str, Trajectory] = {}
-    for method in methods:
-        try:
-            if method == "picard":
-                traj, conv = picard_solve(u0, cfg)
-                run_info = {"convergence": conv.to_dict()}
-            else:
-                traj = etdrk4_integrate(u0, cfg)
-                run_info = {"meta": {k: v for k, v in traj.meta.items() if k != "config"}}
-        except NonConvergence as exc:
-            traj, run_info = exc.trajectory, {"convergence": exc.report.to_dict()}
-            report["error"] = {"type": "NonConvergence", "message": str(exc)}
-            code = EXIT_NO_CONVERGENCE
-        except BlowupSuspected as exc:
-            traj, run_info = exc.trajectory, {"blowup_time": exc.time}
-            report["error"] = {"type": "BlowupSuspected", "message": str(exc),
-                               "time": exc.time}
-            code = EXIT_BLOWUP
-        trajs[method] = traj
-        run_info.update(_write_trajectory_artifacts(outdir, traj, method, mon_opts, echo))
-        report["runs"][method] = run_info
-        if code != EXIT_OK:
-            break
+    # leaving the block joins the worker, on every path: a failed Picard
+    # route drops ETDRK4's result, and an ETDRK4 failure is raised by
+    # etdrk4() after Picard's artifacts are written, as in a sequential run
+    with ExitStack() as stack:
+        etdrk4 = partial(etdrk4_integrate, u0, cfg)
+        if (args.method == "both" and u0.coeffs.nbytes >= _OVERLAP_BYTES
+                and _usable_cpus() >= 2):
+            from concurrent.futures import ThreadPoolExecutor  # only this path pays its import
+            pool = stack.enter_context(ThreadPoolExecutor(1))
+            # the worker runs in the caller's context, numpy's error state included
+            etdrk4 = pool.submit(contextvars.copy_context().run, etdrk4).result
+        for method in methods:
+            try:
+                if method == "picard":
+                    traj, conv = picard_solve(u0, cfg)
+                    run_info = {"convergence": conv.to_dict()}
+                else:
+                    traj = etdrk4()
+                    run_info = {"meta": {k: v for k, v in traj.meta.items() if k != "config"}}
+            except NonConvergence as exc:
+                traj, run_info = exc.trajectory, {"convergence": exc.report.to_dict()}
+                report["error"] = {"type": "NonConvergence", "message": str(exc)}
+                code = EXIT_NO_CONVERGENCE
+            except BlowupSuspected as exc:
+                traj, run_info = exc.trajectory, {"blowup_time": exc.time}
+                report["error"] = {"type": "BlowupSuspected", "message": str(exc),
+                                   "time": exc.time}
+                code = EXIT_BLOWUP
+            trajs[method] = traj
+            run_info.update(_write_trajectory_artifacts(outdir, traj, method, mon_opts, echo))
+            report["runs"][method] = run_info
+            if code != EXIT_OK:
+                break
 
     if code == EXIT_OK and len(trajs) == 2:
         cross = compare_trajectories(trajs["picard"], trajs["etdrk4"], cfg.cross_tol)

@@ -18,7 +18,12 @@ max_i |k_i| <= r: box_index gathers it from a half as a compact
 it (the 2/3 box r = res // 3 for dealiased products, 28 % of the half on
 3D/32). A Grid is immutable once constructed and safe to share between
 threads; the derived tables are plain caches of pure functions of (dim, res)
-and, for the box tables, the radius.
+and, for the box tables, the radius. cnlab relies on this: simulate --method
+both solves by Picard and ETDRK4 on two threads over one Grid. Two threads
+may both miss a table and build it (a box table in _per_radius; a cached
+property too from Python 3.12, whose cached_property takes no lock). The
+race is benign: both build identical tables that nothing writes, each
+uses its own, and the cache keeps whichever is stored last.
 """
 
 from __future__ import annotations

@@ -158,7 +158,9 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
         blocks = _box_of(grid, stack if rows.all() else stack[rows], radius, mult)
         phys = _box_phys_values(grid, blocks, radius)
         mag = np.sum(np.square(phys, out=phys), axis=1)
-        out[rows, col] = np.sqrt(mag, out=mag).reshape(len(blocks), -1).max(axis=1)
+        # sqrt is monotone and correctly rounded: the root of the max is the
+        # max of the roots, taken once per state
+        out[rows, col] = np.sqrt(mag.reshape(len(blocks), -1).max(axis=1))
     return out
 
 
@@ -167,10 +169,14 @@ def _besov_from_sups(sups: np.ndarray, s: float, jmax: int) -> np.ndarray:
     return np.max(sups * weights, axis=-1)
 
 
-# Bytes of half spectra per batched block transform: long 3D trajectories go
+# Bytes of half spectra per batched block transform: long trajectories go
 # through in batches, which bounds the transient memory of their block
-# transforms; 2D trajectories fit in one batch.
-_BATCH_BYTES = 8 << 20
+# transforms. At 2 MiB, simulate --method both on 3D/32 can run one route's
+# monitor pass beside the other route's solve and still peak below the
+# memory of running them one after the other. 2 MiB batches were also the
+# fastest measured: 65 states of 3D/32 took 367-546 ms, against 522-702 ms
+# at 4 MiB and 476-724 ms at 8 MiB (2-core VM, sizes interleaved).
+_BATCH_BYTES = 2 << 20
 
 
 def besov_norm(f: SpectralField, s: float, part: DyadicPartition | None = None) -> float:

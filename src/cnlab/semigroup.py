@@ -12,12 +12,16 @@ z = -lam h,
     integral = h * [ f_left * (phi1(z) - phi2(z)) + f_right * phi2(z) ],
 
 accumulated by the recursion L(t_{m+1}) = e^{-lam h} L(t_m) - integral_m.
+duhamel_rows runs the recursion as a generator, one row per node, reading
+the forcing path no further ahead than the row it yields; duhamel_L
+collects its rows into one array, and the Picard sweep consumes them
+directly (solver.picard_solve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -135,15 +139,17 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
     return SpectralVectorField(grid, _from_box(grid, acc, radius))
 
 
-def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
-              nu: float = 1.0) -> np.ndarray:
-    """Apply the (negative-signed) Duhamel integral along a forcing path.
+def duhamel_rows(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
+                 nu: float = 1.0) -> Iterator[np.ndarray]:
+    """Yield the rows L(f)(t_0), L(f)(t_1), ... of the (negative-signed)
+    Duhamel integral along a forcing path, starting with L(f)(t_0) = 0.
 
     path supplies f(t_m) for every node of tgrid, in order, and is read one
-    field at a time, so a generator never holds the whole forcing trajectory.
-    The result is one fresh (nodes, dim, *spectral_shape) array whose row m is
-    L(f)(t_m), starting with L(f)(0) = 0. Exact for paths that are piecewise
-    linear in time between nodes.
+    field at a time: row m is yielded right after f(t_m) is read, and f(t_m)
+    is read only when row m is asked for, so neither the forcing nor the
+    result is ever held whole. Each row is a fresh array, which the next
+    step of the recursion reads, so callers must not write to it. Exact for
+    paths that are piecewise linear in time between nodes.
     """
     if not nu > 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
@@ -156,7 +162,8 @@ def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
     ksq = grid.ksq
     nodes = tgrid.nodes
 
-    out = np.zeros((nodes.size,) + f_prev.coeffs.shape, dtype=np.complex128)
+    row = np.zeros(f_prev.coeffs.shape, dtype=np.complex128)
+    yield row
     decay = w_left = w_right = None
     h_cached = None
     for m in range(tgrid.nintervals):
@@ -173,9 +180,21 @@ def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
             w_left = h * (p1 - p2)
             w_right = h * p2
             h_cached = h
-        np.subtract(decay * out[m], w_left * f_prev.coeffs + w_right * f_next.coeffs,
-                    out=out[m + 1])
+        row = decay * row - (w_left * f_prev.coeffs + w_right * f_next.coeffs)
+        yield row
         f_prev = f_next
+
+
+def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
+              nu: float = 1.0) -> np.ndarray:
+    """The rows of duhamel_rows as one fresh (nodes, dim, *spectral_shape)
+    array: row m is L(f)(t_m)."""
+    rows = duhamel_rows(path, tgrid, nu)
+    first = next(rows)
+    out = np.empty((tgrid.nodes.size,) + first.shape, dtype=np.complex128)
+    out[0] = first
+    for m, row in enumerate(rows, 1):
+        out[m] = row
     return out
 
 

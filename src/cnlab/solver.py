@@ -6,7 +6,11 @@ Two routes to the same trajectory:
       u^{m+1} = e^{t nu Lap} u0 + L(nonlinearity(u^m))
   on a time grid, stopping when the weighted increment
       sup_m sqrt(t_m) ||du(t_m)||_inf + sup_m ||du(t_m)||_n
-  falls below the contraction tolerance (n = spatial dimension).
+  falls below the contraction tolerance (n = spatial dimension). Each
+  iteration sweeps one trajectory array in place: row m is overwritten as
+  soon as the Duhamel recursion has read its forcing, and the increment
+  norms are taken row by row in the same pass, so the solve holds about one
+  trajectory.
 
 * etdrk4_integrate advances the spectral Galerkin system with the classical
   four-stage exponential time differencing scheme of Cox & Matthews (2002),
@@ -31,7 +35,7 @@ from .fields import (_BOUND_MARGIN, SpectralVectorField, _lp_norms,
                      project_mean_zero, random_field, to_spectral)
 from .grid import Grid
 from .phi import phi1, phi2, phi3
-from .semigroup import TimeGrid, duhamel_L, leray_project, nonlinearity
+from .semigroup import TimeGrid, duhamel_rows, leray_project, nonlinearity
 
 
 class NonConvergence(RuntimeError):
@@ -287,15 +291,20 @@ def profile_from_spec(grid: Grid, spec: ProfileSpec) -> SpectralVectorField:
 # Picard iteration
 # ---------------------------------------------------------------------------
 
-def _kato_increment(grid: Grid, prev: np.ndarray, curr: np.ndarray,
-                    nodes: np.ndarray) -> float:
-    """sup_m sqrt(t_m) ||du(t_m)||_inf + sup_m ||du(t_m)||_n, du = curr - prev by
-    rows; non-finite as soon as one node's norms are (max() would drop a nan)."""
+def _node_norms(grid: Grid, du: np.ndarray) -> tuple[float, float]:
+    """(||du||_inf, ||du||_n) of one node's increment du, n the dimension,
+    from one transform."""
+    sup, n_norm = _lp_norms(grid, phys_values(grid, du), (math.inf, float(grid.dim)))
+    return sup, n_norm
+
+
+def _kato_increment(nodes: np.ndarray, norms: Sequence[tuple[float, float]]) -> float:
+    """sup_m sqrt(t_m) ||du(t_m)||_inf + sup_m ||du(t_m)||_n from the per-node
+    _node_norms; non-finite as soon as one node's norms are (max() would drop
+    a nan)."""
     sup_w = 0.0
     sup_n = 0.0
-    n = float(grid.dim)
-    for t, a, b in zip(nodes, prev, curr):
-        sup, n_norm = _lp_norms(grid, phys_values(grid, b - a), (math.inf, n))
+    for t, (sup, n_norm) in zip(nodes, norms):
         if not math.isfinite(sup + n_norm):
             return sup + n_norm
         sup_w = max(sup_w, math.sqrt(float(t)) * sup)
@@ -306,9 +315,13 @@ def _kato_increment(grid: Grid, prev: np.ndarray, curr: np.ndarray,
 def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory, ConvergenceReport]:
     """Iterate the mild fixed point to convergence on the configured time grid.
 
-    Raises NonConvergence (with the partial trajectory attached) when the
-    increment fails to drop below the tolerance within max_iters or grows
-    without bound.
+    Each iteration is one in-place sweep over a single trajectory array:
+    duhamel_rows reads row m's forcing, then row m is overwritten with the
+    Duhamel row plus the heat row u0 exp(-nu t_m |k|^2), formed per node,
+    and the increment norms of the node are taken from the old and new row
+    on the way. Raises NonConvergence (with the partial trajectory attached)
+    when the increment fails to drop below the tolerance within max_iters or
+    grows without bound.
     """
     grid = u0.grid
     if (grid.dim, grid.res) != (cfg.dim, cfg.res):
@@ -317,9 +330,13 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     nodes = tg.nodes
     t0 = time.perf_counter()
 
-    # heat(u0, t_m) by its expressions, u0 itself at t_0 = 0: no held heat term
-    decay = np.exp((-cfg.nu * nodes[1:]).reshape((-1,) + (1,) * grid.dim) * grid.ksq)
-    curr = np.concatenate([u0.coeffs[np.newaxis], u0.coeffs * decay[:, np.newaxis]])
+    def heat_row(m: int) -> np.ndarray:
+        # heat(u0, t_m) by its expressions, u0 itself at t_0 = 0
+        return u0.coeffs if m == 0 else u0.coeffs * np.exp(-cfg.nu * nodes[m] * grid.ksq)
+
+    coeffs = np.empty((nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
+    for m, row in enumerate(coeffs):
+        row[...] = heat_row(m)
     increments: list[float] = []
     converged = False
     blew_up = False
@@ -327,15 +344,15 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     # through the arithmetic silently instead of spraying warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.picard.max_iters):
-            forcing = (nonlinearity(SpectralVectorField(grid, c), cfg.dealias) for c in curr)
-            # the Duhamel trajectory is a fresh array: add the heat term in place
-            nxt = duhamel_L(forcing, tg, cfg.nu)
-            nxt[0] += u0.coeffs
-            for row, d in zip(nxt[1:], decay):
-                row += u0.coeffs * d
-            inc = _kato_increment(grid, curr, nxt, nodes)
+            forcing = (nonlinearity(SpectralVectorField(grid, c), cfg.dealias) for c in coeffs)
+            norms = []
+            # duhamel_rows has read row m's forcing when it yields row m
+            for m, (row, duhamel) in enumerate(zip(coeffs, duhamel_rows(forcing, tg, cfg.nu))):
+                new = duhamel + heat_row(m)
+                norms.append(_node_norms(grid, new - row))
+                row[...] = new
+            inc = _kato_increment(nodes, norms)
             increments.append(inc)
-            curr = nxt
             if inc < cfg.picard.contraction_tol:
                 converged = True
                 break
@@ -350,7 +367,7 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     report = ConvergenceReport(converged, len(increments), increments, ratios,
                                contraction, cfg.picard.contraction_tol,
                                time.perf_counter() - t0)
-    traj = Trajectory(grid, tg, curr, "picard", {"nu": cfg.nu, "converged": converged})
+    traj = Trajectory(grid, tg, coeffs, "picard", {"nu": cfg.nu, "converged": converged})
     if not converged:
         reason = "increment diverged" if blew_up else f"no contraction within {cfg.picard.max_iters} iterations"
         raise NonConvergence(reason, traj, report)

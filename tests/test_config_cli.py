@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cnlab import config
+from cnlab import cli, config
 from cnlab.cli import main as cli_main
 from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
@@ -21,7 +23,7 @@ from cnlab.monitor import CSV_COLUMNS, read_monitor_csv, write_monitor_csv
 from cnlab.semigroup import heat
 from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import (EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig,
-                          kato_smallness, make_profile)
+                          etdrk4_integrate, kato_smallness, make_profile)
 from cnlab.verification import CHECKS, SIZE_KEYS, VerificationReport
 
 
@@ -446,6 +448,79 @@ class TestSimulateCommand:
         assert err["error"]["type"] == "BlowupSuspected"
         report = json.loads((out / "report.json").read_text())
         assert report["runs"]["etdrk4"]["blowup_time"] == pytest.approx(0.2)
+
+
+# a random 2D/16 run that converges and cross-validates, with the sidecar on
+OVERLAP_SIM = {"dim": 2, "res": 16, "nu": 0.7, "horizon": 0.2,
+               "picard": {"node_count": 8}, "etdrk4": {"dt": 0.005},
+               "profile": {"kind": "random_divfree", "amplitude": 0.3, "seed": 1},
+               "monitor": {"p_list": [4]}}
+BLOWUP_SIM = {"dim": 2, "res": 16, "nu": 1e-3, "horizon": 1.0,
+              "picard": {"node_count": 10}, "etdrk4": {"dt": 0.05},
+              "profile": {"kind": "random_divfree", "amplitude": 1e3, "seed": 1}}
+
+
+class TestSimulateOverlap:
+    """simulate --method both ends the same, artifact for artifact, whether
+    ETDRK4 runs on a worker thread beside Picard (cutoff 0) or after it on
+    the calling thread (cutoff inf)."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, capsys, data, cutoff):
+        monkeypatch.setattr(cli, "_OVERLAP_BYTES", cutoff)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        solved_on = []
+
+        def integrate(*args):
+            solved_on.append(threading.current_thread())
+            return etdrk4_integrate(*args)
+
+        monkeypatch.setattr(cli, "etdrk4_integrate", integrate)
+        cfg = write_json(tmp_path / "cfg.json", data)
+        out = tmp_path / f"out-{cutoff}"
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                             "--method", "both"])
+        assert threading.active_count() == threads
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.replace(str(out), "OUT")
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file() and p.name != "report.json"}
+        report = json.loads((out / "report.json").read_text().replace(str(out), "OUT"))
+        report["runs"]["picard"]["convergence"].pop("wall_time")
+        return code, err, files, report, solved_on
+
+    @pytest.mark.parametrize("case, data, exit_code", [
+        ("converged", OVERLAP_SIM, 0),
+        ("max-iters", {**OVERLAP_SIM, "picard": {"node_count": 8, "max_iters": 1}}, 3),
+        ("cross-validation", {**OVERLAP_SIM, "cross_tol": 1e-30}, 2),
+        # Picard diverges on the blow-up config before ETDRK4 is asked for
+        ("picard-diverges", BLOWUP_SIM, 3),
+        # a loose tolerance lets Picard pass, so ETDRK4's blow-up decides
+        ("etdrk4-blows-up", {**BLOWUP_SIM, "picard": {"node_count": 10,
+                                                      "contraction_tol": 1e30}}, 4)])
+    def test_worker_thread_changes_no_artifact(self, tmp_path, monkeypatch, capsys,
+                                               case, data, exit_code):
+        *overlapped, on_worker = self.run(tmp_path, monkeypatch, capsys, data, 0)
+        *sequential, on_caller = self.run(tmp_path, monkeypatch, capsys, data, math.inf)
+        assert overlapped == sequential
+        code, err, files, report = sequential
+        assert code == exit_code
+        assert (json.loads(err)["error"]["type"] if err else None) == (
+            report["error"] and report["error"]["type"])
+        # a failed Picard route drops ETDRK4's result, which the worker computed
+        routes = {"picard"} if exit_code == 3 else {"picard", "etdrk4"}
+        assert set(report["runs"]) == routes
+        assert {name.split("/")[1] for name in files if "/" in name} == routes
+        assert len(on_worker) == 1 and on_worker[0] is not threading.main_thread()
+        assert on_caller == [threading.main_thread()] * (len(routes) - 1)
+
+    def test_small_states_stay_on_the_calling_thread(self, tmp_path, monkeypatch, capsys):
+        # 2D/16 states are 4.5 KiB, below the module's cutoff
+        *_, solved_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM, cli._OVERLAP_BYTES)
+        assert solved_on == [threading.main_thread()]
 
 
 def test_long_run_reaches_underflow_scale_states(tmp_path):

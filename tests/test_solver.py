@@ -16,7 +16,7 @@ from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
                           cross_validate, etdrk4_integrate, kato_smallness, make_profile,
                           picard_solve, probe_contraction_threshold)
 
-from helpers import rel_err, single_mode_vector
+from helpers import picard_reference, rel_err, single_mode_vector
 
 PI_SQRT2 = 4.442882938158366  # L2 norm of a unit single-mode component in 2d
 
@@ -152,6 +152,43 @@ class TestPicard:
         for t, row in zip(traj.times, traj.coeffs):
             assert row.tobytes() == heat(u0, float(t), 0.7).coeffs.tobytes()
 
+    @pytest.mark.parametrize("max_iters", [0, 1, 2, 25])
+    @pytest.mark.parametrize("grading", ["uniform", "graded"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sweep_matches_the_whole_trajectory_iteration(self, dim, grading, max_iters):
+        # 25 iterations converge; fewer leave the NonConvergence partial trajectory
+        self.assert_matches_reference(dim, grading, max_iters, nu=0.7, amplitude=0.3)
+
+    @pytest.mark.parametrize("amplitude", [1e3, 1e155])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_diverging_sweep_matches_the_whole_trajectory_iteration(self, dim, amplitude):
+        # 1e3 at nu = 1e-3 diverges by growth, 1e155 by a nan first iterate
+        self.assert_matches_reference(dim, "uniform", 25, nu=1e-3, amplitude=amplitude,
+                                      diverges=True)
+
+    @staticmethod
+    def assert_matches_reference(dim, grading, max_iters, nu, amplitude, diverges=False):
+        g = Grid(dim, 16)
+        u0 = make_profile(g, "random_divfree", amplitude=amplitude, seed=1)
+        cfg = SolverConfig(dim=dim, res=16, nu=nu, horizon=0.2,
+                           picard=PicardOptions(max_iters=max_iters, node_count=6,
+                                                grading=grading))
+        try:
+            traj, rep = picard_solve(u0, cfg)
+            reason = "converged"
+        except NonConvergence as exc:
+            traj, rep, reason = exc.trajectory, exc.report, str(exc)
+        coeffs, increments = picard_reference(u0, cfg)
+        if diverges:
+            assert reason == "increment diverged"
+        elif max_iters < 25:
+            assert reason == f"no contraction within {max_iters} iterations"
+        else:
+            assert reason == "converged" and rep.iterations > 2
+        assert traj.coeffs.tobytes() == coeffs.tobytes()
+        # as float64 bytes, so that a nan increment matches itself
+        assert np.array(rep.increments).tobytes() == np.array(increments).tobytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_increment_not_finite_when_a_node_is_not(self, g2_16, bad):
         # max() drops a nan, so a nan node once read as increment 0: converged
@@ -159,8 +196,13 @@ class TestPicard:
         prev = np.stack([zero_field(g2_16).coeffs for _ in nodes])
         curr = np.stack([single_mode_vector(g2_16, (1, 0), 1).coeffs for _ in nodes])
         curr[1, 0, 0, 1] = bad
-        assert not math.isfinite(solver._kato_increment(g2_16, prev, curr, nodes))
-        assert math.isfinite(solver._kato_increment(g2_16, prev, curr[:1], nodes))
+
+        def increment(prev, curr, nodes):
+            norms = [solver._node_norms(g2_16, b - a) for a, b in zip(prev, curr)]
+            return solver._kato_increment(nodes, norms)
+
+        assert not math.isfinite(increment(prev, curr, nodes))
+        assert math.isfinite(increment(prev, curr[:1], nodes))
 
 
 class TestEtdrk4:
