@@ -23,6 +23,7 @@ import contextvars
 import json
 import os
 import sys
+import threading
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
@@ -32,7 +33,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, load_json, monitor_options_from_dict,
                      solver_config_from_dict, verify_config_from_dict)
-from .fields import linf, lp_norm
+from .fields import _transforms_rebound, linf, lp_norm
 from .littlewood_paley import besov_norm
 from .monitor import monitor, write_monitor_csv
 from .semigroup import TimeGrid
@@ -95,7 +96,10 @@ def _write_trajectory_artifacts(outdir: Path, traj: Trajectory, method: str,
 # two routes share only u0, and their time goes to FFTs and large
 # elementwise loops, which numpy runs without holding the GIL. On smaller
 # states the GIL hand-offs cost more than the second core gains (measured:
-# 2D/64 and 3D/16 lose, 2D/128 and 3D/32 win).
+# 2D/64 and 3D/16 lose, 2D/128 and 3D/32 win). Both routes would call a
+# profiler's wrappers around the transforms, and one that keeps a single
+# call stack per process would mix their attributions from run to run, so
+# with the transforms rebound the routes run one after the other.
 _OVERLAP_BYTES = 256 << 10
 
 
@@ -120,17 +124,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     code = EXIT_OK
     methods = ["picard", "etdrk4"] if args.method == "both" else [args.method]
     trajs: dict[str, Trajectory] = {}
-    # leaving the block joins the worker, on every path: a failed Picard
-    # route drops ETDRK4's result, and an ETDRK4 failure is raised by
+    # leaving the block stops and joins the worker, on every path: a failed
+    # Picard route drops ETDRK4's result, and an ETDRK4 failure is raised by
     # etdrk4() after Picard's artifacts are written, as in a sequential run
     with ExitStack() as stack:
         etdrk4 = partial(etdrk4_integrate, u0, cfg)
         if (args.method == "both" and u0.coeffs.nbytes >= _OVERLAP_BYTES
-                and _usable_cpus() >= 2):
+                and _usable_cpus() >= 2 and not _transforms_rebound()):
             from concurrent.futures import ThreadPoolExecutor  # only this path pays its import
             pool = stack.enter_context(ThreadPoolExecutor(1))
+            # set before the pool joins the worker, so that a run whose Picard
+            # route failed, or that is interrupted, does not wait for the rest
+            # of the ETDRK4 solve; after a whole run it is already done
+            stop = threading.Event()
+            stack.callback(stop.set)
             # the worker runs in the caller's context, numpy's error state included
-            etdrk4 = pool.submit(contextvars.copy_context().run, etdrk4).result
+            etdrk4 = pool.submit(contextvars.copy_context().run, etdrk4, stop=stop).result
         for method in methods:
             try:
                 if method == "picard":

@@ -112,6 +112,17 @@ def _same_grid(a: Grid, b: Grid) -> None:
 # the transform pair (leading axes arbitrary, spatial axes trailing)
 # ---------------------------------------------------------------------------
 
+# numpy's transforms as this module found them at import
+_NUMPY_TRANSFORMS = {name: getattr(np.fft, name) for name in
+                     ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")}
+
+
+def _transforms_rebound() -> bool:
+    """Whether something has rebound numpy's transforms since import, as a
+    profiler does that wraps them to attribute each transform to its caller."""
+    return any(getattr(np.fft, name) is not fn for name, fn in _NUMPY_TRANSFORMS.items())
+
+
 def phys_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Physical samples of a (..., *spectral_shape) stack, by an inverse real transform."""
     return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.spatial_axes, norm="forward")

@@ -24,6 +24,7 @@ controlling convergence of the fixed point.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
@@ -45,6 +46,10 @@ class NonConvergence(RuntimeError):
         super().__init__(message)
         self.trajectory = trajectory
         self.report = report
+
+
+class Cancelled(RuntimeError):
+    """etdrk4_integrate stopped before the horizon because its stop event was set."""
 
 
 class BlowupSuspected(RuntimeError):
@@ -294,8 +299,7 @@ def profile_from_spec(grid: Grid, spec: ProfileSpec) -> SpectralVectorField:
 def _node_norms(grid: Grid, du: np.ndarray) -> tuple[float, float]:
     """(||du||_inf, ||du||_n) of one node's increment du, n the dimension,
     from one transform."""
-    sup, n_norm = _lp_norms(grid, phys_values(grid, du), (math.inf, float(grid.dim)))
-    return sup, n_norm
+    return _lp_norms(grid, phys_values(grid, du), (math.inf, float(grid.dim)))
 
 
 def _kato_increment(nodes: np.ndarray, norms: Sequence[tuple[float, float]]) -> float:
@@ -409,13 +413,16 @@ def _etdrk4_segment(u: np.ndarray, weights: tuple[np.ndarray, ...], nsteps: int,
     return u
 
 
-def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
+def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
+                     stop: threading.Event | None = None) -> Trajectory:
     """Fixed-step exponential integrator recording states at the time-grid nodes.
 
     The requested dt is an upper bound: each inter-node interval is covered by
     an integer number of equal steps so node times are hit exactly. Raises
     BlowupSuspected on NaN/overflow, with the finite states before it as the
-    partial trajectory, whose last row is last_state.
+    partial trajectory, whose last row is last_state. Every right-hand side
+    first looks at ``stop``, if given, and raises Cancelled once it is set,
+    so another thread can end the solve within one stage.
     """
     grid = u0.grid
     if (grid.dim, grid.res) != (cfg.dim, cfg.res):
@@ -428,6 +435,8 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
     lam = -cfg.nu * grid.ksq
 
     def rhs(coeffs: np.ndarray) -> np.ndarray:
+        if stop is not None and stop.is_set():
+            raise Cancelled("stopped before the horizon")
         if not np.all(np.isfinite(coeffs)):
             raise _NonFinite
         f = SpectralVectorField(grid, coeffs)

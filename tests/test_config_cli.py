@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnlab import cli, config
+from cnlab import cli, config, solver
 from cnlab.cli import main as cli_main
 from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
@@ -471,9 +471,9 @@ class TestSimulateOverlap:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         solved_on = []
 
-        def integrate(*args):
+        def integrate(*args, **kwargs):
             solved_on.append(threading.current_thread())
-            return etdrk4_integrate(*args)
+            return etdrk4_integrate(*args, **kwargs)
 
         monkeypatch.setattr(cli, "etdrk4_integrate", integrate)
         cfg = write_json(tmp_path / "cfg.json", data)
@@ -521,6 +521,41 @@ class TestSimulateOverlap:
         # 2D/16 states are 4.5 KiB, below the module's cutoff
         *_, solved_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM, cli._OVERLAP_BYTES)
         assert solved_on == [threading.main_thread()]
+
+    def test_rebound_transforms_keep_the_calling_thread(self, tmp_path, monkeypatch, capsys):
+        # a wrapper around a numpy transform, as a profiler installs one
+        irfftn = np.fft.irfftn
+        monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k))
+        *_, solved_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM, 0)
+        assert solved_on == [threading.main_thread()]
+
+    @pytest.mark.parametrize("data", [
+        {**OVERLAP_SIM, "picard": {"node_count": 8, "max_iters": 1}}, BLOWUP_SIM])
+    def test_failed_picard_stops_the_worker(self, tmp_path, monkeypatch, data):
+        monkeypatch.setattr(cli, "_OVERLAP_BYTES", 0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        ends = []
+
+        def integrate(u0, cfg, stop):
+            # hold the solve back until the calling thread has left the
+            # overlap; a stop that never comes leaves False here
+            ends.append(stop.wait(60))
+            try:
+                etdrk4_integrate(u0, cfg, stop)
+            except solver.Cancelled:
+                ends.append("cancelled")
+            else:
+                ends.append("finished")
+
+        monkeypatch.setattr(cli, "etdrk4_integrate", integrate)
+        cfg = write_json(tmp_path / "cfg.json", data)
+        out = tmp_path / "out"
+        threads = threading.active_count()
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--method", "both"]) == 3
+        assert threading.active_count() == threads
+        assert ends == [True, "cancelled"]
+        assert not (out / "snapshots" / "etdrk4").exists()
 
 
 def test_long_run_reaches_underflow_scale_states(tmp_path):
