@@ -28,14 +28,13 @@ half holds both c(k) and c(-k); spectral_values and _from_box replace those
 planes by their Hermitian part, which is what the inverse real transform
 reads there.
 
-_lp_norms below is the package's only Lebesgue norm: lp_norm, linf, energy,
-the monitor columns, the Picard increment and the exact divergence guard all
-use it. It rescales where squares or p-th powers would leave the float range
-(by a power of two once the largest magnitude is beyond about 2^+-500), so
-no finite norm overflows or underflows; ordinary values take the plain
-arithmetic. Only the Kato ladder reads the unrescaled magnitude itself. The
-exact divergence guard runs only where the transform-free _divergence_bound
-cannot pass the input.
+_squared_magnitudes below is the only function that squares physical
+samples; _lp_norms, the Besov block sups and the Kato ladder read the
+pointwise magnitude through it, so none of them overflows or underflows on
+a finite state. _lp_norms is the package's only Lebesgue norm: lp_norm,
+linf, energy, the monitor columns, the Picard increment and the exact
+divergence guard all use it, and that guard runs only where the
+transform-free _divergence_bound cannot pass the input.
 
 All operations here are pure: inputs are never mutated and returned fields own
 fresh arrays.
@@ -344,44 +343,58 @@ def pointwise_tensor(u: SpectralVectorField, v: SpectralVectorField,
 def _plain_range(top: float, q: float) -> bool:
     """Whether top**q is a float within [2^-1000, 2^1000], or top is zero or
     not finite (where no rescaling helps)."""
-    if top == 0.0 or not math.isfinite(top):
-        return True
     exp = math.frexp(top)[1]  # top in [2^(exp-1), 2^exp)
-    return q * exp <= 1000 and q * (exp - 1) >= -1000
+    return not 0.0 < top < math.inf or q * exp <= 1000 and q * (exp - 1) >= -1000
 
 
-def _plain_magnitude(grid: Grid, phys: np.ndarray) -> np.ndarray:
-    """sqrt of the summed squares over all component axes; inf where a square overflows."""
-    with np.errstate(over="ignore"):
-        return np.sqrt(np.sum(phys.reshape((-1,) + grid.shape) ** 2, axis=0))
+def _squared_magnitudes(grid: Grid, spectra: np.ndarray,
+                        radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(squares, tops, exps) of a (nstates, *component axes, *box shape) stack
+    of spectra (_box_phys_values): squares sums the squared samples over the
+    component axes, tops is its per-state max, and state i has magnitude
+    2^exps[i] * sqrt(squares[i]). A finite, nonzero state whose top leaves
+    [2^-1000, 2^1000) is transformed again from its spectrum times 2^-e, e the
+    exponent of its largest coefficient part. Power-of-two scaling is exact,
+    so states in range keep exps 0 and the plain squares bit for bit.
+    """
+    def summed(stack: np.ndarray) -> np.ndarray:
+        phys = _box_phys_values(grid, stack, radius).reshape((len(stack), -1) + grid.shape)
+        return np.sum(np.square(phys, out=phys), axis=1)
+
+    with np.errstate(over="ignore"):  # such states are transformed again below
+        squares = summed(spectra)
+    tops = squares.reshape(len(spectra), -1).max(axis=1)
+    exps = np.zeros(len(spectra), dtype=np.int64)
+    for i in np.flatnonzero(~((tops >= 2.0**-1000) & (tops < 2.0**1000))):
+        parts = np.ascontiguousarray(spectra[i:i + 1]).view(np.float64)  # ldexp is real-only
+        peak = float(np.abs(parts).max())
+        if 0.0 < peak < math.inf:
+            exps[i] = math.frexp(peak)[1]
+            squares[i] = summed(np.ldexp(parts, -exps[i]).view(np.complex128))[0]
+            tops[i] = squares[i].max()
+    return squares, tops, exps
 
 
-def _lp_norms(grid: Grid, phys: np.ndarray, ps: Sequence[float]) -> list[float]:
-    """L^p norms, one per p in ps, of the pointwise Euclidean magnitude of
-    physical samples over all component axes.
+def _lp_norms(grid: Grid, coeffs: np.ndarray, ps: Sequence[float]) -> list[float]:
+    """L^p norms, one per p in ps, of the pointwise Euclidean magnitude, over
+    all component axes, of a (*component axes, *spectral_shape) spectrum.
 
     Finite p uses the uniform quadrature ((2*pi/res)^dim * sum_x |f(x)|^p)^(1/p);
-    p = inf is the grid max. Samples whose squares would overflow or
-    underflow (largest magnitude outside [2^-500, 2^500)) are rescaled by a
-    power of two first, and p-th powers that would leave the float range are
-    taken of mag / max(mag), so no finite norm overflows or underflows.
+    p = inf is the grid max. The magnitudes come from _squared_magnitudes,
+    and p-th powers that would leave the float range are taken of
+    mag / max(mag), so a norm overflows only where its value does.
     """
-    mag = _plain_magnitude(grid, phys)
-    top = float(mag.max())
-    if not 2.0**-500 <= top < 2.0**500:
-        peak = float(np.abs(phys).max())
-        if peak != 0.0 and math.isfinite(peak):
-            e = math.frexp(peak)[1]
-            mag = np.ldexp(_plain_magnitude(grid, np.ldexp(phys, -e)), e)
-            top = float(mag.max())
+    squares, tops, exps = _squared_magnitudes(grid, coeffs[np.newaxis], grid.nyquist)
+    mag, top = np.sqrt(squares[0]), math.sqrt(tops[0])
     norms = []
     for p in ps:
         if math.isinf(p):
-            norms.append(top)
+            norm = top
         elif _plain_range(top, p):
-            norms.append(float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p)))
+            norm = float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
         else:
-            norms.append(top * float((grid.cell_volume * np.sum((mag / top) ** p)) ** (1.0 / p)))
+            norm = top * float((grid.cell_volume * np.sum((mag / top) ** p)) ** (1.0 / p))
+        norms.append(float(np.ldexp(norm, exps[0])))
     return norms
 
 
@@ -393,7 +406,7 @@ def lp_norm(f: SpectralField, p: float) -> float:
     """
     if not p >= 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
-    return _lp_norms(f.grid, phys_values(f.grid, f.coeffs), (p,))[0]
+    return _lp_norms(f.grid, f.coeffs, (p,))[0]
 
 
 def linf(f: SpectralField) -> float:
@@ -438,7 +451,7 @@ def random_field(grid: Grid, rng: np.random.Generator, slope: float = 2.0,
     c = 0.5 * (draw[..., :grid.half_len] * amp + np.conj(mirror * amp))
     c[(slice(None),) + (0,) * d] = 0.0
     if normalize:
-        peak = _lp_norms(grid, phys_values(grid, c), (math.inf,))[0]
+        peak = _lp_norms(grid, c, (math.inf,))[0]
         if peak > 0:
             c /= peak
     return c

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralField, _box_of, _box_phys_values
+from .fields import SpectralField, _box_of, _squared_magnitudes
 from .grid import Grid
 
 
@@ -140,7 +140,8 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
     the multiplier's (part.radii) and the batch's support box (Grid.kinf over
     its nonzero entries); outside both the block is zero. A batch with a
     non-finite coefficient is transformed on the whole half, and its
-    non-finite states for every block, since inf * 0 is nan.
+    non-finite states for every block, since inf * 0 is nan. Sups are
+    finite for every finite state (fields._squared_magnitudes).
     """
     nstates = stack.shape[0]
     out = np.zeros((nstates, part.jmax + 2))
@@ -156,17 +157,11 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
         if not rows.any():
             continue
         blocks = _box_of(grid, stack if rows.all() else stack[rows], radius, mult)
-        phys = _box_phys_values(grid, blocks, radius)
-        mag = np.sum(np.square(phys, out=phys), axis=1)
+        _, tops, exps = _squared_magnitudes(grid, blocks, radius)
         # sqrt is monotone and correctly rounded: the root of the max is the
         # max of the roots, taken once per state
-        out[rows, col] = np.sqrt(mag.reshape(len(blocks), -1).max(axis=1))
+        out[rows, col] = np.ldexp(np.sqrt(tops), exps)
     return out
-
-
-def _besov_from_sups(sups: np.ndarray, s: float, jmax: int) -> np.ndarray:
-    weights = np.concatenate([[1.0], np.power(2.0, s * np.arange(jmax + 1))])
-    return np.max(sups * weights, axis=-1)
 
 
 # Bytes of half spectra per batched block transform: long trajectories go
@@ -201,7 +196,8 @@ def besov_norm_states(coeffs: np.ndarray, s: float, part: DyadicPartition) -> np
     per = max(1, _BATCH_BYTES // flat[0].nbytes)
     sups = np.concatenate([_stack_block_sups(grid, flat[i:i + per], part)
                            for i in range(0, len(flat), per)])
-    return _besov_from_sups(sups, s, part.jmax)
+    weights = np.concatenate([[1.0], np.power(2.0, s * np.arange(part.jmax + 1))])
+    return np.max(sups * weights, axis=-1)
 
 
 def besov_distance(f: SpectralField, g: SpectralField, s: float,

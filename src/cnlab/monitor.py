@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralVectorField, _lp_norms, _same_grid, phys_values
+from .fields import SpectralVectorField, _lp_norms, _same_grid
 from .littlewood_paley import DyadicPartition, besov_norm_states, build_partition
 from .snapshots import atomic_write
 from .solver import KatoSmallness, Trajectory, _kato, kato_smallness
@@ -93,8 +93,8 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
     n = float(grid.dim)
     horizon = traj.tgrid.horizon
 
-    # near-blowup states may overflow the block sups; inf columns are honest
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a NaN or inf state gives nan block sups; the column says so
+    with np.errstate(invalid="ignore"):
         besov = besov_norm_states(traj.coeffs, -1.0, part)
         if omega is not None:
             _same_grid(grid, omega.grid)
@@ -103,8 +103,7 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
     for m, state in enumerate(traj.states):
         t = float(traj.times[m])
         # one transform per state for every exponent; the same values lp_norm gives
-        lp2, lpn, lpinf, *extra = _lp_norms(grid, phys_values(grid, state.coeffs),
-                                            (2.0, n, math.inf, *p_list))
+        lp2, lpn, lpinf, *extra = _lp_norms(grid, state.coeffs, (2.0, n, math.inf, *p_list))
         rec = MonitorRecord(
             t=t,
             lp_2=lp2,
@@ -119,7 +118,7 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
         if kato_horizon is not None:
             rem = min(1.0, horizon - t) if kato_horizon == "default" else float(kato_horizon)
             if rem > 0:
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(invalid="ignore"):
                     rec.kato_I = _kato(state, rem, nu, lpn).value
         records.append(rec)
     return records

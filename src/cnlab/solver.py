@@ -32,8 +32,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fields import (_BOUND_MARGIN, SpectralVectorField, _lp_norms,
-                     _plain_magnitude, linf, lp_norm, phys_values,
-                     project_mean_zero, random_field, to_spectral)
+                     _squared_magnitudes, linf, lp_norm, project_mean_zero,
+                     random_field, to_spectral)
 from .grid import Grid
 from .phi import phi1, phi2, phi3
 from .semigroup import TimeGrid, duhamel_rows, leray_project, nonlinearity
@@ -180,26 +180,17 @@ def _kato_ladder(horizon: float) -> np.ndarray:
     return ts
 
 
-# A skipped ladder point needs its bound below the best value by
-# _BOUND_MARGIN. Squared sample magnitudes overflow near 1.3e154, turning a
-# value the bound caps into inf; no point of a state whose coefficient sum
-# reaches this is skipped.
-_BOUND_LIMIT = 1e150
-
-
 def _heat_bounds(grid: Grid, coeffs: np.ndarray, ts: np.ndarray, nu: float) -> np.ndarray:
     """Upper bounds sum_k |c(k)| exp(-nu t |k|^2) on ||heat(c, t)||_inf, per t in ts.
 
     coeffs is a (ncomp, *spectral_shape) stack, |c(k)| the Euclidean length
     over components, and the sum runs over the spectrum the inverse real
     transform reads (Grid.mirror_weights). One matrix-vector product over
-    the occupied shells |k|^2 gives every t. Bounds are inf for non-finite or
-    overflow-scale states.
+    the occupied shells |k|^2 gives every t. Bounds are nan or inf for
+    non-finite states.
     """
     amp = np.hypot.reduce(np.abs(coeffs), axis=0) * grid.mirror_weights
     shells = np.bincount(grid.ksq.astype(np.int64).ravel(), weights=amp.ravel())
-    if not shells.sum() < _BOUND_LIMIT:
-        return np.full(ts.shape, np.inf)
     occupied = np.flatnonzero(shells)
     return np.exp(-nu * np.outer(ts, occupied)) @ shells[occupied]
 
@@ -212,8 +203,8 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
     sqrt(t) * _heat_bounds, stopping once the bound falls below the best
     value, so every point left out is strictly below the sup. The maximizer
     is the first strict maximum in ladder order; nan values never qualify,
-    and (-1, ts[0]) is returned when every value is nan. Values read the
-    plain magnitude, so a state whose squares overflow has sup inf.
+    and (-1, ts[0]) is returned when every value is nan. Values are finite
+    for every finite state (fields._squared_magnitudes).
     """
     ksq = grid.ksq
     bounds = np.sqrt(ts) * _heat_bounds(grid, coeffs, ts, nu)
@@ -223,8 +214,9 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
         if bounds[i] * _BOUND_MARGIN < best:
             break
         t = ts[i]
-        mag = _plain_magnitude(grid, phys_values(grid, coeffs * np.exp(-nu * t * ksq)))
-        vals[i] = math.sqrt(t) * float(np.max(mag))
+        heated = (coeffs * np.exp(-nu * t * ksq))[np.newaxis]
+        _, tops, exps = _squared_magnitudes(grid, heated, grid.nyquist)
+        vals[i] = math.sqrt(t) * float(np.ldexp(math.sqrt(tops[0]), exps[0]))
         if vals[i] > best:
             best = vals[i]
     best, t_at = -1.0, float(ts[0])
@@ -299,7 +291,7 @@ def profile_from_spec(grid: Grid, spec: ProfileSpec) -> SpectralVectorField:
 def _node_norms(grid: Grid, du: np.ndarray) -> tuple[float, float]:
     """(||du||_inf, ||du||_n) of one node's increment du, n the dimension,
     from one transform."""
-    return _lp_norms(grid, phys_values(grid, du), (math.inf, float(grid.dim)))
+    return _lp_norms(grid, du, (math.inf, float(grid.dim)))
 
 
 def _kato_increment(nodes: np.ndarray, norms: Sequence[tuple[float, float]]) -> float:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from cnlab.fields import SpectralVectorField, TensorField, _lp_norms, phys_values
+from cnlab.fields import SpectralVectorField, TensorField, _lp_norms
 from cnlab.grid import Grid
 from cnlab.semigroup import duhamel_L, nonlinearity
 
@@ -147,7 +147,7 @@ def picard_reference(u0: SpectralVectorField, cfg) -> tuple[np.ndarray, list[flo
     def increment(prev: np.ndarray, nxt: np.ndarray) -> float:
         sup_w = sup_n = 0.0
         for t, a, b in zip(nodes, prev, nxt):
-            sup, n_norm = _lp_norms(grid, phys_values(grid, b - a), (math.inf, float(grid.dim)))
+            sup, n_norm = _lp_norms(grid, b - a, (math.inf, float(grid.dim)))
             if not math.isfinite(sup + n_norm):
                 return sup + n_norm
             sup_w = max(sup_w, math.sqrt(float(t)) * sup)

@@ -17,8 +17,9 @@ from cnlab import cli, config, solver
 from cnlab.cli import main as cli_main
 from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
-from cnlab.fields import lp_norm
+from cnlab.fields import linf, lp_norm
 from cnlab.grid import Grid
+from cnlab.littlewood_paley import block, build_partition
 from cnlab.monitor import CSV_COLUMNS, read_monitor_csv, write_monitor_csv
 from cnlab.semigroup import heat
 from cnlab.snapshots import read_snapshot, write_snapshot
@@ -574,6 +575,27 @@ def test_long_run_reaches_underflow_scale_states(tmp_path):
     assert [r.lp_inf for r in records] == [lp_norm(read_snapshot(p)[0], math.inf)
                                            for p in snaps]
     assert records[1].lp_inf > 0.0
+
+
+def test_long_run_monitor_reads_underflow_scale_states(tmp_path):
+    # Taylor-Green and the |k| = 1 roundoff mode that outlives it lie in the
+    # dyadic block D_0 of weight 1, so besov_m1 is lp_inf up to the state's
+    # sup outside D_0; the squares of these states underflow from t = 350 on
+    cfg = write_json(tmp_path / "cfg.json", {**TG_SIM, "horizon": 800,
+                                             "picard": {"node_count": 64},
+                                             "etdrk4": {"dt": 1.0}})
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    records = read_monitor_csv(out / "monitor_picard.csv")
+    snaps = sorted((out / "snapshots" / "picard").glob("*.snap"))
+    part = build_partition(Grid(2, 16))
+    for rec, path in zip(records, snaps, strict=True):
+        u = read_snapshot(path)[0]
+        off_block = linf(u - block(u, 0, part))
+        assert abs(rec.besov_m1 - rec.lp_inf) <= 1e-12 * rec.lp_inf + off_block
+        if rec.kato_I is not None and rec.lp_inf > 0.0:  # horizon left, state nonzero
+            assert rec.kato_I > 0.0
+    assert 0.0 < records[56].lp_inf < 1e-300  # t = 700 is well in the underflow range
 
 
 class TestMonitorCommand:

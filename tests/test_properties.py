@@ -28,7 +28,7 @@ from cnlab.fields import (SpectralVectorField, _box_of, _box_phys_values, _box_s
                           random_vector_field, spectral_values)
 from cnlab.grid import Grid
 from cnlab.littlewood_paley import (_stack_block_sups, besov_distance, besov_norm,
-                                    besov_norm_states, build_partition)
+                                    besov_norm_states, block_sup_norms, build_partition)
 from cnlab.monitor import monitor
 from cnlab.semigroup import (DIV_FREE_TOL, TimeGrid, div_tensor, leray_project,
                              nonlinearity)
@@ -230,7 +230,7 @@ def test_nonlinearity_matches_full_transforms(grid, seed, use_dealias):
 # ---------------------------------------------------------------------------
 
 KINDS = ["zero", "single_mode", "single_shell", "band", "broadband",
-         "mode_and_noise", "huge", "nan", "inf"]
+         "mode_and_noise", "huge", "tiny", "nan", "inf"]
 
 
 def make_state(grid, kind, seed):
@@ -260,17 +260,36 @@ def make_state(grid, kind, seed):
         c = random_field(grid, rng, slope=float(rng.choice([0.0, 2.0])))
     if kind == "huge":
         c *= 1e160
+    elif kind == "tiny":
+        c *= 1e-200
     elif kind in ("nan", "inf"):
         idx = tuple(int(rng.integers(0, n)) for n in c.shape)
         c[idx] = np.nan if kind == "nan" else np.inf
     return c
 
 
+def sup_reference(grid, coeffs):
+    """Grid max of the Euclidean magnitude of one (ncomp, *spectral_shape)
+    spectrum, from plain squares of its whole-half transform. A finite,
+    nonzero state whose top square leaves [2^-1000, 2^1000) is measured from
+    its spectrum scaled by 2^-e, e the exponent of its largest coefficient
+    part, and the sup scaled back; power-of-two scaling is exact."""
+    def plain(c):
+        with np.errstate(over="ignore"):
+            return float(np.max(np.sum(phys_values(grid, c) ** 2, axis=0)))
+
+    top, e = plain(coeffs), 0
+    peak = float(np.max(np.abs(np.stack([coeffs.real, coeffs.imag]))))
+    if not 2.0**-1000 <= top < 2.0**1000 and 0.0 < peak < math.inf:
+        e = math.frexp(peak)[1]
+        top = plain(np.ldexp(coeffs.real, -e) + 1j * np.ldexp(coeffs.imag, -e))
+    return float(np.ldexp(math.sqrt(top), e))
+
+
 def ladder_reference(grid, coeffs, ts, nu):
     best, t_at = -1.0, float(ts[0])
     for t in ts:
-        phys = phys_values(grid, coeffs * np.exp(-nu * t * grid.ksq))
-        v = math.sqrt(t) * float(np.max(np.sqrt(np.sum(phys**2, axis=0))))
+        v = math.sqrt(t) * sup_reference(grid, coeffs * np.exp(-nu * t * grid.ksq))
         if v > best:
             best, t_at = v, float(t)
     return best, t_at
@@ -278,12 +297,7 @@ def ladder_reference(grid, coeffs, ts, nu):
 
 def block_sups_reference(grid, stack, part):
     mults = np.concatenate([part.s0[np.newaxis], part.delta])
-    out = np.empty((stack.shape[0], len(mults)))
-    for col, mult in enumerate(mults):
-        phys = phys_values(grid, stack * mult)
-        mag = np.sqrt(np.sum(phys**2, axis=1))
-        out[:, col] = mag.reshape(stack.shape[0], -1).max(axis=1)
-    return out
+    return np.array([[sup_reference(grid, c * mult) for mult in mults] for c in stack])
 
 
 @PROPS
@@ -299,14 +313,13 @@ def test_pruned_heat_ladder_matches_every_transform(grid, kind, seed, horizon, n
 
 
 @PROPS
-@given(grids, st.sampled_from(KINDS[:6]), seeds, st.sampled_from([0.5, 1.0, 2.0]))
+@given(grids, st.sampled_from(KINDS[:8]), seeds, st.sampled_from([0.5, 1.0, 2.0]))
 def test_heat_bounds_cap_the_sup_norm(grid, kind, seed, nu):
     c = make_state(grid, kind, seed)
     ts = _kato_ladder(1.0)
     bounds = _heat_bounds(grid, c, ts, nu)
     for t, bound in zip(ts, bounds):
-        phys = phys_values(grid, c * np.exp(-nu * t * grid.ksq))
-        assert np.max(np.sqrt(np.sum(phys**2, axis=0))) <= bound * (1.0 + 1e-12)
+        assert sup_reference(grid, c * np.exp(-nu * t * grid.ksq)) <= bound * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -327,7 +340,7 @@ def test_heat_bounds_exact_on_one_mode(dim):
 
 
 @PROPS
-@given(grids, st.lists(st.sampled_from(KINDS[:6]), min_size=1, max_size=6),
+@given(grids, st.lists(st.sampled_from(KINDS[:8]), min_size=1, max_size=6),
        st.booleans(), seeds, st.sampled_from(["sharp", "smooth"]))
 def test_pruned_block_sups_match_every_transform(grid, kinds, nonfinite, seed, mode):
     if nonfinite:
@@ -338,6 +351,27 @@ def test_pruned_block_sups_match_every_transform(grid, kinds, nonfinite, seed, m
         got = _stack_block_sups(grid, stack, part)
         ref = block_sups_reference(grid, stack, part)
     assert got.tobytes() == ref.tobytes()
+
+
+@PROPS
+@given(grids, seeds, st.sampled_from([-900, -600, -300, 0, 300, 600, 900]))
+def test_magnitude_sups_scale_exactly_by_powers_of_two(grid, seed, k):
+    # scaling by 2^k is exact, and so must be every sup, also where the
+    # squares of the scaled samples leave the float range (|k| > 500)
+    u = random_vector_field(grid, np.random.default_rng(seed))
+    v = u * 2.0**k
+    part = build_partition(grid)
+    assert besov_norm(v, -1.0, part) == math.ldexp(besov_norm(u, -1.0, part), k)
+    s0, sups = block_sup_norms(grid, v.coeffs, part)
+    s0_u, sups_u = block_sup_norms(grid, u.coeffs, part)
+    assert (s0, sups.tobytes()) == (math.ldexp(s0_u, k), np.ldexp(sups_u, k).tobytes())
+    ts = _kato_ladder(1.0)
+    value, t_at = _heat_ladder_sup(grid, v.coeffs, ts, 0.5)
+    value_u, t_at_u = _heat_ladder_sup(grid, u.coeffs, ts, 0.5)
+    assert (value, t_at) == (math.ldexp(value_u, k), t_at_u)
+    assert linf(v) == math.ldexp(linf(u), k)
+    for p in (2.0, float(grid.dim)):  # x**(1/p) is not exact
+        assert math.isclose(lp_norm(v, p), math.ldexp(lp_norm(u, p), k), rel_tol=1e-12)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
