@@ -349,30 +349,33 @@ def _plain_range(top: float, q: float) -> bool:
 
 def _squared_magnitudes(grid: Grid, spectra: np.ndarray,
                         radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(squares, tops, exps) of a (nstates, *component axes, *box shape) stack
+    """(squares, exps, sups) of a (nstates, *component axes, *box shape) stack
     of spectra (_box_phys_values): squares sums the squared samples over the
-    component axes, tops is its per-state max, and state i has magnitude
-    2^exps[i] * sqrt(squares[i]). A finite, nonzero state whose top leaves
+    component axes, state i has magnitude 2^exps[i] * sqrt(squares[i]), and
+    sups[i] is its max. A finite, nonzero state whose squares would leave
     [2^-1000, 2^1000) is transformed again from its spectrum times 2^-e, e the
     exponent of its largest coefficient part. Power-of-two scaling is exact,
-    so states in range keep exps 0 and the plain squares bit for bit.
-    """
+    so states in range keep exps 0 and the plain squares bit for bit."""
     def summed(stack: np.ndarray) -> np.ndarray:
         phys = _box_phys_values(grid, stack, radius).reshape((len(stack), -1) + grid.shape)
         return np.sum(np.square(phys, out=phys), axis=1)
 
     with np.errstate(over="ignore"):  # such states are transformed again below
         squares = summed(spectra)
-    tops = squares.reshape(len(spectra), -1).max(axis=1)
+    # sqrt is monotone and correctly rounded: the root of the max is the max
+    # of the roots, taken once per state
+    sups = np.sqrt(squares.reshape(len(spectra), -1).max(axis=1))
     exps = np.zeros(len(spectra), dtype=np.int64)
-    for i in np.flatnonzero(~((tops >= 2.0**-1000) & (tops < 2.0**1000))):
+    for i, sup in enumerate(sups.tolist()):
+        if 2.0**-500 <= sup < 2.0**500:
+            continue
         parts = np.ascontiguousarray(spectra[i:i + 1]).view(np.float64)  # ldexp is real-only
         peak = float(np.abs(parts).max())
         if 0.0 < peak < math.inf:
             exps[i] = math.frexp(peak)[1]
             squares[i] = summed(np.ldexp(parts, -exps[i]).view(np.complex128))[0]
-            tops[i] = squares[i].max()
-    return squares, tops, exps
+            sups[i] = np.ldexp(math.sqrt(squares[i].max()), exps[i])
+    return squares, exps, sups
 
 
 def _lp_norms(grid: Grid, coeffs: np.ndarray, ps: Sequence[float]) -> list[float]:
@@ -384,8 +387,9 @@ def _lp_norms(grid: Grid, coeffs: np.ndarray, ps: Sequence[float]) -> list[float
     and p-th powers that would leave the float range are taken of
     mag / max(mag), so a norm overflows only where its value does.
     """
-    squares, tops, exps = _squared_magnitudes(grid, coeffs[np.newaxis], grid.nyquist)
-    mag, top = np.sqrt(squares[0]), math.sqrt(tops[0])
+    squares, exps, _ = _squared_magnitudes(grid, coeffs[np.newaxis], grid.nyquist)
+    mag = np.sqrt(squares[0])
+    top = float(mag.max())
     norms = []
     for p in ps:
         if math.isinf(p):
@@ -394,8 +398,8 @@ def _lp_norms(grid: Grid, coeffs: np.ndarray, ps: Sequence[float]) -> list[float
             norm = float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
         else:
             norm = top * float((grid.cell_volume * np.sum((mag / top) ** p)) ** (1.0 / p))
-        norms.append(float(np.ldexp(norm, exps[0])))
-    return norms
+        norms.append(norm)
+    return [float(np.ldexp(norm, exps[0])) for norm in norms] if exps[0] else norms
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

@@ -157,10 +157,7 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
         if not rows.any():
             continue
         blocks = _box_of(grid, stack if rows.all() else stack[rows], radius, mult)
-        _, tops, exps = _squared_magnitudes(grid, blocks, radius)
-        # sqrt is monotone and correctly rounded: the root of the max is the
-        # max of the roots, taken once per state
-        out[rows, col] = np.ldexp(np.sqrt(tops), exps)
+        out[rows, col] = _squared_magnitudes(grid, blocks, radius)[2]
     return out
 
 

@@ -215,8 +215,7 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
             break
         t = ts[i]
         heated = (coeffs * np.exp(-nu * t * ksq))[np.newaxis]
-        _, tops, exps = _squared_magnitudes(grid, heated, grid.nyquist)
-        vals[i] = math.sqrt(t) * float(np.ldexp(math.sqrt(tops[0]), exps[0]))
+        vals[i] = math.sqrt(t) * float(_squared_magnitudes(grid, heated, grid.nyquist)[2][0])
         if vals[i] > best:
             best = vals[i]
     best, t_at = -1.0, float(ts[0])
