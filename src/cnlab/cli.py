@@ -7,7 +7,9 @@ Subcommands:
                the states are large enough to gain from it
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-check JSON
-               reports and a deterministic summary.csv
+               reports and a deterministic summary.csv; the checks run one
+               per forked worker process across the usable CPUs, with the
+               same output as one after another in-process
     profile    materialize configured initial data as a snapshot
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification check
@@ -41,7 +43,7 @@ from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapsho
 from .solver import (BlowupSuspected, NonConvergence, Trajectory,
                      compare_trajectories, etdrk4_integrate, kato_smallness,
                      picard_solve, profile_from_spec)
-from .verification import run_checks, summary_csv
+from .verification import CHECKS, run_checks, summary_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,6 +112,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _worker_count(jobs: int) -> int:
+    """How many cores a command spreads its independent jobs over: one per
+    job, capped by the usable CPUs, and 1 while numpy's transforms are
+    rebound, since a profiler's wrappers attribute each transform to one
+    call stack."""
+    return 1 if _transforms_rebound() else max(1, min(jobs, _usable_cpus()))
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     data = load_json(args.config)
     cfg = solver_config_from_dict(data)
@@ -130,7 +140,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         etdrk4 = partial(etdrk4_integrate, u0, cfg)
         if (args.method == "both" and u0.coeffs.nbytes >= _OVERLAP_BYTES
-                and _usable_cpus() >= 2 and not _transforms_rebound()):
+                and _worker_count(2) == 2):
             from concurrent.futures import ThreadPoolExecutor  # only this path pays its import
             pool = stack.enter_context(ThreadPoolExecutor(1))
             # set before the pool joins the worker, so that a run whose Picard
@@ -232,6 +242,26 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _run_check(name: str, seed: int, sizes: dict) -> list:
+    # a module-level function, so that a task pickles by name
+    return run_checks([name], seed=seed, sizes=sizes)
+
+
+def _run_checks_forked(names: list[str], seed: int, sizes: dict, workers: int) -> list:
+    """run_checks(names, seed, sizes), one check per task on forked workers.
+    Reading the results in canonical order gives the in-process reports and,
+    if checks raise, the error of the first of them in that order."""
+    import multiprocessing  # only this path pays its import
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_check, name, seed, sizes) for name in names]
+        return [rep for fut in futures for rep in fut.result()]
+    finally:
+        # drops the checks not yet started and joins every worker, on every path
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     data = load_json(args.config) if args.config else {}
     if args.checks:
@@ -244,7 +274,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    reports = run_checks(checks, seed=seed, sizes=sizes)
+    names = [name for name in CHECKS if name in checks]
+    workers = _worker_count(len(names))
+    # a forked child holds only the calling thread, and any lock that another
+    # thread held at the fork stays locked in it, so only a lone thread forks
+    if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+        reports = _run_checks_forked(names, seed, sizes, workers)
+    else:
+        reports = run_checks(names, seed=seed, sizes=sizes)
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())

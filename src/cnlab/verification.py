@@ -550,7 +550,13 @@ SIZE_KEYS = {name: frozenset(keys) for name, (_, keys) in _REGISTRY.items()}
 
 def run_checks(names: Sequence[str], seed: int = 0,
                sizes: dict | None = None) -> list[VerificationReport]:
-    """Run named checks in canonical order, sizes[name] passed to the check as keywords."""
+    """Run named checks in canonical order, sizes[name] passed to the check as keywords.
+
+    Each check draws its random data from seed alone (its own
+    default_rng([seed, k])), so its reports do not depend on which other
+    checks run, or in which process: cnlab verify runs
+    run_checks([name], seed, sizes) per check on forked worker processes and
+    concatenates the reports in canonical order, with the same result."""
     sizes = sizes or {}
     unknown = [n for n in names if n not in CHECKS]
     if unknown:

@@ -1,12 +1,15 @@
 """Strict config parsing and the in-process command line surface."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from cnlab.semigroup import heat
 from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import (EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig,
                           etdrk4_integrate, kato_smallness, make_profile)
-from cnlab.verification import CHECKS, SIZE_KEYS, VerificationReport
+from cnlab.verification import CHECKS, SIZE_KEYS, VerificationReport, run_checks
 
 
 def write_json(path: Path, obj) -> Path:
@@ -759,6 +762,141 @@ class TestVerifyCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "CheckFailed"
         assert (out / "summary.csv").read_text().splitlines()[1].endswith(",fail")
+
+
+# Every check at its smallest useful size: verify --all takes about a second.
+# Whether the checks pass does not matter here, only that both ways agree.
+VERIFY_SMALL = {
+    "smoothing": {"trials": 1, "res": 16, "nodes": 4, "T_list": [0.25, 0.5, 0.75, 1.0]},
+    "paraproduct": {"trials": 2, "res_list": [16], "s_list": [2.0]},
+    "bony_identity": {"pairs": 2, "res_list": [16], "dims": [2]},
+    "heat_ln_linf": {"trials": 2, "res_list": [16]},
+    "oseen_kernel": {"trials": 1, "res_list": [16]},
+    "embedding": {"trials": 2, "res_list": [16]},
+    "composite_bound": {"res_list": [16]},
+}
+
+
+def refuse_process_pools(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify started a process pool")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def fake_check(tmp_path, name, delay=0.0, error=None):
+    """A check runner that notes the pid it ran in, waits, then returns one
+    passing report or raises error."""
+    def run(seed, sizes):
+        (tmp_path / f"{name}.pid").write_text(str(os.getpid()))
+        time.sleep(delay)
+        if error is not None:
+            raise error
+        return [VerificationReport(name=name, passed=True, trials=1, headline_constant=1.0)]
+    return run
+
+
+class TestVerifyWorkers:
+    """verify ends the same, file for file and in its exit code, whether its
+    checks run on forked worker processes or one after another in-process."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, capsys, cpus, argv=("--all",), tag=None):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        cfg = write_json(tmp_path / "small.json", {"sizes": VERIFY_SMALL})
+        out = tmp_path / (tag or f"cpus{cpus}")
+        threads = threading.active_count()
+        code = cli_main(["verify", *argv, "--config", str(cfg), "--seed", "5",
+                         "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err.replace(str(out), "OUT")
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return code, err, files
+
+    def test_forked_checks_write_the_in_process_bytes(self, tmp_path, monkeypatch, capsys):
+        forked = self.run(tmp_path, monkeypatch, capsys, 2)
+        in_process = self.run(tmp_path, monkeypatch, capsys, 1)
+        assert forked == in_process
+        code, _, files = in_process
+        reports = run_checks(list(CHECKS), seed=5, sizes=VERIFY_SMALL)
+        assert sorted(files) == sorted([f"{rep.name}.json" for rep in reports] + ["summary.csv"])
+        assert files["summary.csv"].decode().splitlines()[1:] == [
+            ",".join(rep.summary_row()) for rep in reports]
+        assert code == (0 if all(rep.passed for rep in reports) else 2)
+
+    @pytest.mark.parametrize("case", ["rebound-transforms", "no-fork", "other-thread"])
+    def test_unforkable_runs_stay_in_process(self, tmp_path, monkeypatch, capsys, case):
+        want = self.run(tmp_path, monkeypatch, capsys, 2, tag="forked")
+        refuse_process_pools(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        if case == "rebound-transforms":
+            # a wrapper around a numpy transform, as a profiler installs one
+            rfftn = np.fft.rfftn
+            monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: rfftn(*a, **k))
+        elif case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            other.start()
+        try:
+            assert self.run(tmp_path, monkeypatch, capsys, 2, tag=case) == want
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join(60)
+
+    def test_single_check_stays_in_process(self, tmp_path, monkeypatch, capsys):
+        refuse_process_pools(monkeypatch)
+        code, err, files = self.run(tmp_path, monkeypatch, capsys, 2,
+                                    argv=("--checks", "embedding"))
+        assert (code, err, sorted(files)) == (0, "", ["embedding.json", "summary.csv"])
+
+    def test_reports_keep_the_canonical_order(self, tmp_path, monkeypatch, capsys):
+        # the first check ends last on the workers
+        for k, name in enumerate(CHECKS):
+            monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name, 0.5 if k == 0 else 0.0))
+        code, _, files = self.run(tmp_path, monkeypatch, capsys, 2)
+        assert code == 0
+        assert [row.split(",")[0] for row in files["summary.csv"].decode().splitlines()[1:]] == (
+            list(CHECKS))
+
+    def test_first_raising_check_in_canonical_order_surfaces(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the first check raises last, the second one at once
+        first, second, *rest = CHECKS
+        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5,
+                                                      ValueError(f"{first} raised")))
+        monkeypatch.setitem(CHECKS, second, fake_check(tmp_path, second, 0.0,
+                                                       ValueError(f"{second} raised")))
+        for name in rest:
+            monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name))
+        ends = []
+        for cpus in (2, 1):
+            code, err, files = self.run(tmp_path, monkeypatch, capsys, cpus)
+            ends.append((code, err, files, int((tmp_path / f"{first}.pid").read_text())))
+        (code, err, files, pid), in_process = ends
+        assert (code, err, files) == in_process[:3]
+        assert pid != os.getpid() and in_process[3] == os.getpid()
+        lines = err.splitlines()
+        assert code == 1 and len(lines) == 1 and files == {}
+        assert json.loads(lines[0])["error"] == {"type": "ValueError",
+                                                 "message": f"{first} raised"}
+
+    def test_a_raising_check_cancels_the_checks_not_started(self, tmp_path, monkeypatch,
+                                                            capsys):
+        first, *rest = CHECKS
+        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.0, ValueError("no")))
+        for name in rest:
+            monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name, 0.5))
+        code, err, files = self.run(tmp_path, monkeypatch, capsys, 2)
+        assert code == 1 and json.loads(err)["error"]["message"] == "no" and files == {}
+        assert not (tmp_path / f"{rest[-1]}.pid").exists()
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (0, 4, 1), (1, 4, 1), (7, 1, 1), (7, 2, 2), (2, 8, 2), (7, 64, 7)])
+    def test_worker_count(self, monkeypatch, jobs, cpus, workers):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert cli._worker_count(jobs) == workers
 
 
 class TestProfileCommand:
