@@ -3,14 +3,16 @@
 Subcommands:
     simulate   run the mild solver on a configured profile, writing state
                snapshots, a monitor CSV, and report.json; --method both
-               solves by the two routes side by side on two threads when
-               the states are large enough to gain from it
+               runs the two routes, each a solve and its monitor pass, side
+               by side on two threads when the states are large enough to
+               gain from it, and cross-validates their trajectories
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-check JSON
                reports and a deterministic summary.csv; the checks run one
                per forked worker process across the usable CPUs, with the
                same output as one after another in-process
-    profile    materialize configured initial data as a snapshot
+    profile    materialize configured initial data as a snapshot and print
+               its monitor record at t = 0
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification check
 failed or simulate --method both failed cross-validation (after writing all
@@ -35,14 +37,13 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, load_json, monitor_options_from_dict,
                      solver_config_from_dict, verify_config_from_dict)
-from .fields import _transforms_rebound, linf, lp_norm
-from .littlewood_paley import besov_norm
-from .monitor import monitor, write_monitor_csv
+from .fields import SpectralVectorField, _transforms_rebound
+from .monitor import MonitorRecord, monitor, write_monitor_csv
 from .semigroup import TimeGrid
 from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
-from .solver import (BlowupSuspected, NonConvergence, Trajectory,
-                     compare_trajectories, etdrk4_integrate, kato_smallness,
-                     picard_solve, profile_from_spec)
+from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
+                     compare_trajectories, etdrk4_integrate, picard_solve,
+                     profile_from_spec)
 from .verification import CHECKS, run_checks, summary_csv
 
 EXIT_OK = 0
@@ -75,8 +76,35 @@ def _dump_json(path: Path, obj: dict) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: dict,
+           stop: threading.Event | None = None) -> tuple[Trajectory, dict, dict | None, int, list]:
+    """Solve by one method and monitor the (partial) trajectory. Returns the
+    trajectory, its run info for report.json, the error (None if the solve
+    succeeded), the exit code and the monitor records; ``stop`` goes to
+    etdrk4_integrate."""
+    error, code = None, EXIT_OK
+    try:
+        if method == "picard":
+            traj, conv = picard_solve(u0, cfg)
+            run_info = {"convergence": conv.to_dict()}
+        else:
+            traj = etdrk4_integrate(u0, cfg, stop=stop)
+            run_info = {"meta": traj.meta}
+    except NonConvergence as exc:
+        traj, run_info = exc.trajectory, {"convergence": exc.report.to_dict()}
+        error = {"type": "NonConvergence", "message": str(exc)}
+        code = EXIT_NO_CONVERGENCE
+    except BlowupSuspected as exc:
+        traj, run_info = exc.trajectory, {"blowup_time": exc.time}
+        error = {"type": "BlowupSuspected", "message": str(exc), "time": exc.time}
+        code = EXIT_BLOWUP
+    records = monitor(traj, p_list=mon_opts["p_list"], kato_horizon=mon_opts["kato_horizon"],
+                      cutoff=mon_opts["cutoff"])
+    return traj, run_info, error, code, records
+
+
 def _write_trajectory_artifacts(outdir: Path, traj: Trajectory, method: str,
-                                mon_opts: dict, echo: dict) -> dict:
+                                records: list[MonitorRecord], echo: dict) -> dict:
     snapdir = outdir / "snapshots" / method
     snapdir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -84,19 +112,16 @@ def _write_trajectory_artifacts(outdir: Path, traj: Trajectory, method: str,
         p = snapdir / f"state_{m:04d}.snap"
         write_snapshot(p, state, float(traj.times[m]))
         paths.append(str(p))
-    records = monitor(traj, p_list=mon_opts["p_list"],
-                      kato_horizon=mon_opts["kato_horizon"],
-                      cutoff=mon_opts["cutoff"])
     csv_path = outdir / f"monitor_{method}.csv"
     write_monitor_csv(records, csv_path, config_echo=echo)
     return {"snapshots": paths, "monitor_csv": str(csv_path),
             "states": len(traj.coeffs)}
 
 
-# Half-spectrum bytes of one state from which simulate --method both solves
-# by ETDRK4 on a worker thread while Picard runs on the calling thread. The
-# two routes share only u0, and their time goes to FFTs and large
-# elementwise loops, which numpy runs without holding the GIL. On smaller
+# Half-spectrum bytes of one state from which simulate --method both runs
+# its ETDRK4 route on a worker thread while Picard's runs on the calling
+# thread. The two routes share only u0, and their time goes to FFTs and
+# large elementwise loops, which numpy runs without holding the GIL. On smaller
 # states the GIL hand-offs cost more than the second core gains (measured:
 # 2D/64 and 3D/16 lose, 2D/128 and 3D/32 win). Both routes would call a
 # profiler's wrappers around the transforms, and one that keeps a single
@@ -131,44 +156,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     report: dict = {"config": echo, "runs": {}, "cross_validation": None, "error": None}
-    code = EXIT_OK
     methods = ["picard", "etdrk4"] if args.method == "both" else [args.method]
+    routes = [partial(_route, method, u0, cfg, mon_opts) for method in methods]
     trajs: dict[str, Trajectory] = {}
     # leaving the block stops and joins the worker, on every path: a failed
-    # Picard route drops ETDRK4's result, and an ETDRK4 failure is raised by
-    # etdrk4() after Picard's artifacts are written, as in a sequential run
+    # Picard route drops ETDRK4's result, and an ETDRK4 failure is reported
+    # after Picard's artifacts are written, as in a sequential run
     with ExitStack() as stack:
-        etdrk4 = partial(etdrk4_integrate, u0, cfg)
-        if (args.method == "both" and u0.coeffs.nbytes >= _OVERLAP_BYTES
+        if (len(routes) == 2 and u0.coeffs.nbytes >= _OVERLAP_BYTES
                 and _worker_count(2) == 2):
             from concurrent.futures import ThreadPoolExecutor  # only this path pays its import
             pool = stack.enter_context(ThreadPoolExecutor(1))
             # set before the pool joins the worker, so that a run whose Picard
             # route failed, or that is interrupted, does not wait for the rest
-            # of the ETDRK4 solve; after a whole run it is already done
+            # of the ETDRK4 solve; a monitor pass under way still finishes
             stop = threading.Event()
             stack.callback(stop.set)
-            # the worker runs in the caller's context, numpy's error state included
-            etdrk4 = pool.submit(contextvars.copy_context().run, etdrk4, stop=stop).result
-        for method in methods:
-            try:
-                if method == "picard":
-                    traj, conv = picard_solve(u0, cfg)
-                    run_info = {"convergence": conv.to_dict()}
-                else:
-                    traj = etdrk4()
-                    run_info = {"meta": {k: v for k, v in traj.meta.items() if k != "config"}}
-            except NonConvergence as exc:
-                traj, run_info = exc.trajectory, {"convergence": exc.report.to_dict()}
-                report["error"] = {"type": "NonConvergence", "message": str(exc)}
-                code = EXIT_NO_CONVERGENCE
-            except BlowupSuspected as exc:
-                traj, run_info = exc.trajectory, {"blowup_time": exc.time}
-                report["error"] = {"type": "BlowupSuspected", "message": str(exc),
-                                   "time": exc.time}
-                code = EXIT_BLOWUP
+            # the worker runs the whole ETDRK4 route in the caller's context,
+            # numpy's error state included
+            routes[1] = pool.submit(contextvars.copy_context().run, routes[1], stop=stop).result
+        for method, route in zip(methods, routes):
+            traj, run_info, report["error"], code, records = route()
             trajs[method] = traj
-            run_info.update(_write_trajectory_artifacts(outdir, traj, method, mon_opts, echo))
+            run_info.update(_write_trajectory_artifacts(outdir, traj, method, records, echo))
             report["runs"][method] = run_info
             if code != EXIT_OK:
                 break
@@ -302,17 +312,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     grid = cfg.grid()
     u0 = profile_from_spec(grid, cfg.profile)
     write_snapshot(args.out, u0, 0.0)
-    info = {
-        "snapshot": str(args.out),
-        "kind": cfg.profile.kind,
-        "dim": grid.dim,
-        "res": grid.res,
-        "lp_2": lp_norm(u0, 2.0),
-        "lp_n": lp_norm(u0, float(grid.dim)),
-        "lp_inf": linf(u0),
-        "besov_m1": besov_norm(u0, -1.0),
-        "kato_I": kato_smallness(u0, min(1.0, cfg.horizon), cfg.nu).value,
-    }
+    traj = Trajectory(grid, TimeGrid([0.0, cfg.horizon]), u0.coeffs[None], "profile",
+                      {"nu": cfg.nu})
+    rec = monitor(traj, kato_horizon="default")[0]
+    info = {"snapshot": str(args.out), "kind": cfg.profile.kind, "dim": grid.dim, "res": grid.res,
+            "lp_2": rec.lp_2, "lp_n": rec.lp_n, "lp_inf": rec.lp_inf, "besov_m1": rec.besov_m1,
+            "kato_I": rec.kato_I}
     print(json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -47,6 +47,11 @@ class NonConvergence(RuntimeError):
         self.trajectory = trajectory
         self.report = report
 
+    def __reduce__(self):
+        # RuntimeError pickles only the message; a forked verify worker
+        # sends the whole exception back
+        return type(self), (self.args[0], self.trajectory, self.report)
+
 
 class Cancelled(RuntimeError):
     """etdrk4_integrate stopped before the horizon because its stop event was set."""
@@ -60,6 +65,9 @@ class BlowupSuspected(RuntimeError):
         self.time = t
         self.last_state = last_state
         self.trajectory = trajectory
+
+    def __reduce__(self):
+        return type(self), (self.time, self.last_state, self.trajectory)
 
 
 @dataclass
@@ -463,20 +471,6 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
 # cross validation and the amplitude probe
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CrossValidation:
-    discrepancy: float
-    tolerance: float
-    passed: bool
-    node_errors: list[float]
-    report: ConvergenceReport
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["report"] = self.report.to_dict()
-        return d
-
-
 def compare_trajectories(a: Trajectory, b: Trajectory, tol: float) -> dict:
     """Sup-norm discrepancy of two trajectories at their shared nodes.
 
@@ -490,13 +484,6 @@ def compare_trajectories(a: Trajectory, b: Trajectory, tol: float) -> dict:
     disc = float(np.max(errs))
     return {"discrepancy": disc, "tolerance": tol, "passed": disc <= tol,
             "node_errors": errs}
-
-
-def cross_validate(u0: SpectralVectorField, cfg: SolverConfig) -> CrossValidation:
-    """Solve by both routes and compare sup-norm discrepancy at shared nodes."""
-    traj_p, report = picard_solve(u0, cfg)
-    traj_e = etdrk4_integrate(u0, cfg)
-    return CrossValidation(**compare_trajectories(traj_p, traj_e, cfg.cross_tol), report=report)
 
 
 @dataclass

@@ -22,9 +22,9 @@ from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
 from cnlab.fields import linf, lp_norm
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import block, build_partition
-from cnlab.monitor import CSV_COLUMNS, read_monitor_csv, write_monitor_csv
-from cnlab.semigroup import heat
+from cnlab.littlewood_paley import besov_norm, block, build_partition
+from cnlab.monitor import CSV_COLUMNS, monitor, read_monitor_csv, write_monitor_csv
+from cnlab.semigroup import TimeGrid, heat
 from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import (EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig,
                           etdrk4_integrate, kato_smallness, make_profile)
@@ -466,20 +466,27 @@ BLOWUP_SIM = {"dim": 2, "res": 16, "nu": 1e-3, "horizon": 1.0,
 
 class TestSimulateOverlap:
     """simulate --method both ends the same, artifact for artifact, whether
-    ETDRK4 runs on a worker thread beside Picard (cutoff 0) or after it on
-    the calling thread (cutoff inf)."""
+    the ETDRK4 route runs on a worker thread beside Picard's (cutoff 0) or
+    after it on the calling thread (cutoff inf)."""
 
     @staticmethod
     def run(tmp_path, monkeypatch, capsys, data, cutoff):
+        """The run's (exit code, stderr, files, report), the threads that
+        called etdrk4_integrate and {method: thread} of the monitor passes."""
         monkeypatch.setattr(cli, "_OVERLAP_BYTES", cutoff)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        solved_on = []
+        solved_on, monitored_on = [], {}
 
         def integrate(*args, **kwargs):
             solved_on.append(threading.current_thread())
             return etdrk4_integrate(*args, **kwargs)
 
+        def monitor_on_thread(traj, **kwargs):
+            monitored_on[traj.method] = threading.current_thread()
+            return monitor(traj, **kwargs)
+
         monkeypatch.setattr(cli, "etdrk4_integrate", integrate)
+        monkeypatch.setattr(cli, "monitor", monitor_on_thread)
         cfg = write_json(tmp_path / "cfg.json", data)
         out = tmp_path / f"out-{cutoff}"
         threads = threading.active_count()
@@ -494,7 +501,7 @@ class TestSimulateOverlap:
                  for p in sorted(out.rglob("*")) if p.is_file() and p.name != "report.json"}
         report = json.loads((out / "report.json").read_text().replace(str(out), "OUT"))
         report["runs"]["picard"]["convergence"].pop("wall_time")
-        return code, err, files, report, solved_on
+        return (code, err, files, report), solved_on, monitored_on
 
     @pytest.mark.parametrize("case, data, exit_code", [
         ("converged", OVERLAP_SIM, 0),
@@ -507,8 +514,10 @@ class TestSimulateOverlap:
                                                       "contraction_tol": 1e30}}, 4)])
     def test_worker_thread_changes_no_artifact(self, tmp_path, monkeypatch, capsys,
                                                case, data, exit_code):
-        *overlapped, on_worker = self.run(tmp_path, monkeypatch, capsys, data, 0)
-        *sequential, on_caller = self.run(tmp_path, monkeypatch, capsys, data, math.inf)
+        overlapped, on_worker, monitored_overlapped = self.run(
+            tmp_path, monkeypatch, capsys, data, 0)
+        sequential, on_caller, monitored_sequential = self.run(
+            tmp_path, monkeypatch, capsys, data, math.inf)
         assert overlapped == sequential
         code, err, files, report = sequential
         assert code == exit_code
@@ -518,20 +527,30 @@ class TestSimulateOverlap:
         routes = {"picard"} if exit_code == 3 else {"picard", "etdrk4"}
         assert set(report["runs"]) == routes
         assert {name.split("/")[1] for name in files if "/" in name} == routes
-        assert len(on_worker) == 1 and on_worker[0] is not threading.main_thread()
-        assert on_caller == [threading.main_thread()] * (len(routes) - 1)
+        main = threading.main_thread()
+        assert len(on_worker) == 1 and on_worker[0] is not main
+        assert on_caller == [main] * (len(routes) - 1)
+        # the worker runs the whole ETDRK4 route, monitor pass included; after
+        # a failed Picard route it may or may not have reached that pass
+        assert monitored_overlapped.pop("picard") is main
+        assert set(monitored_overlapped) == routes - {"picard"} or exit_code == 3
+        assert all(thread is on_worker[0] for thread in monitored_overlapped.values())
+        assert monitored_sequential == dict.fromkeys(routes, main)
 
     def test_small_states_stay_on_the_calling_thread(self, tmp_path, monkeypatch, capsys):
         # 2D/16 states are 4.5 KiB, below the module's cutoff
-        *_, solved_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM, cli._OVERLAP_BYTES)
+        _, solved_on, monitored_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM,
+                                              cli._OVERLAP_BYTES)
         assert solved_on == [threading.main_thread()]
+        assert monitored_on == dict.fromkeys(["picard", "etdrk4"], threading.main_thread())
 
     def test_rebound_transforms_keep_the_calling_thread(self, tmp_path, monkeypatch, capsys):
         # a wrapper around a numpy transform, as a profiler installs one
         irfftn = np.fft.irfftn
         monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k))
-        *_, solved_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM, 0)
+        _, solved_on, monitored_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM, 0)
         assert solved_on == [threading.main_thread()]
+        assert monitored_on == dict.fromkeys(["picard", "etdrk4"], threading.main_thread())
 
     @pytest.mark.parametrize("data", [
         {**OVERLAP_SIM, "picard": {"node_count": 8, "max_iters": 1}}, BLOWUP_SIM])
@@ -795,6 +814,21 @@ def fake_check(tmp_path, name, delay=0.0, error=None):
     return run
 
 
+def raised_by(name, kind, t):
+    """An exception of the given kind from check name. NonConvergence and
+    BlowupSuspected carry a one-state trajectory, and BlowupSuspected's
+    message is made from the time t."""
+    if kind == "ValueError":
+        return ValueError(f"{name} raised")
+    grid = Grid(2, 8)
+    traj = solver.Trajectory(grid, TimeGrid([0.0, t]),
+                             make_profile(grid, "taylor_green_2d").coeffs[None], "picard")
+    if kind == "NonConvergence":
+        report = solver.ConvergenceReport(False, 1, [1.0], [], None, 1e-10, 0.0)
+        return solver.NonConvergence(f"{name} raised", traj, report)
+    return solver.BlowupSuspected(t, traj.states[-1], traj)
+
+
 class TestVerifyWorkers:
     """verify ends the same, file for file and in its exit code, whether its
     checks run on forked worker processes or one after another in-process."""
@@ -860,14 +894,17 @@ class TestVerifyWorkers:
         assert [row.split(",")[0] for row in files["summary.csv"].decode().splitlines()[1:]] == (
             list(CHECKS))
 
+    # the solver's exceptions carry a trajectory back from the worker
+    @pytest.mark.parametrize("kind, exit_code", [
+        ("ValueError", 1), ("NonConvergence", 3), ("BlowupSuspected", 4)])
     def test_first_raising_check_in_canonical_order_surfaces(self, tmp_path, monkeypatch,
-                                                             capsys):
+                                                             capsys, kind, exit_code):
         # the first check raises last, the second one at once
         first, second, *rest = CHECKS
-        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5,
-                                                      ValueError(f"{first} raised")))
+        error = raised_by(first, kind, 0.5)
+        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5, error))
         monkeypatch.setitem(CHECKS, second, fake_check(tmp_path, second, 0.0,
-                                                       ValueError(f"{second} raised")))
+                                                       raised_by(second, kind, 0.25)))
         for name in rest:
             monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name))
         ends = []
@@ -878,9 +915,9 @@ class TestVerifyWorkers:
         assert (code, err, files) == in_process[:3]
         assert pid != os.getpid() and in_process[3] == os.getpid()
         lines = err.splitlines()
-        assert code == 1 and len(lines) == 1 and files == {}
-        assert json.loads(lines[0])["error"] == {"type": "ValueError",
-                                                 "message": f"{first} raised"}
+        assert code == exit_code and len(lines) == 1 and files == {}
+        extra = {"time": 0.5} if kind == "BlowupSuspected" else {}
+        assert json.loads(lines[0])["error"] == {"type": kind, "message": str(error), **extra}
 
     def test_a_raising_check_cancels_the_checks_not_started(self, tmp_path, monkeypatch,
                                                             capsys):
@@ -913,8 +950,10 @@ class TestProfileCommand:
         assert t == 0.0
         assert np.array_equal(field.coeffs, want.coeffs)
         assert info["lp_inf"] == pytest.approx(0.3, rel=1e-12)
-        assert info["kato_I"] == pytest.approx(
-            kato_smallness(want, 0.5, 1.0).value, rel=1e-12)
+        assert (info["lp_2"], info["lp_n"], info["lp_inf"]) == (
+            lp_norm(want, 2.0), lp_norm(want, float(field.grid.dim)), linf(want))
+        assert info["besov_m1"] == besov_norm(want, -1.0)
+        assert info["kato_I"] == kato_smallness(want, 0.5, 1.0).value
 
 
 class TestTopLevel:
