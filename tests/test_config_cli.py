@@ -532,9 +532,9 @@ class TestSimulateOverlap:
         assert on_caller == [main] * (len(routes) - 1)
         # the worker runs the whole ETDRK4 route, monitor pass included; after
         # a failed Picard route it may or may not have reached that pass
-        assert monitored_overlapped.pop("picard") is main
-        assert set(monitored_overlapped) == routes - {"picard"} or exit_code == 3
-        assert all(thread is on_worker[0] for thread in monitored_overlapped.values())
+        if exit_code == 3:
+            monitored_overlapped.setdefault("etdrk4", on_worker[0])
+        assert monitored_overlapped == {"picard": main, "etdrk4": on_worker[0]}
         assert monitored_sequential == dict.fromkeys(routes, main)
 
     def test_small_states_stay_on_the_calling_thread(self, tmp_path, monkeypatch, capsys):
