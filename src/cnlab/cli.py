@@ -8,9 +8,10 @@ Subcommands:
                gain from it, and cross-validates their trajectories
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-check JSON
-               reports and a deterministic summary.csv; the checks run one
-               per forked worker process across the usable CPUs, with the
-               same output as one after another in-process
+               reports and a deterministic summary.csv; the reports run one
+               per task on forked worker processes, at most one worker per
+               usable CPU and per report, with the same output as one after
+               another in-process; a single report runs in-process
     profile    materialize configured initial data as a snapshot and print
                its monitor record at t = 0
 
@@ -44,7 +45,7 @@ from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapsho
 from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
                      compare_trajectories, etdrk4_integrate, picard_solve,
                      profile_from_spec)
-from .verification import CHECKS, run_checks, summary_csv
+from .verification import _run_task, check_tasks, summary_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -252,26 +253,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _run_check(name: str, seed: int, sizes: dict) -> list:
-    # a module-level function, so that a task pickles by name
-    return run_checks([name], seed=seed, sizes=sizes)
-
-
-def _run_checks_forked(names: list[str], seed: int, sizes: dict, workers: int) -> list:
-    """run_checks(names, seed, sizes), one check per task on forked workers.
-    Reading the results in canonical order gives the in-process reports and,
-    if checks raise, the error of the first of them in that order."""
-    import multiprocessing  # only this path pays its import
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(_run_check, name, seed, sizes) for name in names]
-        return [rep for fut in futures for rep in fut.result()]
-    finally:
-        # drops the checks not yet started and joins every worker, on every path
-        pool.shutdown(cancel_futures=True)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     data = load_json(args.config) if args.config else {}
     if args.checks:
@@ -284,14 +265,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = [name for name in CHECKS if name in checks]
-    workers = _worker_count(len(names))
-    # a forked child holds only the calling thread, and any lock that another
-    # thread held at the fork stays locked in it, so only a lone thread forks
-    if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        reports = _run_checks_forked(names, seed, sizes, workers)
-    else:
-        reports = run_checks(names, seed=seed, sizes=sizes)
+    tasks = check_tasks(checks, seed, sizes)
+    workers = _worker_count(len(tasks))
+    run = map
+    with ExitStack() as stack:
+        # a forked child holds only the calling thread, and any lock that another
+        # thread held at the fork stays locked in it, so only a lone thread forks
+        if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+            import multiprocessing  # only this path pays its imports
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            # drops the reports not yet started and joins every worker, on every path
+            stack.callback(pool.shutdown, cancel_futures=True)
+            run = pool.map
+        # read in canonical order: the in-process reports and, if reports
+        # raise, the error of the first of them in that order
+        reports = list(run(_run_task, tasks))
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())
@@ -360,8 +349,9 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run estimate verification checks")
     p_ver.add_argument("--all", action="store_true", help="run every check")
-    p_ver.add_argument("--checks", nargs="*", default=None,
-                       help="subset of check names")
+    p_ver.add_argument("--checks", nargs="+", default=None,
+                       help="one or more check names to run, in place of the "
+                            "config's checks")
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--config", default=None,
                        help="optional JSON with checks/seed/sizes")

@@ -21,7 +21,7 @@ import numpy as np
 from .fields import SpectralVectorField, _lp_norms, _same_grid
 from .littlewood_paley import DyadicPartition, besov_norm_states, build_partition
 from .snapshots import atomic_write
-from .solver import KatoSmallness, Trajectory, _kato, kato_smallness
+from .solver import Trajectory, _kato
 
 CSV_COLUMNS = ("t", "lp_2", "lp_n", "lp_inf", "besov_m1", "besov_dist_omega",
                "kato_I", "energy")
@@ -122,18 +122,6 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
                     rec.kato_I = _kato(state, rem, nu, lpn).value
         records.append(rec)
     return records
-
-
-def kato_functional(traj: Trajectory, index: int, horizon: float | None = None,
-                    nu: float | None = None) -> KatoSmallness:
-    """Smallness functional of the state at one node over the remaining horizon."""
-    t0 = float(traj.times[index])
-    if horizon is None:
-        horizon = min(1.0, traj.tgrid.horizon - t0)
-    if not horizon > 0:
-        raise ValueError(f"no horizon remains after t0 = {t0}")
-    nu = float(traj.meta.get("nu", 1.0)) if nu is None else nu
-    return kato_smallness(traj.states[index], horizon, nu)
 
 
 def bv_variation(traj: Trajectory, s: float, part: DyadicPartition | None = None) -> BVResult:

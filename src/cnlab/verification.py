@@ -515,57 +515,61 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
 # registry and summaries
 # ---------------------------------------------------------------------------
 
-CheckRunner = Callable[[int, dict], list[VerificationReport]]
-
-
-def _runner(verify: Callable[..., VerificationReport],
-            variants: Sequence[tuple] = ((),)) -> CheckRunner:
-    """Call verify once per tuple of positional arguments, the sizes as keywords."""
-    def run(seed: int, sizes: dict) -> list[VerificationReport]:
-        return [verify(*args, **sizes, seed=seed) for args in variants]
-    return run
-
-
-def _run_paraproduct(seed: int, sizes: dict) -> list[VerificationReport]:
-    """One report per s in s_list; the other sizes pass through."""
-    rest = {k: v for k, v in sizes.items() if k != "s_list"}
-    return [verify_paraproduct(s, **rest, seed=seed) for s in sizes.get("s_list", (1.5, 2.0))]
-
-
-# Each check's runner and the size overrides it accepts; the defaults live in
-# the verify_* signatures.
-_REGISTRY: dict[str, tuple[CheckRunner, set[str]]] = {
-    "smoothing": (_runner(verify_smoothing, [(r, a) for r in (-1.0, 0.0) for a in (1.0, 2.0)]),
+# Each check's verify_* function, the positional arguments of its reports (one
+# tuple per report) and the size overrides it accepts; the defaults live in the
+# verify_* signatures. paraproduct's s_list size, when given, supplies its
+# reports' arguments instead.
+_REGISTRY: dict[str, tuple[Callable[..., VerificationReport], list[tuple], set[str]]] = {
+    "smoothing": (verify_smoothing, [(r, a) for r in (-1.0, 0.0) for a in (1.0, 2.0)],
                   {"trials", "res", "dim", "nodes", "T_list"}),
-    "paraproduct": (_run_paraproduct, {"trials", "res_list", "dim", "s_list"}),
-    "bony_identity": (_runner(verify_bony_identity), {"pairs", "res_list", "dims"}),
-    "heat_ln_linf": (_runner(verify_heat_ln_linf), {"trials", "res_list", "dim"}),
-    "oseen_kernel": (_runner(verify_oseen_kernel), {"trials", "res_list", "dim"}),
-    "embedding": (_runner(verify_embedding), {"trials", "res_list", "dim"}),
-    "composite_bound": (_runner(verify_composite_bound), {"res_list", "dim"}),
+    "paraproduct": (verify_paraproduct, [(1.5,), (2.0,)], {"trials", "res_list", "dim", "s_list"}),
+    "bony_identity": (verify_bony_identity, [()], {"pairs", "res_list", "dims"}),
+    "heat_ln_linf": (verify_heat_ln_linf, [()], {"trials", "res_list", "dim"}),
+    "oseen_kernel": (verify_oseen_kernel, [()], {"trials", "res_list", "dim"}),
+    "embedding": (verify_embedding, [()], {"trials", "res_list", "dim"}),
+    "composite_bound": (verify_composite_bound, [()], {"res_list", "dim"}),
 }
-CHECKS: dict[str, CheckRunner] = {name: run for name, (run, _) in _REGISTRY.items()}
-SIZE_KEYS = {name: frozenset(keys) for name, (_, keys) in _REGISTRY.items()}
+CHECKS: dict[str, Callable[..., VerificationReport]] = {
+    name: verify for name, (verify, _, _) in _REGISTRY.items()}
+SIZE_KEYS = {name: frozenset(keys) for name, (_, _, keys) in _REGISTRY.items()}
 
 
-def run_checks(names: Sequence[str], seed: int = 0,
-               sizes: dict | None = None) -> list[VerificationReport]:
-    """Run named checks in canonical order, sizes[name] passed to the check as keywords.
+def check_tasks(names: Sequence[str], seed: int = 0,
+                sizes: dict | None = None) -> list[tuple[str, tuple, dict]]:
+    """The reports of the named checks in canonical order, one
+    (name, positional arguments, keywords) per report: the keywords are
+    sizes[name] and the seed.
 
-    Each check draws its random data from seed alone (its own
-    default_rng([seed, k])), so its reports do not depend on which other
-    checks run, or in which process: cnlab verify runs
-    run_checks([name], seed, sizes) per check on forked worker processes and
-    concatenates the reports in canonical order, with the same result."""
+    Each report draws its random data from seed alone (its own
+    default_rng([seed, k])), so it does not depend on which other reports
+    run, or in which process."""
     sizes = sizes or {}
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
-    reports = []
-    for name in CHECKS:
+    tasks = []
+    for name, (_, variants, _) in _REGISTRY.items():
         if name in names:
-            reports.extend(CHECKS[name](seed, sizes.get(name, {})))
-    return reports
+            keywords = {**sizes.get(name, {}), "seed": seed}
+            if "s_list" in keywords:
+                variants = [(s,) for s in keywords.pop("s_list")]
+            tasks.extend((name, args, keywords) for args in variants)
+    return tasks
+
+
+def _run_task(task: tuple[str, tuple, dict]) -> VerificationReport:
+    # CHECKS is read when the task runs, so that a wrapper put there is called
+    name, args, keywords = task
+    return CHECKS[name](*args, **keywords)
+
+
+def run_checks(names: Sequence[str], seed: int = 0,
+               sizes: dict | None = None) -> list[VerificationReport]:
+    """Run the reports of check_tasks(names, seed, sizes) one after another.
+    cnlab verify runs the same tasks, one report per task, on up to one forked
+    worker per report and per usable CPU (a single report runs in-process),
+    and reads the reports in the same order, with the same result."""
+    return list(map(_run_task, check_tasks(names, seed, sizes)))
 
 
 def summary_csv(reports: Sequence[VerificationReport]) -> str:

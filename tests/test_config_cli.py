@@ -28,7 +28,8 @@ from cnlab.semigroup import TimeGrid, heat
 from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import (EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig,
                           etdrk4_integrate, kato_smallness, make_profile)
-from cnlab.verification import CHECKS, SIZE_KEYS, VerificationReport, run_checks
+from cnlab.verification import (CHECKS, SIZE_KEYS, VerificationReport, check_tasks,
+                                run_checks)
 
 
 def write_json(path: Path, obj) -> Path:
@@ -774,13 +775,21 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         fake = VerificationReport(name="bony_identity", passed=False, trials=1)
-        monkeypatch.setattr("cnlab.cli.run_checks", lambda *a, **k: [fake])
+        monkeypatch.setitem(CHECKS, "bony_identity", lambda *a, **k: fake)
         out = tmp_path / "v"
-        code = cli_main(["verify", "--all", "--out", str(out)])
+        code = cli_main(["verify", "--checks", "bony_identity", "--out", str(out)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "CheckFailed"
         assert (out / "summary.csv").read_text().splitlines()[1].endswith(",fail")
+
+    def test_checks_flag_without_names_is_a_usage_error(self, tmp_path, capsys):
+        # it once ran every check, while "checks": [] in a config is refused
+        out = tmp_path / "v"
+        assert cli_main(["verify", "--checks", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "UsageError"
+        assert not out.exists()
 
 
 # Every check at its smallest useful size: verify --all takes about a second.
@@ -803,15 +812,15 @@ def refuse_process_pools(monkeypatch):
 
 
 def fake_check(tmp_path, name, delay=0.0, error=None):
-    """A check runner that notes the pid it ran in, waits, then returns one
-    passing report or raises error."""
-    def run(seed, sizes):
+    """A verify_* stand-in that notes the pid it ran in, waits, then returns
+    one passing report or raises error."""
+    def verify(*args, seed, **sizes):
         (tmp_path / f"{name}.pid").write_text(str(os.getpid()))
         time.sleep(delay)
         if error is not None:
             raise error
-        return [VerificationReport(name=name, passed=True, trials=1, headline_constant=1.0)]
-    return run
+        return VerificationReport(name=name, passed=True, trials=1, headline_constant=1.0)
+    return verify
 
 
 def raised_by(name, kind, t):
@@ -831,7 +840,7 @@ def raised_by(name, kind, t):
 
 class TestVerifyWorkers:
     """verify ends the same, file for file and in its exit code, whether its
-    checks run on forked worker processes or one after another in-process."""
+    reports run on forked worker processes or one after another in-process."""
 
     @staticmethod
     def run(tmp_path, monkeypatch, capsys, cpus, argv=("--all",), tag=None):
@@ -879,6 +888,29 @@ class TestVerifyWorkers:
             if other.is_alive():
                 other.join(60)
 
+    def test_smoothing_forks_its_four_reports(self, tmp_path, monkeypatch, capsys):
+        pids = tmp_path / "pids"
+        pids.mkdir()
+
+        def noting(*args, **keywords):
+            (pids / f"{args}.pid").write_text(str(os.getpid()))
+            return verify_smoothing(*args, **keywords)
+
+        verify_smoothing = CHECKS["smoothing"]
+        monkeypatch.setitem(CHECKS, "smoothing", noting)
+        argv = ("--checks", "smoothing")
+        forked = self.run(tmp_path, monkeypatch, capsys, 2, argv=argv)
+        forked_pids = {p.name: int(p.read_text()) for p in pids.iterdir()}
+        assert len(forked_pids) == 4 and os.getpid() not in forked_pids.values()
+        assert forked == self.run(tmp_path, monkeypatch, capsys, 1, argv=argv)
+        assert sorted(forked[2]) == sorted(
+            [f"smoothing_r{r:+g}_a{a:g}.json" for r in (-1, 0) for a in (1, 2)] + ["summary.csv"])
+
+    def test_s_list_gives_one_paraproduct_task_per_s(self):
+        sizes = {"paraproduct": {"trials": 2, "s_list": [3.0, 1.5, 2.0]}}
+        assert check_tasks(["paraproduct"], 5, sizes) == [
+            ("paraproduct", (s,), {"trials": 2, "seed": 5}) for s in (3.0, 1.5, 2.0)]
+
     def test_single_check_stays_in_process(self, tmp_path, monkeypatch, capsys):
         refuse_process_pools(monkeypatch)
         code, err, files = self.run(tmp_path, monkeypatch, capsys, 2,
@@ -891,8 +923,8 @@ class TestVerifyWorkers:
             monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name, 0.5 if k == 0 else 0.0))
         code, _, files = self.run(tmp_path, monkeypatch, capsys, 2)
         assert code == 0
-        assert [row.split(",")[0] for row in files["summary.csv"].decode().splitlines()[1:]] == (
-            list(CHECKS))
+        assert [row.split(",")[0] for row in files["summary.csv"].decode().splitlines()[1:]] == [
+            name for name, _, _ in check_tasks(list(CHECKS), 5, VERIFY_SMALL)]
 
     # the solver's exceptions carry a trajectory back from the worker
     @pytest.mark.parametrize("kind, exit_code", [
@@ -930,7 +962,7 @@ class TestVerifyWorkers:
         assert not (tmp_path / f"{rest[-1]}.pid").exists()
 
     @pytest.mark.parametrize("jobs, cpus, workers", [
-        (0, 4, 1), (1, 4, 1), (7, 1, 1), (7, 2, 2), (2, 8, 2), (7, 64, 7)])
+        (0, 4, 1), (1, 4, 1), (7, 1, 1), (7, 2, 2), (2, 8, 2), (7, 64, 7), (11, 64, 11)])
     def test_worker_count(self, monkeypatch, jobs, cpus, workers):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert cli._worker_count(jobs) == workers

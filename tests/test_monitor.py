@@ -11,7 +11,7 @@ from cnlab.grid import Grid
 from cnlab.littlewood_paley import besov_distance, besov_norm
 from cnlab.monitor import (CSV_COLUMNS, FitUndefined, MonitorRecord,
                            giga_rate_fit, bv_variation,
-                           expected_blowup_exponent, kato_functional, monitor,
+                           expected_blowup_exponent, monitor,
                            read_monitor_csv, write_monitor_csv)
 from cnlab.semigroup import TimeGrid
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, PicardOptions,
@@ -108,20 +108,10 @@ class TestMonitor:
         assert all(math.isfinite(r.lp_inf) for r in recs)
 
 
-class TestKatoFunctional:
-    def test_matches_direct_call(self, tg_traj):
-        got = kato_functional(tg_traj, 0)
-        want = kato_smallness(tg_traj.states[0], 1.0, 1.0)
-        assert got.value == want.value and got.t_at == want.t_at
-
-    def test_monotone_in_horizon(self, tg_traj):
-        lo = kato_functional(tg_traj, 2, horizon=0.2).value
-        hi = kato_functional(tg_traj, 2, horizon=0.8).value
-        assert lo <= hi
-
-    def test_no_remaining_horizon(self, tg_traj):
-        with pytest.raises(ValueError):
-            kato_functional(tg_traj, len(tg_traj.states) - 1)
+def test_kato_smallness_monotone_in_horizon(tg_traj):
+    lo = kato_smallness(tg_traj.states[2], 0.2, 1.0).value
+    hi = kato_smallness(tg_traj.states[2], 0.8, 1.0).value
+    assert lo <= hi
 
 
 class TestBvVariation:

@@ -9,7 +9,7 @@ from cnlab import solver
 from cnlab.fields import (SpectralVectorField, divergence_sup, linf, lp_norm,
                           pointwise_tensor, zero_field)
 from cnlab.grid import Grid
-from cnlab.monitor import kato_functional, monitor
+from cnlab.monitor import monitor
 from cnlab.semigroup import TimeGrid, duhamel_L, heat, oseen_apply
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
                           PicardOptions, SolverConfig, Trajectory, compare_trajectories,
@@ -442,7 +442,6 @@ _TRAJ = Trajectory(_U.grid, TimeGrid.uniform(1.0, 1), np.stack([_U.coeffs] * 2),
 
 @pytest.mark.parametrize("call, match", [
     (lambda: lp_norm(_U, NAN), "1 <= p"),
-    (lambda: kato_functional(_TRAJ, 0, horizon=NAN), "no horizon remains"),
     (lambda: monitor(_TRAJ, kato_horizon=NAN), "kato_horizon"),
     (lambda: TimeGrid(np.array([0.0, NAN, 1.0])), "finite"),
     (lambda: TimeGrid(np.array([0.0, 1.0, math.inf])), "finite"),
@@ -459,7 +458,7 @@ _TRAJ = Trajectory(_U.grid, TimeGrid.uniform(1.0, 1), np.stack([_U.coeffs] * 2),
     (lambda: kato_smallness(_U, 1.0, NAN), "viscosity"),
     (lambda: etdrk4_integrate(_U, SolverConfig(res=8, etdrk4=EtdrkOptions(dt=NAN))),
      "dt must be positive"),
-], ids=["lp_norm", "kato_functional", "monitor", "TimeGrid-nan", "TimeGrid-inf",
+], ids=["lp_norm", "monitor", "TimeGrid-nan", "TimeGrid-inf",
         "uniform", "graded-horizon", "graded-power", "heat-t", "heat-nu", "duhamel_L",
         "oseen_apply", "SolverConfig-nu", "SolverConfig-horizon", "kato_ladder", "kato-nu",
         "etdrk4-dt"])
