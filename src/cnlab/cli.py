@@ -45,7 +45,7 @@ from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapsho
 from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
                      compare_trajectories, etdrk4_integrate, picard_solve,
                      profile_from_spec)
-from .verification import _run_task, check_tasks, summary_csv
+from .verification import check_tasks, run_task, summary_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -280,7 +280,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             run = pool.map
         # read in canonical order: the in-process reports and, if reports
         # raise, the error of the first of them in that order
-        reports = list(run(_run_task, tasks))
+        reports = list(run(run_task, tasks))
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())

@@ -557,8 +557,10 @@ def check_tasks(names: Sequence[str], seed: int = 0,
     return tasks
 
 
-def _run_task(task: tuple[str, tuple, dict]) -> VerificationReport:
-    # CHECKS is read when the task runs, so that a wrapper put there is called
+def run_task(task: tuple[str, tuple, dict]) -> VerificationReport:
+    """The report of one (name, args, keywords) task of check_tasks.
+    CHECKS[name] is looked up when the task runs, so that a wrapper put
+    there is called."""
     name, args, keywords = task
     return CHECKS[name](*args, **keywords)
 
@@ -569,7 +571,7 @@ def run_checks(names: Sequence[str], seed: int = 0,
     cnlab verify runs the same tasks, one report per task, on up to one forked
     worker per report and per usable CPU (a single report runs in-process),
     and reads the reports in the same order, with the same result."""
-    return list(map(_run_task, check_tasks(names, seed, sizes)))
+    return list(map(run_task, check_tasks(names, seed, sizes)))
 
 
 def summary_csv(reports: Sequence[VerificationReport]) -> str:

@@ -811,14 +811,16 @@ def refuse_process_pools(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
-def fake_check(tmp_path, name, delay=0.0, error=None):
+def fake_check(tmp_path, name, delay=0.0, error=None, only=None):
     """A verify_* stand-in that notes the pid it ran in, waits, then returns
-    one passing report or raises error."""
+    one passing report or raises error. With only given, it waits and raises
+    only in the report with those positional arguments."""
     def verify(*args, seed, **sizes):
         (tmp_path / f"{name}.pid").write_text(str(os.getpid()))
-        time.sleep(delay)
-        if error is not None:
-            raise error
+        if only is None or args == only:
+            time.sleep(delay)
+            if error is not None:
+                raise error
         return VerificationReport(name=name, passed=True, trials=1, headline_constant=1.0)
     return verify
 
@@ -918,23 +920,27 @@ class TestVerifyWorkers:
         assert (code, err, sorted(files)) == (0, "", ["embedding.json", "summary.csv"])
 
     def test_reports_keep_the_canonical_order(self, tmp_path, monkeypatch, capsys):
-        # the first check ends last on the workers
-        for k, name in enumerate(CHECKS):
-            monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name, 0.5 if k == 0 else 0.0))
+        # the first report ends last on the workers, after all the others
+        tasks = check_tasks(list(CHECKS), 5, VERIFY_SMALL)
+        (first, first_args, _), *_ = tasks
+        for name in CHECKS:
+            monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name))
+        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5, only=first_args))
         code, _, files = self.run(tmp_path, monkeypatch, capsys, 2)
         assert code == 0
         assert [row.split(",")[0] for row in files["summary.csv"].decode().splitlines()[1:]] == [
-            name for name, _, _ in check_tasks(list(CHECKS), 5, VERIFY_SMALL)]
+            name for name, _, _ in tasks]
 
     # the solver's exceptions carry a trajectory back from the worker
     @pytest.mark.parametrize("kind, exit_code", [
         ("ValueError", 1), ("NonConvergence", 3), ("BlowupSuspected", 4)])
     def test_first_raising_check_in_canonical_order_surfaces(self, tmp_path, monkeypatch,
                                                              capsys, kind, exit_code):
-        # the first check raises last, the second one at once
+        # the first report raises last, the second check's reports at once
         first, second, *rest = CHECKS
+        (_, first_args, _), *_ = check_tasks([first], 5, VERIFY_SMALL)
         error = raised_by(first, kind, 0.5)
-        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5, error))
+        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5, error, first_args))
         monkeypatch.setitem(CHECKS, second, fake_check(tmp_path, second, 0.0,
                                                        raised_by(second, kind, 0.25)))
         for name in rest:
