@@ -242,7 +242,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     traj = Trajectory(grid, tgrid, np.stack([f.coeffs for f in states]),
                       method="snapshots", meta={"nu": args.nu})
     records = monitor(traj, p_list=tuple(args.p), omega=omega, kato_horizon=kh,
-                      cutoff=args.cutoff, nu=args.nu)
+                      cutoff=args.cutoff)
     echo = {"nu": args.nu, "cutoff": args.cutoff, "kato_horizon": args.kato_horizon,
             "p_list": args.p, "snapshots": [str(p) for p in paths]}
     write_monitor_csv(records, args.out, config_echo=echo)

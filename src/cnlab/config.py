@@ -17,7 +17,7 @@ from .grid import Grid
 from .monitor import check_exponents, check_kato_horizon
 from .solver import (PROFILE_KINDS, EtdrkOptions, PicardOptions, ProfileSpec,
                      SolverConfig)
-from .verification import CHECKS, SIZE_KEYS
+from .verification import CHECKS, SIZE_KEYS, paraproduct_name
 
 
 class ConfigError(ValueError):
@@ -92,7 +92,10 @@ _SIMULATE = {
 _SIZES = {
     "trials": _at_least(1), "nodes": _at_least(1), "pairs": _at_least(1),
     "res": _RES, "res_list": _list_of(_RES), "dim": _DIM, "dims": _list_of(_DIM),
-    "T_list": _list_of(_above(0)), "s_list": _list_of(_above(1)),
+    "T_list": _list_of(_above(0)),
+    # two values with one report name would write one report file twice
+    "s_list": (_list_of(_above(1))[0] + ", no two with one report name (paraproduct_s{s:g})",
+               lambda v: _list_of(_above(1))[1](v) and len(set(map(paraproduct_name, v))) == len(v)),
 }
 
 _VERIFY = {

@@ -212,14 +212,6 @@ class Grid:
         w.setflags(write=False)
         return w
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean 2/3-rule mask: True where every |k_i| <= res/3."""
-        keep = self.res / 3.0
-        mask = np.all(np.abs(self.wavenumbers) <= keep, axis=0)
-        mask.setflags(write=False)
-        return mask
-
     def coords(self) -> tuple[np.ndarray, ...]:
         """Physical meshgrid arrays x_1..x_dim, each of shape grid.shape."""
         x1 = TAU * np.arange(self.res) / self.res

@@ -75,10 +75,6 @@ class DyadicPartition:
         """The multipliers S_0, D_0 .. D_jmax (views)."""
         return (self.s0, *self.delta)
 
-    def partition_sum(self) -> np.ndarray:
-        """S_0 + sum_j D_j, identically 1 up to roundoff."""
-        return self.s0 + np.sum(self.delta, axis=0)
-
 
 @lru_cache(maxsize=16)
 def build_partition(grid: Grid, mode: str = "sharp") -> DyadicPartition:
@@ -121,12 +117,6 @@ def low_pass(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
     if not 0 <= j <= part.jmax + 1:
         raise ValueError(f"low-pass index {j} outside [0, {part.jmax + 1}]")
     return f * part.lowpass[j]
-
-
-def block_sup_norms(grid: Grid, coeffs: np.ndarray, part: DyadicPartition) -> tuple[float, np.ndarray]:
-    """(||S_0 f||_inf, array of ||D_j f||_inf) for a (ncomp, *spectral_shape) stack."""
-    sups = _stack_block_sups(grid, coeffs[np.newaxis], part)
-    return float(sups[0, 0]), sups[0, 1:]
 
 
 def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> np.ndarray:
@@ -196,8 +186,3 @@ def besov_norm_states(coeffs: np.ndarray, s: float, part: DyadicPartition) -> np
     weights = np.concatenate([[1.0], np.power(2.0, s * np.arange(part.jmax + 1))])
     return np.max(sups * weights, axis=-1)
 
-
-def besov_distance(f: SpectralField, g: SpectralField, s: float,
-                   part: DyadicPartition | None = None) -> float:
-    """besov_norm(f - g, s); the B^{s,inf}_inf distance."""
-    return besov_norm(f - g, s, part)

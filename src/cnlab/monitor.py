@@ -76,19 +76,19 @@ def check_kato_horizon(kato_horizon: float | str | None) -> None:
 
 
 def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVectorField | None = None,
-            kato_horizon: float | str | None = None, cutoff: str = "sharp",
-            nu: float | None = None) -> list[MonitorRecord]:
+            kato_horizon: float | str | None = None, cutoff: str = "sharp") -> list[MonitorRecord]:
     """One record per stored state.
 
     p_list adds Lebesgue norms beyond the always-computed {2, dim, inf}.
     kato_horizon: None disables the smallness column; "default" uses
     min(1, horizon - t) per record; a number fixes the remaining horizon.
-    Works on partial (blow-up) trajectories as-is.
+    The smallness column's viscosity is the trajectory's meta["nu"], 1.0
+    when the meta has none. Works on partial (blow-up) trajectories as-is.
     """
     check_exponents(p_list)
     check_kato_horizon(kato_horizon)
     grid = traj.grid
-    nu = float(traj.meta.get("nu", 1.0)) if nu is None else nu
+    nu = float(traj.meta.get("nu", 1.0))
     part = build_partition(grid, cutoff)
     n = float(grid.dim)
     horizon = traj.tgrid.horizon

@@ -197,13 +197,3 @@ def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
         out[m] = row
     return out
 
-
-def oseen_apply(F: TensorField, t: float, nu: float = 1.0) -> SpectralVectorField:
-    """Smoothed projected tensor divergence e^{t nu Laplacian} Leray(div F), t > 0.
-
-    The composite kernel is the Oseen-type operator whose sup norm decays like
-    t^{-1/2} for unit-amplitude tensors; commutes with further heat flow.
-    """
-    if not t > 0:
-        raise ValueError(f"oseen_apply requires t > 0, got {t}")
-    return heat(leray_project(div_tensor(F)), t, nu)

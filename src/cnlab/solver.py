@@ -36,7 +36,7 @@ from .fields import (_BOUND_MARGIN, SpectralVectorField, _lp_norms,
                      random_field, to_spectral)
 from .grid import Grid
 from .phi import phi1, phi2, phi3
-from .semigroup import TimeGrid, duhamel_rows, leray_project, nonlinearity
+from .semigroup import TimeGrid, duhamel_rows, heat, leray_project, nonlinearity
 
 
 class NonConvergence(RuntimeError):
@@ -58,16 +58,23 @@ class Cancelled(RuntimeError):
 
 
 class BlowupSuspected(RuntimeError):
-    """Time stepping hit NaN/overflow; carries the last finite state."""
+    """Time stepping hit NaN/overflow at trajectory.meta["blowup_time"]; the
+    trajectory holds the finite states before it, the last one last_state."""
 
-    def __init__(self, t: float, last_state: SpectralVectorField, trajectory: "Trajectory"):
-        super().__init__(f"non-finite state at t = {t:.6g}")
-        self.time = t
-        self.last_state = last_state
+    def __init__(self, trajectory: "Trajectory"):
+        super().__init__(f"non-finite state at t = {trajectory.meta['blowup_time']:.6g}")
         self.trajectory = trajectory
 
+    @property
+    def time(self) -> float:
+        return self.trajectory.meta["blowup_time"]
+
+    @property
+    def last_state(self) -> SpectralVectorField:
+        return SpectralVectorField(self.trajectory.grid, self.trajectory.coeffs[-1])
+
     def __reduce__(self):
-        return type(self), (self.time, self.last_state, self.trajectory)
+        return type(self), (self.trajectory,)
 
 
 @dataclass
@@ -295,16 +302,10 @@ def profile_from_spec(grid: Grid, spec: ProfileSpec) -> SpectralVectorField:
 # Picard iteration
 # ---------------------------------------------------------------------------
 
-def _node_norms(grid: Grid, du: np.ndarray) -> tuple[float, float]:
-    """(||du||_inf, ||du||_n) of one node's increment du, n the dimension,
-    from one transform."""
-    return _lp_norms(grid, du, (math.inf, float(grid.dim)))
-
-
 def _kato_increment(nodes: np.ndarray, norms: Sequence[tuple[float, float]]) -> float:
     """sup_m sqrt(t_m) ||du(t_m)||_inf + sup_m ||du(t_m)||_n from the per-node
-    _node_norms; non-finite as soon as one node's norms are (max() would drop
-    a nan)."""
+    norms (||du||_inf, ||du||_n); non-finite as soon as one node's norms are
+    (max() would drop a nan)."""
     sup_w = 0.0
     sup_n = 0.0
     for t, (sup, n_norm) in zip(nodes, norms):
@@ -320,9 +321,8 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
 
     Each iteration is one in-place sweep over a single trajectory array:
     duhamel_rows reads row m's forcing, then row m is overwritten with the
-    Duhamel row plus the heat row u0 exp(-nu t_m |k|^2), formed per node,
-    and the increment norms of the node are taken from the old and new row
-    on the way. Raises NonConvergence (with the partial trajectory attached)
+    Duhamel row plus heat(u0, t_m), formed per node, and the increment norms
+    of the node are taken from the old and new row on the way. Raises NonConvergence (with the partial trajectory attached)
     when the increment fails to drop below the tolerance within max_iters or
     grows without bound.
     """
@@ -332,14 +332,9 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     tg = cfg.time_grid()
     nodes = tg.nodes
     t0 = time.perf_counter()
-
-    def heat_row(m: int) -> np.ndarray:
-        # heat(u0, t_m) by its expressions, u0 itself at t_0 = 0
-        return u0.coeffs if m == 0 else u0.coeffs * np.exp(-cfg.nu * nodes[m] * grid.ksq)
-
     coeffs = np.empty((nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
-    for m, row in enumerate(coeffs):
-        row[...] = heat_row(m)
+    for row, t in zip(coeffs, nodes):
+        row[...] = heat(u0, t, cfg.nu).coeffs
     increments: list[float] = []
     converged = False
     blew_up = False
@@ -350,9 +345,9 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
             forcing = (nonlinearity(SpectralVectorField(grid, c), cfg.dealias) for c in coeffs)
             norms = []
             # duhamel_rows has read row m's forcing when it yields row m
-            for m, (row, duhamel) in enumerate(zip(coeffs, duhamel_rows(forcing, tg, cfg.nu))):
-                new = duhamel + heat_row(m)
-                norms.append(_node_norms(grid, new - row))
+            for row, t, duhamel in zip(coeffs, nodes, duhamel_rows(forcing, tg, cfg.nu)):
+                new = duhamel + heat(u0, t, cfg.nu).coeffs
+                norms.append(_lp_norms(grid, new - row, (math.inf, float(grid.dim))))
                 row[...] = new
             inc = _kato_increment(nodes, norms)
             increments.append(inc)
@@ -419,9 +414,10 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
     The requested dt is an upper bound: each inter-node interval is covered by
     an integer number of equal steps so node times are hit exactly. Raises
     BlowupSuspected on NaN/overflow, with the finite states before it as the
-    partial trajectory, whose last row is last_state. Every right-hand side
-    first looks at ``stop``, if given, and raises Cancelled once it is set,
-    so another thread can end the solve within one stage.
+    partial trajectory, whose meta["blowup_time"] is the node it missed.
+    Every right-hand side first looks at ``stop``, if given, and raises
+    Cancelled once it is set, so another thread can end the solve within one
+    stage.
     """
     grid = u0.grid
     if (grid.dim, grid.res) != (cfg.dim, cfg.res):
@@ -461,8 +457,7 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
                     raise _NonFinite
             except (_NonFinite, FloatingPointError):
                 meta["blowup_time"] = float(nodes[m + 1])
-                traj = Trajectory(grid, tg, out[: m + 1], "etdrk4", meta)
-                raise BlowupSuspected(float(nodes[m + 1]), traj.states[-1], traj) from None
+                raise BlowupSuspected(Trajectory(grid, tg, out[: m + 1], "etdrk4", meta)) from None
             out[m + 1] = u
     return Trajectory(grid, tg, out, "etdrk4", meta)
 

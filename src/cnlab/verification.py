@@ -147,6 +147,11 @@ def verify_smoothing(r: float, alpha: float, T_list: Sequence[float] | None = No
 # paraproduct bounds
 # ---------------------------------------------------------------------------
 
+def paraproduct_name(s: float) -> str:
+    """The name of verify_paraproduct(s)'s report and of its JSON file."""
+    return f"paraproduct_s{s:g}"
+
+
 def verify_paraproduct(s: float, trials: int = 50, res_list: Sequence[int] = (32, 64, 128),
                        dim: int = 2, seed: int = 0) -> VerificationReport:
     """Resolution stability of the two paraproduct-bound constants.
@@ -179,7 +184,7 @@ def verify_paraproduct(s: float, trials: int = 50, res_list: Sequence[int] = (32
     passed = (k_low[-1] <= STABILITY_FACTOR * k_low[0]
               and k_const[-1] <= STABILITY_FACTOR * k_const[0])
     return VerificationReport(
-        name=f"paraproduct_s{s:g}",
+        name=paraproduct_name(s),
         passed=passed,
         trials=trials,
         constants={

@@ -56,9 +56,14 @@ def hermitian_defect(grid: Grid, half: np.ndarray) -> float:
     return float(np.max(np.abs(full - conj_reflect(grid, full))))
 
 
+def dealias_mask(grid: Grid) -> np.ndarray:
+    """The 2/3 rule's modes, from the wavenumbers: True where every |k_i| <= res/3."""
+    return np.all(np.abs(grid.wavenumbers) <= grid.res / 3.0, axis=0)
+
+
 def dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """coeffs with every mode outside the 2/3 box (any |k_i| > res/3) zeroed."""
-    return np.where(grid.dealias_mask, coeffs, 0.0)
+    return np.where(dealias_mask(grid), coeffs, 0.0)
 
 
 def embed_coeffs(small: Grid, coeffs: np.ndarray, big: Grid) -> np.ndarray:

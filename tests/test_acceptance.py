@@ -21,7 +21,7 @@ import pytest
 from cnlab.cli import main as cli_main
 from cnlab.fields import linf
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import besov_distance
+from cnlab.littlewood_paley import besov_norm
 from cnlab.monitor import (MonitorRecord, bv_variation, giga_rate_fit,
                            monitor, read_monitor_csv, write_monitor_csv)
 from cnlab.semigroup import TimeGrid
@@ -268,7 +268,7 @@ def test_a10_monitor_mechanics(tg_runs, all_monitors, tmp_path):
     b = make_profile(g, "random_divfree", seed=22)
     pair = Trajectory(g, TimeGrid.uniform(1.0, 1), np.stack([a.coeffs, b.coeffs]), "synthetic", {})
     bv = bv_variation(pair, -1.0)
-    bv_ok = (bv.total == besov_distance(b, a, -1.0)
+    bv_ok = (bv.total == besov_norm(b - a, -1.0)
              and bv.max_increment == bv.total)
 
     # rate fit on a synthetic inverse-square-root series

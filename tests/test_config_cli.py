@@ -270,6 +270,14 @@ def test_schema_tables_name_every_reader_key():
     (["verify", "--seed", "-1"], {"checks": ["embedding"],
                                   "sizes": {"embedding": {"trials": 1, "res_list": [16]}}},
      "config.seed"),
+    # s values that name one report (paraproduct_s2) would write one JSON twice
+    (["verify"], {"checks": ["paraproduct"],
+                  "sizes": {"paraproduct": {"s_list": [2.0, 2], "trials": 2, "res_list": [16]}}},
+     "config.sizes.paraproduct.s_list"),
+    (["verify"], {"checks": ["paraproduct"],
+                  "sizes": {"paraproduct": {"s_list": [2.0000001, 2.0000002], "trials": 2,
+                                            "res_list": [16]}}},
+     "config.sizes.paraproduct.s_list"),
 ])
 def test_bad_configs_are_rejected_up_front(tmp_path, capsys, argv, data, key):
     # each once ran, exited 0 on meaningless columns, or failed after writing
@@ -833,11 +841,12 @@ def raised_by(name, kind, t):
         return ValueError(f"{name} raised")
     grid = Grid(2, 8)
     traj = solver.Trajectory(grid, TimeGrid([0.0, t]),
-                             make_profile(grid, "taylor_green_2d").coeffs[None], "picard")
+                             make_profile(grid, "taylor_green_2d").coeffs[None], "picard",
+                             {"blowup_time": t})
     if kind == "NonConvergence":
         report = solver.ConvergenceReport(False, 1, [1.0], [], None, 1e-10, 0.0)
         return solver.NonConvergence(f"{name} raised", traj, report)
-    return solver.BlowupSuspected(t, traj.states[-1], traj)
+    return solver.BlowupSuspected(traj)
 
 
 class TestVerifyWorkers:

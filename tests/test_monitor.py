@@ -8,7 +8,7 @@ import pytest
 
 from cnlab.fields import linf, lp_norm, zero_field
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import besov_distance, besov_norm
+from cnlab.littlewood_paley import besov_norm
 from cnlab.monitor import (CSV_COLUMNS, FitUndefined, MonitorRecord,
                            giga_rate_fit, bv_variation,
                            expected_blowup_exponent, monitor,
@@ -59,7 +59,7 @@ class TestMonitor:
     def test_distance_to_initial_profile(self, tg_traj):
         recs = monitor(tg_traj, omega=tg_traj.states[0])
         assert recs[0].besov_dist_omega == 0.0
-        want = besov_distance(tg_traj.states[3], tg_traj.states[0], -1.0)
+        want = besov_norm(tg_traj.states[3] - tg_traj.states[0], -1.0)
         assert recs[3].besov_dist_omega == pytest.approx(want, rel=1e-12)
 
     def test_kato_column_default_horizon(self, tg_traj):
@@ -74,6 +74,12 @@ class TestMonitor:
         for r, state in zip(recs, tg_traj.states):
             want = kato_smallness(state, 0.3, 1.0).value
             assert r.kato_I == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("meta, nu", [({"nu": 0.25}, 0.25), ({}, 1.0)])
+    def test_kato_column_takes_the_trajectorys_viscosity(self, tg_traj, meta, nu):
+        traj = Trajectory(tg_traj.grid, tg_traj.tgrid, tg_traj.coeffs, "synthetic", meta)
+        want = [kato_smallness(state, 0.3, nu).value for state in tg_traj.states]
+        assert [r.kato_I for r in monitor(traj, kato_horizon=0.3)] == want
 
     def test_kato_column_reuses_the_lp_n_column(self, tg_traj, monkeypatch):
         # the record's lp_n is ||u||_n to the bit, so no second L^n norm is taken
@@ -130,7 +136,7 @@ class TestBvVariation:
         b = make_profile(g2_16, "random_divfree", seed=2)
         traj = self._synthetic(g2_16, [a, b])
         res = bv_variation(traj, -1.0)
-        want = besov_distance(b, a, -1.0)
+        want = besov_norm(b - a, -1.0)
         assert res.total == want and res.max_increment == want
         assert res.argmax_index == 0
 

@@ -10,8 +10,7 @@ g = cos(8 x1) e_b with |k|=8 in block 3, s > 0):
 import numpy as np
 import pytest
 
-from cnlab.fields import (SpectralVectorField, linf,
-                          pointwise_tensor, random_field,
+from cnlab.fields import (SpectralVectorField, linf, random_field,
                           random_vector_field, zero_field)
 from cnlab.grid import Grid
 from cnlab.littlewood_paley import besov_norm, build_partition
@@ -118,23 +117,6 @@ class TestTensorParaproduct:
 
 
 class TestBonySplit:
-    def test_reconstruction_random(self, rng):
-        for dim, res in [(2, 16), (2, 32), (3, 16)]:
-            grid = Grid(dim, res)
-            part = build_partition(grid, "sharp")
-            h = random_vector_field(grid, rng)
-            g = random_vector_field(grid, rng)
-            a, b = bony_split(h, g, part)
-            target = pointwise_tensor(h, g)
-            assert rel_err(a.coeffs + b.coeffs, target.coeffs) <= 1e-12
-
-    def test_reconstruction_self_pair(self, g2_32, rng):
-        part = build_partition(g2_32, "sharp")
-        h = random_vector_field(g2_32, rng)
-        a, b = bony_split(h, h, part)
-        target = pointwise_tensor(h, h)
-        assert rel_err(a.coeffs + b.coeffs, target.coeffs) <= 1e-12
-
     def test_zero_inputs(self, g2_16, rng):
         part = build_partition(g2_16, "sharp")
         h = random_vector_field(g2_16, rng)

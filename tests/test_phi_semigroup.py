@@ -12,7 +12,7 @@ from cnlab.fields import (SpectralVectorField, divergence_sup, linf, lp_norm,
 from cnlab.grid import Grid
 from cnlab.phi import phi1, phi2, phi3
 from cnlab.semigroup import (TimeGrid, div_tensor, duhamel_L, heat,
-                             leray_project, nonlinearity, oseen_apply)
+                             leray_project, nonlinearity)
 
 from helpers import axis_tensor, rel_err, single_mode_vector
 
@@ -117,16 +117,6 @@ class TestLeray:
                                       2.0 * np.cos(x[0] + 2.0 * x[1])]), g2_32)
         assert linf(gradp) == pytest.approx(math.sqrt(5.0), rel=1e-12)
         assert linf(leray_project(gradp)) <= 1e-13
-
-    def test_divfree_fixed_and_idempotent(self, g3_16, rng):
-        u = random_vector_field(g3_16, rng)
-        pu = leray_project(u)
-        assert divergence_sup(pu) <= 1e-12
-        assert rel_err(leray_project(pu).coeffs, pu.coeffs) <= 1e-13
-
-    def test_divfree_input_unchanged(self, g2_32, rng):
-        u = leray_project(random_vector_field(g2_32, rng))
-        assert rel_err(leray_project(u).coeffs, u.coeffs) <= 1e-13
 
 
 class TestDivTensor:
@@ -275,26 +265,22 @@ class TestDuhamel:
 
 
 class TestOseen:
+    """The Oseen-type kernel e^{t nu Laplacian} Leray(div F)."""
+
     def test_zero(self, g2_16):
         t = pointwise_tensor(zero_field(g2_16), zero_field(g2_16))
-        assert linf(oseen_apply(t, 0.5, 1.0)) == 0.0
+        assert linf(heat(leray_project(div_tensor(t)), 0.5, 1.0)) == 0.0
 
     def test_axis_probe_closed_form(self):
         grid = Grid(2, 64)
         m, nu, t = 4, 1.0, 0.05
-        out = oseen_apply(axis_tensor(grid, m), t, nu)
+        out = heat(leray_project(div_tensor(axis_tensor(grid, m))), t, nu)
         want = m * math.exp(-nu * m * m * t)
         assert linf(out) == pytest.approx(want, rel=1e-12)
 
     def test_commutes_with_heat(self, g2_32, rng):
         u = random_vector_field(g2_32, rng)
         t = pointwise_tensor(u, u)
-        one = heat(oseen_apply(t, 0.2, 0.8), 0.3, nu=0.8)
-        both = oseen_apply(t, 0.5, 0.8)
+        one = heat(heat(leray_project(div_tensor(t)), 0.2, 0.8), 0.3, nu=0.8)
+        both = heat(leray_project(div_tensor(t)), 0.5, 0.8)
         assert rel_err(one.coeffs, both.coeffs) <= 1e-13
-
-    def test_rejects_nonpositive_time(self, g2_16, rng):
-        u = random_vector_field(g2_16, rng)
-        t = pointwise_tensor(u, u)
-        with pytest.raises(ValueError):
-            oseen_apply(t, 0.0, 1.0)

@@ -1,8 +1,10 @@
 """Property tests of the real-to-complex transform pair, the band-limited
 (box-pruned) pair, the half-spectrum right-hand side and the exact transform
-pruning, over dims 2/3, res 8..32 and extra leading axes, and of the single
+pruning, over dims 2/3, res 8..32 and extra leading axes; of the single
 implementation behind each norm: the monitor's Lebesgue columns are lp_norm,
-the Besov distance is the norm of the difference.
+the batched Besov norms are besov_norm per state; and of the algebraic
+identities: the partition of unity, Leray idempotence and exact Bony
+reassembly.
 
 The oracles (full complex FFTs of the full spectra that helpers.py
 completes by flip-and-roll reflection) are independent of the library's
@@ -21,21 +23,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnlab.fields import (SpectralVectorField, _box_of, _box_phys_values, _box_spectrum,
-                          _divergence_bound, _from_box,
+from cnlab.fields import (_BOUND_MARGIN, SpectralVectorField, _box_of, _box_phys_values,
+                          _box_spectrum, _divergence_bound, _from_box,
                           divergence_sup, energy, linf, lp_norm, phys_values,
                           pointwise_tensor, random_field, random_tensor_field,
                           random_vector_field, spectral_values)
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import (_stack_block_sups, besov_distance, besov_norm,
-                                    besov_norm_states, block_sup_norms, build_partition)
+from cnlab.littlewood_paley import (_stack_block_sups, besov_norm, besov_norm_states,
+                                    build_partition)
 from cnlab.monitor import monitor
+from cnlab.paraproduct import bony_split
 from cnlab.semigroup import (DIV_FREE_TOL, TimeGrid, div_tensor, leray_project,
                              nonlinearity)
 from cnlab.solver import Trajectory, _heat_bounds, _heat_ladder_sup, _kato_ladder
 from cnlab.verification import verify_oseen_kernel
 
-from helpers import full_spectrum, half_of, hermitian_defect, hermitian_part
+from helpers import full_spectrum, half_of, hermitian_defect, hermitian_part, rel_err
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -362,9 +365,9 @@ def test_magnitude_sups_scale_exactly_by_powers_of_two(grid, seed, k):
     v = u * 2.0**k
     part = build_partition(grid)
     assert besov_norm(v, -1.0, part) == math.ldexp(besov_norm(u, -1.0, part), k)
-    s0, sups = block_sup_norms(grid, v.coeffs, part)
-    s0_u, sups_u = block_sup_norms(grid, u.coeffs, part)
-    assert (s0, sups.tobytes()) == (math.ldexp(s0_u, k), np.ldexp(sups_u, k).tobytes())
+    sups = _stack_block_sups(grid, v.coeffs[np.newaxis], part)
+    sups_u = _stack_block_sups(grid, u.coeffs[np.newaxis], part)
+    assert sups.tobytes() == np.ldexp(sups_u, k).tobytes()
     ts = _kato_ladder(1.0)
     value, t_at = _heat_ladder_sup(grid, v.coeffs, ts, 0.5)
     value_u, t_at_u = _heat_ladder_sup(grid, u.coeffs, ts, 0.5)
@@ -406,15 +409,53 @@ def test_monitor_norm_columns_are_lp_norm(grid, seed, scales):
 @PROPS
 @given(grids, seeds, st.sampled_from(["sharp", "smooth"]), st.sampled_from([-1.0, 0.0, 1.5]),
        st.booleans())
-def test_besov_distance_is_the_norm_of_the_difference(grid, seed, mode, s, tensor):
+def test_batched_besov_norms_are_besov_norm_per_state(grid, seed, mode, s, tensor):
     rng = np.random.default_rng(seed)
     make = random_tensor_field if tensor else random_vector_field
     f, g = make(grid, rng), make(grid, rng)
     part = build_partition(grid, mode)
-    assert besov_distance(f, g, s, part) == besov_norm(f - g, s, part)
-    assert besov_distance(f, g, s) == besov_norm(f - g, s)
     batched = besov_norm_states(np.stack([f.coeffs, g.coeffs, (f - g).coeffs]), s, part)
     assert list(batched) == [besov_norm(h, s, part) for h in (f, g, f - g)]
+
+
+# ---------------------------------------------------------------------------
+# algebraic identities
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode, tol", [("sharp", 0.0), ("smooth", 1e-14)])
+@PROPS
+@given(grids)
+def test_partition_of_unity(mode, tol, grid):
+    # sharp multipliers are 0/1 differences, so their sum is exact
+    part = build_partition(grid, mode)
+    assert np.max(np.abs(part.s0 + part.delta.sum(axis=0) - 1.0)) <= tol
+
+
+@PROPS
+@given(grids, seeds, st.sampled_from([0.0, 1.0, 2.0]))
+def test_leray_projection_is_idempotent(grid, seed, slope):
+    pu = leray_project(random_vector_field(grid, np.random.default_rng(seed), slope))
+    assert rel_err(leray_project(pu).coeffs, pu.coeffs) <= 1e-13
+
+
+@PROPS
+@given(grids, seeds, st.sampled_from([0.0, 1.0, 2.0]))
+def test_projected_unit_fields_take_the_transform_free_guard(grid, seed, slope):
+    # nonlinearity skips the exact divergence sup on these inputs
+    pu = leray_project(random_vector_field(grid, np.random.default_rng(seed), slope))
+    assert divergence_sup(pu) <= 1e-12
+    assert _divergence_bound(grid, pu.coeffs) * _BOUND_MARGIN <= DIV_FREE_TOL
+
+
+@pytest.mark.parametrize("same", [False, True])
+@PROPS
+@given(grids, seeds)
+def test_bony_split_reassembles_the_product(same, grid, seed):
+    rng = np.random.default_rng(seed)
+    h = random_vector_field(grid, rng)  # mean-zero, as are g's
+    g = h if same else random_vector_field(grid, rng)
+    a, b = bony_split(h, g, build_partition(grid, "sharp"))
+    assert rel_err(a.coeffs + b.coeffs, pointwise_tensor(h, g).coeffs) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
