@@ -7,11 +7,11 @@ Subcommands:
                by side on two threads when the states are large enough to
                gain from it, and cross-validates their trajectories
     monitor    recompute monitor records from stored snapshots
-    verify     run the estimate-verification suite, writing per-check JSON
-               reports and a deterministic summary.csv; the reports run one
-               per task on forked worker processes, at most one worker per
-               usable CPU and per report, with the same output as one after
-               another in-process; a single report runs in-process
+    verify     run the estimate-verification suite, writing per-report JSON
+               files and a deterministic summary.csv; the checks run one per
+               task on forked worker processes, at most one worker per usable
+               CPU and per check, with the same output as one after another
+               in-process; a single check runs in-process
     profile    materialize configured initial data as a snapshot and print
                its monitor record at t = 0
 
@@ -42,8 +42,8 @@ from .fields import SpectralVectorField, _transforms_rebound
 from .monitor import MonitorRecord, monitor, write_monitor_csv
 from .semigroup import TimeGrid
 from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
-from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
-                     compare_trajectories, etdrk4_integrate, picard_solve,
+from .solver import (BlowupSuspected, Cancelled, NonConvergence, SolverConfig,
+                     Trajectory, compare_trajectories, etdrk4_integrate, picard_solve,
                      profile_from_spec)
 from .verification import check_tasks, run_task, summary_csv
 
@@ -81,8 +81,9 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
            stop: threading.Event | None = None) -> tuple[Trajectory, dict, dict | None, int, list]:
     """Solve by one method and monitor the (partial) trajectory. Returns the
     trajectory, its run info for report.json, the error (None if the solve
-    succeeded), the exit code and the monitor records; ``stop`` goes to
-    etdrk4_integrate."""
+    succeeded), the exit code and the monitor records. ``stop`` goes to
+    etdrk4_integrate, and once it is set the route raises Cancelled in place
+    of the monitor pass."""
     error, code = None, EXIT_OK
     try:
         if method == "picard":
@@ -99,6 +100,8 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
         traj, run_info = exc.trajectory, {"blowup_time": exc.time}
         error = {"type": "BlowupSuspected", "message": str(exc), "time": exc.time}
         code = EXIT_BLOWUP
+    if stop is not None and stop.is_set():
+        raise Cancelled("stopped before the monitor pass")
     records = monitor(traj, p_list=mon_opts["p_list"], kato_horizon=mon_opts["kato_horizon"],
                       cutoff=mon_opts["cutoff"])
     return traj, run_info, error, code, records
@@ -170,7 +173,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             pool = stack.enter_context(ThreadPoolExecutor(1))
             # set before the pool joins the worker, so that a run whose Picard
             # route failed, or that is interrupted, does not wait for the rest
-            # of the ETDRK4 solve; a monitor pass under way still finishes
+            # of the ETDRK4 solve or for its monitor pass; a pass under way
+            # still finishes
             stop = threading.Event()
             stack.callback(stop.set)
             # the worker runs the whole ETDRK4 route in the caller's context,
@@ -275,12 +279,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             import multiprocessing  # only this path pays its imports
             from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            # drops the reports not yet started and joins every worker, on every path
+            # drops the checks not yet started and joins every worker, on every path
             stack.callback(pool.shutdown, cancel_futures=True)
             run = pool.map
-        # read in canonical order: the in-process reports and, if reports
+        # read in canonical order: the in-process reports and, if checks
         # raise, the error of the first of them in that order
-        reports = list(run(run_task, tasks))
+        reports = [rep for reps in run(run_task, tasks) for rep in reps]
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())
@@ -347,7 +351,8 @@ def build_parser() -> _Parser:
                        help="reference snapshot for the Besov distance column")
     p_mon.set_defaults(func=_cmd_monitor)
 
-    p_ver = sub.add_parser("verify", help="run estimate verification checks")
+    p_ver = sub.add_parser("verify", help="run estimate verification checks, each check "
+                                          "one task that writes all of its reports")
     p_ver.add_argument("--all", action="store_true", help="run every check")
     p_ver.add_argument("--checks", nargs="+", default=None,
                        help="one or more check names to run, in place of the "

@@ -176,13 +176,25 @@ def besov_norm(f: SpectralField, s: float, part: DyadicPartition | None = None) 
 def besov_norm_states(coeffs: np.ndarray, s: float, part: DyadicPartition) -> np.ndarray:
     """Besov norms of an (n, *component axes, *spectral_shape) stack such as
     Trajectory.coeffs, batched by slicing (views, not copies) at _BATCH_BYTES."""
-    if len(coeffs) == 0:
-        return np.zeros(0)
+    return _weighted_sups(_states_block_sups(coeffs, part), s)
+
+
+def _states_block_sups(coeffs: np.ndarray, part: DyadicPartition) -> np.ndarray:
+    """The (n, jmax+2) block sups of _stack_block_sups for an (n, *component
+    axes, *spectral_shape) stack, batched at _BATCH_BYTES; any level s of
+    besov_norm_states reads them through _weighted_sups."""
     grid = part.grid
+    if len(coeffs) == 0:
+        return np.zeros((0, part.jmax + 2))
     flat = coeffs.reshape((len(coeffs), -1) + grid.spectral_shape)
     per = max(1, _BATCH_BYTES // flat[0].nbytes)
-    sups = np.concatenate([_stack_block_sups(grid, flat[i:i + per], part)
+    return np.concatenate([_stack_block_sups(grid, flat[i:i + per], part)
                            for i in range(0, len(flat), per)])
-    weights = np.concatenate([[1.0], np.power(2.0, s * np.arange(part.jmax + 1))])
+
+
+def _weighted_sups(sups: np.ndarray, s: float) -> np.ndarray:
+    """B^{s,inf}_inf norms from (..., jmax+2) block sups: the max of the S_0
+    sup and 2^{js} times the D_j sups."""
+    weights = np.concatenate([[1.0], np.power(2.0, s * np.arange(sups.shape[-1] - 1))])
     return np.max(sups * weights, axis=-1)
 

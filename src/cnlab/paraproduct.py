@@ -65,16 +65,26 @@ def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,
 def tensor_paraproduct(i: int, f: SpectralVectorField, g: SpectralVectorField,
                        part: DyadicPartition) -> TensorField:
     """Entrywise paraproduct tensor: entry (a, b) = para_i(f_a, g_b)."""
-    _check_offset(i)
+    return _tensor_paraproducts((i,), f, g, part)[0]
+
+
+def _tensor_paraproducts(offsets: tuple[int, ...], f: SpectralVectorField,
+                         g: SpectralVectorField, part: DyadicPartition) -> list[TensorField]:
+    """tensor_paraproduct(i, f, g, part) for each offset i, in order, from one
+    low-pass run of f that covers every offset and one set of high blocks of g."""
+    for i in offsets:
+        _check_offset(i)
     _same_grid(f.grid, g.grid)
     if part.grid != f.grid:
         raise ValueError("partition grid does not match the fields")
-    grid = f.grid
-    low = _blocks_phys(grid, f.coeffs, part.lowpass[i:part.jmax + 1 + i])  # (J, d, *sp)
-    high = _blocks_phys(grid, g.coeffs, part.delta)                          # (J, d, *sp)
-    acc = np.einsum("ka...,kb...->ab...", low, high)
-    out = _dealiased_spectrum(grid, acc)
-    return TensorField(grid, out)
+    grid, span, first = f.grid, part.jmax + 1, min(offsets)
+    low = _blocks_phys(grid, f.coeffs, part.lowpass[first:max(offsets) + span])  # (J+, d, *sp)
+    high = _blocks_phys(grid, g.coeffs, part.delta)                               # (J, d, *sp)
+    products = []
+    for i in offsets:
+        acc = np.einsum("ka...,kb...->ab...", low[i - first:i - first + span], high)
+        products.append(TensorField(grid, _dealiased_spectrum(grid, acc)))
+    return products
 
 
 def bony_split(h: SpectralVectorField, g: SpectralVectorField,

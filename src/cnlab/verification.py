@@ -21,8 +21,9 @@ from .fields import (_BOUND_MARGIN, SpectralVectorField, TensorField, linf,
                      lp_norm, pointwise_tensor, random_field, random_tensor_field,
                      random_vector_field, spectral_values, to_spectral)
 from .grid import Grid
-from .littlewood_paley import besov_norm, besov_norm_states, build_partition
-from .paraproduct import bony_split, tensor_paraproduct
+from .littlewood_paley import (_states_block_sups, _weighted_sups, besov_norm,
+                               besov_norm_states, build_partition)
+from .paraproduct import _tensor_paraproducts, bony_split
 from .semigroup import TimeGrid, div_tensor, duhamel_L, heat, leray_project
 from .solver import (PicardOptions, ProfileSpec, SolverConfig,
                      _heat_bounds, _heat_ladder_sup, _kato_ladder, make_profile,
@@ -69,18 +70,23 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> float:
 # Duhamel smoothing gain
 # ---------------------------------------------------------------------------
 
-def verify_smoothing(r: float, alpha: float, T_list: Sequence[float] | None = None,
+def verify_smoothing(levels: Sequence[tuple[float, float]] = (
+                         (-1.0, 1.0), (-1.0, 2.0), (0.0, 1.0), (0.0, 2.0)),
+                     T_list: Sequence[float] | None = None,
                      trials: int = 50, res: int = 64, dim: int = 2, nodes: int = 64,
-                     seed: int = 0, nu: float = 1.0) -> VerificationReport:
-    """Horizon scaling of the Duhamel operator between Besov levels.
+                     seed: int = 0, nu: float = 1.0) -> list[VerificationReport]:
+    """Horizon scaling of the Duhamel operator between Besov levels, one
+    report per (r, alpha) of levels, in that order.
 
     Measures sup-over-paths of the ratio ||L f||_{C_T B^{r+alpha}} /
     ||f||_{C_T B^r} on each horizon T and fits the T-exponent, whose target is
     (2 - alpha)/2: a T^{1/2} gain for alpha = 1 and uniform boundedness for the
-    full two-derivative gain alpha = 2.
+    full two-derivative gain alpha = 2. Every level reads the same paths and
+    the same block sups; only the weights 2^{js} differ.
     """
-    if alpha not in (1.0, 2.0, 1, 2):
-        raise ValueError(f"alpha must be 1 or 2, got {alpha}")
+    for _, alpha in levels:
+        if alpha not in (1.0, 2.0, 1, 2):
+            raise ValueError(f"alpha must be 1 or 2, got {alpha}")
     if T_list is None:
         T_list = [2.0**-j for j in range(6, 0, -1)]
     if len(T_list) < 4:
@@ -105,42 +111,46 @@ def verify_smoothing(r: float, alpha: float, T_list: Sequence[float] | None = No
         g = random_field(grid, rng, slope=0.0, band=(m, m))
         q = int(rng.integers(1, 4))
         phase = float(rng.uniform(0, 2 * math.pi))
-        draws.append((g, q, phase))
+        draws.append((g, q, phase, _states_block_sups(g[np.newaxis], part)[0]))
 
-    opnorms = []
+    rows = []  # per horizon, the operator norm of each level
     for T in T_list:
         tg = TimeGrid.uniform(T, nodes)
-        best = 0.0
-        for g, q, phase in draws:
+        best = [0.0] * len(levels)
+        for g, q, phase, g_sups in draws:
             a = 1.0 + 0.5 * np.sin(2 * math.pi * q * tg.nodes / T + phase)
             path = [SpectralVectorField(grid, am * g) for am in a]
-            lf = duhamel_L(path, tg, nu)
-            num = float(np.max(besov_norm_states(lf, r + alpha, part)))
-            den = float(np.max(a)) * besov_norm(SpectralVectorField(grid, g), r, part)
-            if den == 0.0:
-                raise ValueError("zero path in the sampling ensemble")
-            best = max(best, num / den)
-        opnorms.append(best)
+            sups = _states_block_sups(duhamel_L(path, tg, nu), part)
+            for k, (r, alpha) in enumerate(levels):
+                num = float(np.max(_weighted_sups(sups, r + alpha)))
+                den = float(np.max(a)) * float(_weighted_sups(g_sups, r))
+                if den == 0.0:
+                    raise ValueError("zero path in the sampling ensemble")
+                best[k] = max(best[k], num / den)
+        rows.append(best)
 
-    if not all(math.isfinite(v) and v > 0 for v in opnorms):
-        raise ValueError(f"degenerate fit: operator norms {opnorms}")
-    target = (2.0 - alpha) / 2.0
-    slope = _fit_loglog(np.array(T_list), np.array(opnorms))
-    passed = abs(slope - target) <= EXPONENT_TOL
-    if alpha == 2:
-        # the full gain must also be uniformly bounded in the horizon
-        passed = passed and max(opnorms) <= STABILITY_FACTOR * min(opnorms)
-    return VerificationReport(
-        name=f"smoothing_r{r:+g}_a{alpha:g}",
-        passed=passed,
-        trials=trials,
-        constants={f"opnorm_T{T:g}": v for T, v in zip(T_list, opnorms)},
-        exponents={"T_slope": slope, "target": target, "tolerance": EXPONENT_TOL},
-        params={"r": r, "alpha": alpha, "res": res, "dim": dim, "nodes": nodes,
-                "seed": seed, "T_list": list(T_list)},
-        headline_constant=opnorms[-1],
-        headline_exponent=slope,
-    )
+    reports = []
+    for (r, alpha), norms in zip(levels, map(list, zip(*rows))):
+        if not all(math.isfinite(v) and v > 0 for v in norms):
+            raise ValueError(f"degenerate fit: operator norms {norms}")
+        target = (2.0 - alpha) / 2.0
+        slope = _fit_loglog(np.array(T_list), np.array(norms))
+        passed = abs(slope - target) <= EXPONENT_TOL
+        if alpha == 2:
+            # the full gain must also be uniformly bounded in the horizon
+            passed = passed and max(norms) <= STABILITY_FACTOR * min(norms)
+        reports.append(VerificationReport(
+            name=f"smoothing_r{r:+g}_a{alpha:g}",
+            passed=passed,
+            trials=trials,
+            constants={f"opnorm_T{T:g}": v for T, v in zip(T_list, norms)},
+            exponents={"T_slope": slope, "target": target, "tolerance": EXPONENT_TOL},
+            params={"r": r, "alpha": alpha, "res": res, "dim": dim, "nodes": nodes,
+                    "seed": seed, "T_list": list(T_list)},
+            headline_constant=norms[-1],
+            headline_exponent=slope,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -148,52 +158,60 @@ def verify_smoothing(r: float, alpha: float, T_list: Sequence[float] | None = No
 # ---------------------------------------------------------------------------
 
 def paraproduct_name(s: float) -> str:
-    """The name of verify_paraproduct(s)'s report and of its JSON file."""
+    """The name of verify_paraproduct's report of s and of its JSON file."""
     return f"paraproduct_s{s:g}"
 
 
-def verify_paraproduct(s: float, trials: int = 50, res_list: Sequence[int] = (32, 64, 128),
-                       dim: int = 2, seed: int = 0) -> VerificationReport:
-    """Resolution stability of the two paraproduct-bound constants.
+def verify_paraproduct(s_list: Sequence[float] = (1.5, 2.0), trials: int = 50,
+                       res_list: Sequence[int] = (32, 64, 128), dim: int = 2,
+                       seed: int = 0) -> list[VerificationReport]:
+    """Resolution stability of the two paraproduct-bound constants, one report
+    per s of s_list, in that order.
 
     Instance "low": ||para_i(f (x) g)||_{B^s} <= K ||f||_{B^-1} ||g||_{B^{1+s}}.
     Instance "const": ||para_i(f (x) g)||_{B^{1+s}} <= K ||f||_inf ||g||_{B^{1+s}}.
     Passes when the max measured ratio at the finest grid is at most twice the
-    one at the coarsest (smooth cutoffs).
+    one at the coarsest (smooth cutoffs). Every s reads the same fields, the
+    same paraproducts and the same block sups.
     """
-    if s <= 1.0:
-        raise ValueError(f"requires s > 1, got {s}")
+    for s in s_list:
+        if s <= 1.0:
+            raise ValueError(f"requires s > 1, got {s}")
     rng = np.random.default_rng([seed, 202])
-    k_low, k_const = [], []
+    lows, consts = [], []  # per resolution, the max ratio of each s
     for res in res_list:
         grid = Grid(dim, res)
         part = build_partition(grid, "smooth")
-        best_low = best_const = 0.0
+        best_low = [0.0] * len(s_list)
+        best_const = [0.0] * len(s_list)
         for _ in range(trials):
             f = random_vector_field(grid, rng, slope=float(rng.choice([0.5, 1.0, 2.0])))
             g = random_vector_field(grid, rng, slope=float(rng.choice([0.5, 1.0, 2.0])))
-            bg = besov_norm(g, 1.0 + s, part)
-            bf = besov_norm(f, -1.0, part)
+            g_sups, f_sups = _states_block_sups(np.stack([g.coeffs, f.coeffs]), part)
+            bf = float(_weighted_sups(f_sups, -1.0))
             fi = linf(f)
-            for i in (0, 1):
-                pi = tensor_paraproduct(i, f, g, part)
-                best_low = max(best_low, besov_norm(pi, s, part) / (bf * bg))
-                best_const = max(best_const, besov_norm(pi, 1.0 + s, part) / (fi * bg))
-        k_low.append(best_low)
-        k_const.append(best_const)
-    passed = (k_low[-1] <= STABILITY_FACTOR * k_low[0]
-              and k_const[-1] <= STABILITY_FACTOR * k_const[0])
-    return VerificationReport(
+            pi_sups = _states_block_sups(
+                np.stack([pi.coeffs for pi in _tensor_paraproducts((0, 1), f, g, part)]), part)
+            for k, s in enumerate(s_list):
+                bg = float(_weighted_sups(g_sups, 1.0 + s))
+                for sups in pi_sups:
+                    best_low[k] = max(best_low[k], float(_weighted_sups(sups, s)) / (bf * bg))
+                    best_const[k] = max(best_const[k],
+                                        float(_weighted_sups(sups, 1.0 + s)) / (fi * bg))
+        lows.append(best_low)
+        consts.append(best_const)
+    return [VerificationReport(
         name=paraproduct_name(s),
-        passed=passed,
+        passed=(low[-1] <= STABILITY_FACTOR * low[0]
+                and const[-1] <= STABILITY_FACTOR * const[0]),
         trials=trials,
         constants={
-            **{f"K_low_N{n}": v for n, v in zip(res_list, k_low)},
-            **{f"K_const_N{n}": v for n, v in zip(res_list, k_const)},
+            **{f"K_low_N{n}": v for n, v in zip(res_list, low)},
+            **{f"K_const_N{n}": v for n, v in zip(res_list, const)},
         },
         params={"s": s, "res_list": list(res_list), "dim": dim, "seed": seed},
-        headline_constant=k_low[-1],
-    )
+        headline_constant=low[-1],
+    ) for s, low, const in zip(s_list, zip(*lows), zip(*consts))]
 
 
 # ---------------------------------------------------------------------------
@@ -520,63 +538,55 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
 # registry and summaries
 # ---------------------------------------------------------------------------
 
-# Each check's verify_* function, the positional arguments of its reports (one
-# tuple per report) and the size overrides it accepts; the defaults live in the
-# verify_* signatures. paraproduct's s_list size, when given, supplies its
-# reports' arguments instead.
-_REGISTRY: dict[str, tuple[Callable[..., VerificationReport], list[tuple], set[str]]] = {
-    "smoothing": (verify_smoothing, [(r, a) for r in (-1.0, 0.0) for a in (1.0, 2.0)],
-                  {"trials", "res", "dim", "nodes", "T_list"}),
-    "paraproduct": (verify_paraproduct, [(1.5,), (2.0,)], {"trials", "res_list", "dim", "s_list"}),
-    "bony_identity": (verify_bony_identity, [()], {"pairs", "res_list", "dims"}),
-    "heat_ln_linf": (verify_heat_ln_linf, [()], {"trials", "res_list", "dim"}),
-    "oseen_kernel": (verify_oseen_kernel, [()], {"trials", "res_list", "dim"}),
-    "embedding": (verify_embedding, [()], {"trials", "res_list", "dim"}),
-    "composite_bound": (verify_composite_bound, [()], {"res_list", "dim"}),
+# Each check's verify_* function and the size overrides it accepts; the
+# defaults live in the verify_* signatures. verify_smoothing and
+# verify_paraproduct return a list of reports, the others one report.
+_REGISTRY: dict[str, tuple[Callable[..., VerificationReport | list[VerificationReport]],
+                           set[str]]] = {
+    "smoothing": (verify_smoothing, {"trials", "res", "dim", "nodes", "T_list"}),
+    "paraproduct": (verify_paraproduct, {"trials", "res_list", "dim", "s_list"}),
+    "bony_identity": (verify_bony_identity, {"pairs", "res_list", "dims"}),
+    "heat_ln_linf": (verify_heat_ln_linf, {"trials", "res_list", "dim"}),
+    "oseen_kernel": (verify_oseen_kernel, {"trials", "res_list", "dim"}),
+    "embedding": (verify_embedding, {"trials", "res_list", "dim"}),
+    "composite_bound": (verify_composite_bound, {"res_list", "dim"}),
 }
-CHECKS: dict[str, Callable[..., VerificationReport]] = {
-    name: verify for name, (verify, _, _) in _REGISTRY.items()}
-SIZE_KEYS = {name: frozenset(keys) for name, (_, _, keys) in _REGISTRY.items()}
+CHECKS = {name: verify for name, (verify, _) in _REGISTRY.items()}
+SIZE_KEYS = {name: frozenset(keys) for name, (_, keys) in _REGISTRY.items()}
 
 
 def check_tasks(names: Sequence[str], seed: int = 0,
-                sizes: dict | None = None) -> list[tuple[str, tuple, dict]]:
-    """The reports of the named checks in canonical order, one
-    (name, positional arguments, keywords) per report: the keywords are
-    sizes[name] and the seed.
+                sizes: dict | None = None) -> list[tuple[str, dict]]:
+    """The named checks in canonical order, one (name, keywords) task per
+    check: the keywords are sizes[name] and the seed.
 
-    Each report draws its random data from seed alone (its own
-    default_rng([seed, k])), so it does not depend on which other reports
+    Each check draws its random data from seed alone (its own
+    default_rng([seed, k])), so it does not depend on which other checks
     run, or in which process."""
     sizes = sizes or {}
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
-    tasks = []
-    for name, (_, variants, _) in _REGISTRY.items():
-        if name in names:
-            keywords = {**sizes.get(name, {}), "seed": seed}
-            if "s_list" in keywords:
-                variants = [(s,) for s in keywords.pop("s_list")]
-            tasks.extend((name, args, keywords) for args in variants)
-    return tasks
+    return [(name, {**sizes.get(name, {}), "seed": seed}) for name in CHECKS if name in names]
 
 
-def run_task(task: tuple[str, tuple, dict]) -> VerificationReport:
-    """The report of one (name, args, keywords) task of check_tasks.
+def run_task(task: tuple[str, dict]) -> list[VerificationReport]:
+    """The reports of one (name, keywords) task of check_tasks, in order.
     CHECKS[name] is looked up when the task runs, so that a wrapper put
     there is called."""
-    name, args, keywords = task
-    return CHECKS[name](*args, **keywords)
+    name, keywords = task
+    reports = CHECKS[name](**keywords)
+    return [reports] if isinstance(reports, VerificationReport) else reports
 
 
 def run_checks(names: Sequence[str], seed: int = 0,
                sizes: dict | None = None) -> list[VerificationReport]:
-    """Run the reports of check_tasks(names, seed, sizes) one after another.
-    cnlab verify runs the same tasks, one report per task, on up to one forked
-    worker per report and per usable CPU (a single report runs in-process),
-    and reads the reports in the same order, with the same result."""
-    return list(map(run_task, check_tasks(names, seed, sizes)))
+    """Run the tasks of check_tasks(names, seed, sizes) one after another and
+    list their reports in order. cnlab verify runs the same tasks on up to one
+    forked worker per task and per usable CPU (a single task runs
+    in-process), and lists the reports in the same order, with the same
+    result."""
+    return [rep for task in check_tasks(names, seed, sizes) for rep in run_task(task)]
 
 
 def summary_csv(reports: Sequence[VerificationReport]) -> str:

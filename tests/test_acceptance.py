@@ -122,8 +122,8 @@ def test_a01_block_reconstruction_identity():
 def test_a02_duhamel_smoothing_exponents():
     t0 = time.monotonic()
     rows, all_ok = [], True
-    for r, alpha in ((-1, 1), (-1, 2), (0, 1), (0, 2)):
-        rep = verify_smoothing(r, alpha)
+    levels = ((-1, 1), (-1, 2), (0, 1), (0, 2))
+    for (r, alpha), rep in zip(levels, verify_smoothing(levels)):
         slope = rep.exponents["T_slope"]
         target = (2 - alpha) / 2
         all_ok &= rep.passed and abs(slope - target) <= 0.15
@@ -162,8 +162,8 @@ def test_a04_heat_ln_to_linf():
 
 def test_a05_paraproduct_norm_growth():
     rows, all_ok = [], True
-    for s in (1.5, 2.0):
-        rep = verify_paraproduct(s)
+    s_list = (1.5, 2.0)
+    for s, rep in zip(s_list, verify_paraproduct(s_list)):
         for fam in ("K_low", "K_const"):
             lo = rep.constants[f"{fam}_N32"]
             hi = rep.constants[f"{fam}_N128"]

@@ -29,7 +29,7 @@ from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import (EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig,
                           etdrk4_integrate, kato_smallness, make_profile)
 from cnlab.verification import (CHECKS, SIZE_KEYS, VerificationReport, check_tasks,
-                                run_checks)
+                                run_checks, run_task)
 
 
 def write_json(path: Path, obj) -> Path:
@@ -589,6 +589,36 @@ class TestSimulateOverlap:
         assert ends == [True, "cancelled"]
         assert not (out / "snapshots" / "etdrk4").exists()
 
+    def test_no_monitor_pass_after_the_stop(self, tmp_path, monkeypatch):
+        # the solve runs to its end only after Picard has failed and the
+        # calling thread has set the stop; the worker then skips its monitor pass
+        monkeypatch.setattr(cli, "_OVERLAP_BYTES", 0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        ends, monitored_on = [], []
+
+        def integrate(u0, cfg, stop):
+            ends.append(stop.wait(60))
+            traj = etdrk4_integrate(u0, cfg)
+            ends.append("finished")
+            return traj
+
+        def monitor_on_thread(traj, **kwargs):
+            monitored_on.append(threading.current_thread())
+            return monitor(traj, **kwargs)
+
+        monkeypatch.setattr(cli, "etdrk4_integrate", integrate)
+        monkeypatch.setattr(cli, "monitor", monitor_on_thread)
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**OVERLAP_SIM, "picard": {"node_count": 8, "max_iters": 1}})
+        out = tmp_path / "out"
+        threads = threading.active_count()
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--method", "both"]) == 3
+        assert threading.active_count() == threads
+        assert ends == [True, "finished"]
+        assert monitored_on == [threading.main_thread()]
+        assert not (out / "snapshots" / "etdrk4").exists()
+
 
 def test_long_run_reaches_underflow_scale_states(tmp_path):
     # the state decays through the subnormal range to zero by t = 800;
@@ -819,16 +849,14 @@ def refuse_process_pools(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
-def fake_check(tmp_path, name, delay=0.0, error=None, only=None):
+def fake_check(tmp_path, name, delay=0.0, error=None):
     """A verify_* stand-in that notes the pid it ran in, waits, then returns
-    one passing report or raises error. With only given, it waits and raises
-    only in the report with those positional arguments."""
-    def verify(*args, seed, **sizes):
+    one passing report or raises error."""
+    def verify(*, seed, **sizes):
         (tmp_path / f"{name}.pid").write_text(str(os.getpid()))
-        if only is None or args == only:
-            time.sleep(delay)
-            if error is not None:
-                raise error
+        time.sleep(delay)
+        if error is not None:
+            raise error
         return VerificationReport(name=name, passed=True, trials=1, headline_constant=1.0)
     return verify
 
@@ -851,12 +879,12 @@ def raised_by(name, kind, t):
 
 class TestVerifyWorkers:
     """verify ends the same, file for file and in its exit code, whether its
-    reports run on forked worker processes or one after another in-process."""
+    checks run on forked worker processes or one after another in-process."""
 
     @staticmethod
-    def run(tmp_path, monkeypatch, capsys, cpus, argv=("--all",), tag=None):
+    def run(tmp_path, monkeypatch, capsys, cpus, argv=("--all",), tag=None, sizes=VERIFY_SMALL):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        cfg = write_json(tmp_path / "small.json", {"sizes": VERIFY_SMALL})
+        cfg = write_json(tmp_path / "small.json", {"sizes": sizes})
         out = tmp_path / (tag or f"cpus{cpus}")
         threads = threading.active_count()
         code = cli_main(["verify", *argv, "--config", str(cfg), "--seed", "5",
@@ -899,28 +927,42 @@ class TestVerifyWorkers:
             if other.is_alive():
                 other.join(60)
 
-    def test_smoothing_forks_its_four_reports(self, tmp_path, monkeypatch, capsys):
-        pids = tmp_path / "pids"
-        pids.mkdir()
+    def test_a_check_is_one_forked_task(self, tmp_path, monkeypatch, capsys):
+        # smoothing's four reports come from one call, as do paraproduct's
+        names = ("smoothing", "paraproduct")
+        calls = tmp_path / "calls"
+        calls.mkdir()
 
-        def noting(*args, **keywords):
-            (pids / f"{args}.pid").write_text(str(os.getpid()))
-            return verify_smoothing(*args, **keywords)
+        def noting(name, verify):
+            def run(**keywords):
+                with open(calls / name, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return verify(**keywords)
+            return run
 
-        verify_smoothing = CHECKS["smoothing"]
-        monkeypatch.setitem(CHECKS, "smoothing", noting)
-        argv = ("--checks", "smoothing")
-        forked = self.run(tmp_path, monkeypatch, capsys, 2, argv=argv)
-        forked_pids = {p.name: int(p.read_text()) for p in pids.iterdir()}
-        assert len(forked_pids) == 4 and os.getpid() not in forked_pids.values()
-        assert forked == self.run(tmp_path, monkeypatch, capsys, 1, argv=argv)
-        assert sorted(forked[2]) == sorted(
-            [f"smoothing_r{r:+g}_a{a:g}.json" for r in (-1, 0) for a in (1, 2)] + ["summary.csv"])
+        for name in names:
+            monkeypatch.setitem(CHECKS, name, noting(name, CHECKS[name]))
+        argv = ("--checks", *names)
+        sizes = {**VERIFY_SMALL, "paraproduct": {**VERIFY_SMALL["paraproduct"],
+                                                 "s_list": [2.0, 1.5]}}
+        forked = self.run(tmp_path, monkeypatch, capsys, 2, argv=argv, sizes=sizes)
+        pids = [(calls / name).read_text().split() for name in names]
+        assert all(len(p) == 1 and int(p[0]) != os.getpid() for p in pids)
+        assert forked == self.run(tmp_path, monkeypatch, capsys, 1, argv=argv, sizes=sizes)
+        assert [row.split(",")[0] for row in forked[2]["summary.csv"].decode().splitlines()[1:]] == [
+            f"smoothing_r{r:+g}_a{a:g}" for r in (-1, 0) for a in (1, 2)] + [
+            "paraproduct_s2", "paraproduct_s1.5"]
 
-    def test_s_list_gives_one_paraproduct_task_per_s(self):
-        sizes = {"paraproduct": {"trials": 2, "s_list": [3.0, 1.5, 2.0]}}
-        assert check_tasks(["paraproduct"], 5, sizes) == [
-            ("paraproduct", (s,), {"trials": 2, "seed": 5}) for s in (3.0, 1.5, 2.0)]
+    def test_one_task_per_check(self):
+        tasks = check_tasks(list(CHECKS), 5, VERIFY_SMALL)
+        assert tasks == [(name, {**VERIFY_SMALL[name], "seed": 5}) for name in CHECKS]
+        assert len(tasks) == 7
+        # s_list is paraproduct's keyword like any other size
+        sizes = {"paraproduct": {"trials": 2, "res_list": [16], "s_list": [3.0, 1.5, 2.0]}}
+        (task,) = check_tasks(["paraproduct"], 5, sizes)
+        assert task == ("paraproduct", {**sizes["paraproduct"], "seed": 5})
+        assert [rep.name for rep in run_task(task)] == [
+            "paraproduct_s3", "paraproduct_s1.5", "paraproduct_s2"]
 
     def test_single_check_stays_in_process(self, tmp_path, monkeypatch, capsys):
         refuse_process_pools(monkeypatch)
@@ -929,27 +971,26 @@ class TestVerifyWorkers:
         assert (code, err, sorted(files)) == (0, "", ["embedding.json", "summary.csv"])
 
     def test_reports_keep_the_canonical_order(self, tmp_path, monkeypatch, capsys):
-        # the first report ends last on the workers, after all the others
+        # the first check ends last on the workers, after all the others
         tasks = check_tasks(list(CHECKS), 5, VERIFY_SMALL)
-        (first, first_args, _), *_ = tasks
+        (first, _), *_ = tasks
         for name in CHECKS:
             monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name))
-        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5, only=first_args))
+        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5))
         code, _, files = self.run(tmp_path, monkeypatch, capsys, 2)
         assert code == 0
         assert [row.split(",")[0] for row in files["summary.csv"].decode().splitlines()[1:]] == [
-            name for name, _, _ in tasks]
+            name for name, _ in tasks]
 
     # the solver's exceptions carry a trajectory back from the worker
     @pytest.mark.parametrize("kind, exit_code", [
         ("ValueError", 1), ("NonConvergence", 3), ("BlowupSuspected", 4)])
     def test_first_raising_check_in_canonical_order_surfaces(self, tmp_path, monkeypatch,
                                                              capsys, kind, exit_code):
-        # the first report raises last, the second check's reports at once
+        # the first check raises last, the second at once
         first, second, *rest = CHECKS
-        (_, first_args, _), *_ = check_tasks([first], 5, VERIFY_SMALL)
         error = raised_by(first, kind, 0.5)
-        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5, error, first_args))
+        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5, error))
         monkeypatch.setitem(CHECKS, second, fake_check(tmp_path, second, 0.0,
                                                        raised_by(second, kind, 0.25)))
         for name in rest:

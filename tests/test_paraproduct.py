@@ -14,7 +14,8 @@ from cnlab.fields import (SpectralVectorField, linf, random_field,
                           random_vector_field, zero_field)
 from cnlab.grid import Grid
 from cnlab.littlewood_paley import besov_norm, build_partition
-from cnlab.paraproduct import bony_split, scalar_paraproduct, tensor_paraproduct
+from cnlab.paraproduct import (_tensor_paraproducts, bony_split, scalar_paraproduct,
+                               tensor_paraproduct)
 
 from helpers import (dealias, exact_product_coeffs, rel_err, single_mode_scalar,
                      single_mode_vector)
@@ -102,6 +103,18 @@ class TestTensorParaproduct:
         f = random_vector_field(g2_16, rng)
         with pytest.raises(ValueError):
             tensor_paraproduct(0, f, f, part)
+
+    @pytest.mark.parametrize("dim, res", [(2, 16), (2, 64), (3, 16), (3, 32)])
+    @pytest.mark.parametrize("mode", ["sharp", "smooth"])
+    def test_offsets_from_one_run_are_the_single_offsets_bit_for_bit(self, rng, dim, res, mode):
+        grid = Grid(dim, res)
+        part = build_partition(grid, mode)
+        f, g = random_vector_field(grid, rng), random_vector_field(grid, rng)
+        both = _tensor_paraproducts((0, 1), f, g, part)
+        assert [pi.coeffs.tobytes() for pi in both] == [
+            tensor_paraproduct(i, f, g, part).coeffs.tobytes() for i in (0, 1)]
+        with pytest.raises(ValueError):
+            _tensor_paraproducts((0, 2), f, g, part)
 
     def test_frozen_ratio_single_modes(self):
         grid = Grid(2, 32)

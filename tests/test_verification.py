@@ -16,27 +16,46 @@ from cnlab.verification import (CHECKS, EXPONENT_TOL, STABILITY_FACTOR,
                                 verify_paraproduct, verify_smoothing)
 
 
-class TestSmoothing:
-    @pytest.mark.parametrize("r,alpha,target", [(-1, 1, 0.5), (0, 2, 0.0)])
-    def test_reduced_run(self, r, alpha, target):
-        rep = verify_smoothing(r=r, alpha=alpha, trials=12, res=64, nodes=48, seed=0)
-        assert rep.passed
-        assert abs(rep.headline_exponent - target) <= EXPONENT_TOL
-        assert rep.name == f"smoothing_r{r:+g}_a{alpha:g}"
-        assert rep.exponents["tolerance"] == EXPONENT_TOL
+SMOOTHING_SMALL = dict(trials=3, res=16, nodes=6, T_list=[0.125, 0.25, 0.5, 1.0], seed=2)
 
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            verify_smoothing(r=-1, alpha=3)
+
+@pytest.fixture(scope="module")
+def smoothing_small():
+    return verify_smoothing(**SMOOTHING_SMALL)
+
+
+class TestSmoothing:
+    def test_reduced_run(self):
+        reports = verify_smoothing(levels=[(-1, 1), (0, 2)], trials=12, res=64, nodes=48, seed=0)
+        assert [rep.name for rep in reports] == ["smoothing_r-1_a1", "smoothing_r+0_a2"]
+        for rep, target in zip(reports, (0.5, 0.0)):
+            assert rep.passed
+            assert abs(rep.headline_exponent - target) <= EXPONENT_TOL
+            assert rep.exponents["tolerance"] == EXPONENT_TOL
+
+    @pytest.mark.parametrize("level", [(-1.0, 1.0), (-1.0, 2.0), (0.0, 1.0), (0.0, 2.0)])
+    def test_a_level_alone_reports_as_among_all_four(self, smoothing_small, level):
+        # the levels share draws, paths and block sups; none changes another's report
+        assert [(rep.params["r"], rep.params["alpha"]) for rep in smoothing_small] == [
+            (-1.0, 1.0), (-1.0, 2.0), (0.0, 1.0), (0.0, 2.0)]
+        every = {rep.name: rep.to_dict() for rep in smoothing_small}
+        (alone,) = verify_smoothing(levels=[level], **SMOOTHING_SMALL)
+        assert alone.to_dict() == every[alone.name]
+        assert (alone.params["r"], alone.params["alpha"]) == level
+
+    @pytest.mark.parametrize("levels", [[(-1, 3)], [(-1, 1), (0, 3)]])
+    def test_rejects_bad_alpha(self, levels):
+        with pytest.raises(ValueError, match="alpha must be 1 or 2, got 3"):
+            verify_smoothing(levels=levels)
 
     def test_rejects_short_horizon_list(self):
         with pytest.raises(ValueError):
-            verify_smoothing(r=-1, alpha=1, T_list=[0.5, 0.25, 0.125])
+            verify_smoothing(T_list=[0.5, 0.25, 0.125])
 
 
 class TestParaproduct:
     def test_reduced_run(self):
-        rep = verify_paraproduct(s=1.5, trials=6, res_list=(32, 64), seed=0)
+        (rep,) = verify_paraproduct(s_list=[1.5], trials=6, res_list=(32, 64), seed=0)
         assert rep.passed
         assert rep.name == "paraproduct_s1.5"
         for fam in ("K_low", "K_const"):
@@ -44,9 +63,18 @@ class TestParaproduct:
             last = rep.constants[f"{fam}_N64"]
             assert last <= STABILITY_FACTOR * first
 
-    def test_rejects_subcritical_s(self):
-        with pytest.raises(ValueError):
-            verify_paraproduct(s=1.0)
+    def test_reports_follow_s_list(self):
+        # every s reads the same fields and paraproducts
+        small = dict(trials=3, res_list=(16, 32), dim=2, seed=4)
+        forward = verify_paraproduct(s_list=(1.5, 2.0), **small)
+        backward = verify_paraproduct(s_list=[2.0, 1.5], **small)
+        assert [rep.name for rep in forward] == ["paraproduct_s1.5", "paraproduct_s2"]
+        assert [rep.to_dict() for rep in backward] == [rep.to_dict() for rep in forward[::-1]]
+
+    @pytest.mark.parametrize("s_list", [[1.0], [1.5, 1.0]])
+    def test_rejects_subcritical_s(self, s_list):
+        with pytest.raises(ValueError, match="requires s > 1, got 1.0"):
+            verify_paraproduct(s_list=s_list)
 
 
 class TestBonyIdentity:
