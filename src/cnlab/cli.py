@@ -15,9 +15,10 @@ Subcommands:
     profile    materialize configured initial data as a snapshot and print
                its monitor record at t = 0
 
-Exit codes: 0 success, 1 usage or configuration error, 2 verification check
-failed or simulate --method both failed cross-validation (after writing all
-artifacts), 3 fixed-point iteration did not converge, 4 suspected blow-up.
+Exit codes, each with its error types: 0 success; 1 a usage, configuration,
+snapshot or file error: UsageError, ConfigError, SnapshotError, ValueError, OSError;
+2 CheckFailed or, for simulate --method both, CrossValidationFailed (after writing
+all artifacts); 3 NonConvergence of the fixed-point iteration; 4 BlowupSuspected.
 Errors are emitted as a single JSON object on stderr.
 """
 
@@ -64,9 +65,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit_error(kind: str, message: str, **extra) -> None:
-    payload = {"error": {"type": kind, "message": message, **extra}}
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+# Each reported failure and its exit code. An exception is reported under the
+# first row it is an instance of, so a ValueError subclass without a row is a ValueError.
+_FAILURES = {UsageError: EXIT_USAGE, ConfigError: EXIT_USAGE, SnapshotError: EXIT_USAGE,
+             ValueError: EXIT_USAGE, OSError: EXIT_USAGE,
+             NonConvergence: EXIT_NO_CONVERGENCE, BlowupSuspected: EXIT_BLOWUP}
+
+
+def _failure(exc: Exception) -> tuple[dict, int]:
+    """The error {type, message[, time]} of a reported failure, and its exit code."""
+    kind = next(kind for kind in _FAILURES if isinstance(exc, kind))
+    error = {"type": kind.__name__, "message": str(exc)}
+    if isinstance(exc, BlowupSuspected):
+        error["time"] = exc.time
+    return error, _FAILURES[kind]
+
+
+def _emit_error(error: dict) -> None:
+    print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -92,14 +108,10 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
         else:
             traj = etdrk4_integrate(u0, cfg, stop=stop)
             run_info = {"meta": traj.meta}
-    except NonConvergence as exc:
-        traj, run_info = exc.trajectory, {"convergence": exc.report.to_dict()}
-        error = {"type": "NonConvergence", "message": str(exc)}
-        code = EXIT_NO_CONVERGENCE
-    except BlowupSuspected as exc:
-        traj, run_info = exc.trajectory, {"blowup_time": exc.time}
-        error = {"type": "BlowupSuspected", "message": str(exc), "time": exc.time}
-        code = EXIT_BLOWUP
+    except (NonConvergence, BlowupSuspected) as exc:
+        traj, (error, code) = exc.trajectory, _failure(exc)
+        run_info = ({"convergence": exc.report.to_dict()} if isinstance(exc, NonConvergence)
+                    else {"blowup_time": exc.time})
     if stop is not None and stop.is_set():
         raise Cancelled("stopped before the monitor pass")
     records = monitor(traj, p_list=mon_opts["p_list"], kato_horizon=mon_opts["kato_horizon"],
@@ -189,7 +201,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 break
 
     if code == EXIT_OK and len(trajs) == 2:
-        cross = compare_trajectories(trajs["picard"], trajs["etdrk4"], cfg.cross_tol)
+        # ETDRK4's route ran last, and its records hold the sup norms of its states
+        cross = compare_trajectories(trajs["picard"], trajs["etdrk4"],
+                                     [r.lp_inf for r in records], cfg.cross_tol)
         report["cross_validation"] = cross
         if not cross["passed"]:
             report["error"] = {"type": "CrossValidationFailed",
@@ -199,8 +213,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     _dump_json(outdir / "report.json", report)
     if report["error"] is not None:
-        _emit_error(report["error"]["type"], report["error"]["message"],
-                    report_json=str(outdir / "report.json"))
+        _emit_error({"type": report["error"]["type"], "message": report["error"]["message"],
+                     "report_json": str(outdir / "report.json")})
     return code
 
 
@@ -290,8 +304,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())
     failed = [r.name for r in reports if not r.passed]
     if failed:
-        _emit_error("CheckFailed", f"{len(failed)} check(s) failed: {failed}",
-                    summary_csv=str(outdir / "summary.csv"))
+        _emit_error({"type": "CheckFailed", "message": f"{len(failed)} check(s) failed: {failed}",
+                     "summary_csv": str(outdir / "summary.csv")})
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -376,24 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        _emit_error("UsageError", str(exc))
-        return EXIT_USAGE
-    except ConfigError as exc:
-        _emit_error("ConfigError", str(exc))
-        return EXIT_USAGE
-    except SnapshotError as exc:
-        _emit_error("SnapshotError", str(exc))
-        return EXIT_USAGE
-    except ValueError as exc:
-        _emit_error("ValueError", str(exc))
-        return EXIT_USAGE
-    except NonConvergence as exc:
-        _emit_error("NonConvergence", str(exc))
-        return EXIT_NO_CONVERGENCE
-    except BlowupSuspected as exc:
-        _emit_error("BlowupSuspected", str(exc), time=exc.time)
-        return EXIT_BLOWUP
+    except tuple(_FAILURES) as exc:
+        error, code = _failure(exc)
+        _emit_error(error)
+        return code
 
 
 if __name__ == "__main__":

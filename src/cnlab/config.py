@@ -122,12 +122,14 @@ def _check(data, schema: dict, where: str) -> None:
 
 def load_json(path: str | Path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return data

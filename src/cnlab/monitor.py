@@ -207,10 +207,7 @@ def write_monitor_csv(records: Sequence[MonitorRecord], path: str | Path,
         lines.append("# config: " + json.dumps(config_echo, sort_keys=True))
     lines.append(",".join(CSV_COLUMNS))
     for r in records:
-        lines.append(",".join([
-            _fmt(r.t), _fmt(r.lp_2), _fmt(r.lp_n), _fmt(r.lp_inf), _fmt(r.besov_m1),
-            _fmt(r.besov_dist_omega), _fmt(r.kato_I), _fmt(r.energy),
-        ]))
+        lines.append(",".join(_fmt(getattr(r, column)) for column in CSV_COLUMNS))
     atomic_write(path, ("\n".join(lines) + "\n").encode())
     exponents = list(records[0].extra_lp) if records else []
     if exponents:
@@ -227,10 +224,8 @@ def read_monitor_csv(path: str | Path) -> list[MonitorRecord]:
     for line in Path(path).read_text().splitlines():
         if not line or line.startswith("#") or line.startswith("t,"):
             continue
-        parts = line.split(",")
-        vals = [float(v) if v else None for v in parts]
-        records.append(MonitorRecord(vals[0], vals[1], vals[2], vals[3], vals[4],
-                                     vals[5], vals[6], vals[7]))
+        vals = [float(v) if v else None for v in line.split(",")]
+        records.append(MonitorRecord(**dict(zip(CSV_COLUMNS, vals))))
     sidecar = _extra_lp_path(path)
     if sidecar.is_file():
         extra = json.loads(sidecar.read_text())

@@ -210,6 +210,12 @@ def _heat_bounds(grid: Grid, coeffs: np.ndarray, ts: np.ndarray, nu: float) -> n
     return np.exp(-nu * np.outer(ts, occupied)) @ shells[occupied]
 
 
+def _heat_linf(grid: Grid, coeffs: np.ndarray, t: float, nu: float) -> float:
+    """||heat(c, t)||_inf of a (ncomp, *spectral_shape) stack, bit for bit linf(heat(f, t, nu))."""
+    heated = (coeffs * np.exp(-nu * t * grid.ksq))[np.newaxis]
+    return float(_squared_magnitudes(grid, heated, grid.nyquist)[2][0])
+
+
 def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
                      nu: float) -> tuple[float, float]:
     """(sup over ts of sqrt(t) ||heat(c, t)||_inf, the first t attaining it).
@@ -221,18 +227,14 @@ def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
     and (-1, ts[0]) is returned when every value is nan. Values are finite
     for every finite state (fields._squared_magnitudes).
     """
-    ksq = grid.ksq
     bounds = np.sqrt(ts) * _heat_bounds(grid, coeffs, ts, nu)
     vals = np.full(ts.shape, np.nan)
     best = -1.0
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] * _BOUND_MARGIN < best:
             break
-        t = ts[i]
-        heated = (coeffs * np.exp(-nu * t * ksq))[np.newaxis]
-        vals[i] = math.sqrt(t) * float(_squared_magnitudes(grid, heated, grid.nyquist)[2][0])
-        if vals[i] > best:
-            best = vals[i]
+        vals[i] = math.sqrt(ts[i]) * _heat_linf(grid, coeffs, ts[i], nu)
+        best = max(best, vals[i])  # keeps best when vals[i] is nan
     best, t_at = -1.0, float(ts[0])
     for t, v in zip(ts, vals):
         if v > best:
@@ -466,15 +468,17 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
 # cross validation and the amplitude probe
 # ---------------------------------------------------------------------------
 
-def compare_trajectories(a: Trajectory, b: Trajectory, tol: float) -> dict:
+def compare_trajectories(a: Trajectory, b: Trajectory, b_linf: Sequence[float], tol: float) -> dict:
     """Sup-norm discrepancy of two trajectories at their shared nodes.
 
-    Node errors are ||a(t_m) - b(t_m)||_inf / max(1, sup_m ||b(t_m)||_inf);
-    returns {discrepancy: their max, tolerance, passed, node_errors}. A nan
-    at any node of either trajectory makes the discrepancy nan (np.max
-    propagates it where the builtin max() would drop it), which fails.
+    Node errors are ||a(t_m) - b(t_m)||_inf / max(1, max(b_linf)), b_linf[m] =
+    ||b(t_m)||_inf; returns {discrepancy: their max, tolerance, passed,
+    node_errors}. A nan at any node of either trajectory makes the discrepancy
+    nan (np.max propagates it where the builtin max() would drop it), which fails.
     """
-    scale = float(np.maximum(1.0, np.max([linf(s) for s in b.states])))
+    if len(b_linf) != len(b.coeffs):
+        raise ValueError(f"b_linf has {len(b_linf)} values for {len(b.coeffs)} states")
+    scale = float(np.maximum(1.0, np.max(b_linf)))
     errs = [linf(sa - sb) / scale for sa, sb in zip(a.states, b.states)]
     disc = float(np.max(errs))
     return {"discrepancy": disc, "tolerance": tol, "passed": disc <= tol,
@@ -515,11 +519,11 @@ def probe_contraction_threshold(base: SpectralVectorField, cfg: SolverConfig,
         u0 = base * float(a)
         kato = kato_smallness(u0, cfg.horizon, cfg.nu).value
         try:
-            _, rep = picard_solve(u0, cfg)
-            entries.append(ProbeEntry(float(a), kato, True, rep.iterations, rep.contraction_ratio))
+            rep = picard_solve(u0, cfg)[1]
         except NonConvergence as exc:
             rep = exc.report
-            entries.append(ProbeEntry(float(a), kato, False, rep.iterations, rep.contraction_ratio))
+        entries.append(ProbeEntry(float(a), kato, rep.converged, rep.iterations,
+                                  rep.contraction_ratio))
     flags = [e.converged for e in entries]
     first_div = flags.index(False) if False in flags else None
     monotone = all(not f for f in flags[first_div:]) if first_div is not None else True

@@ -1072,3 +1072,47 @@ class TestTopLevel:
         assert done.stdout.startswith("usage: cnlab")
         for command in ("simulate", "monitor", "verify", "profile"):
             assert command in done.stdout
+
+    @pytest.mark.parametrize("case, kind", [
+        ("profile config is a directory", "ConfigError"),
+        ("simulate out is a file", "OSError"),
+        ("profile out in a missing directory", "OSError"),
+        ("monitor omega is missing", "OSError"),
+        ("monitor out in a missing directory", "OSError"),
+        ("config is not UTF-8", "ConfigError"),
+    ])
+    def test_file_errors_are_one_json_line(self, tg_simdir, tmp_path, capsys, case, kind):
+        # the type and the exit code, not the message: an atomic write names
+        # its random temporary file
+        cfg = write_json(tmp_path / "cfg.json", TG_SIM)
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"dim": 2, "note": "caf\xe9"}')
+        missing = tmp_path / "missing"
+        snaps = str(tg_simdir / "snapshots" / "picard")
+        argv = {
+            "profile config is a directory":
+                ["profile", "--config", str(tmp_path), "--out", str(tmp_path / "u0.snap")],
+            "simulate out is a file": ["simulate", "--config", str(cfg), "--out", str(cfg)],
+            "profile out in a missing directory":
+                ["profile", "--config", str(cfg), "--out", str(missing / "u0.snap")],
+            "monitor omega is missing": ["monitor", "--snapshots", snaps, "--omega",
+                                         str(missing / "w.snap"), "--out", str(tmp_path / "m.csv")],
+            "monitor out in a missing directory":
+                ["monitor", "--snapshots", snaps, "--out", str(missing / "m.csv")],
+            "config is not UTF-8":
+                ["simulate", "--config", str(latin1), "--out", str(tmp_path / "out")],
+        }[case]
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == kind
+
+    def test_docs_name_every_error_type(self):
+        # the table's names, and the two failures a command reports itself
+        kinds = [kind.__name__ for kind in cli._FAILURES]
+        kinds += ["CheckFailed", "CrossValidationFailed"]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for doc in (cli.__doc__, readme):
+            for kind in kinds:
+                assert kind in doc

@@ -33,9 +33,10 @@ from cnlab.littlewood_paley import (_stack_block_sups, besov_norm, besov_norm_st
                                     build_partition)
 from cnlab.monitor import monitor
 from cnlab.paraproduct import bony_split
-from cnlab.semigroup import (DIV_FREE_TOL, TimeGrid, div_tensor, leray_project,
+from cnlab.semigroup import (DIV_FREE_TOL, TimeGrid, div_tensor, heat, leray_project,
                              nonlinearity)
-from cnlab.solver import Trajectory, _heat_bounds, _heat_ladder_sup, _kato_ladder
+from cnlab.solver import (Trajectory, _heat_bounds, _heat_ladder_sup, _heat_linf,
+                          _kato_ladder)
 from cnlab.verification import verify_oseen_kernel
 
 from helpers import full_spectrum, half_of, hermitian_defect, hermitian_part, rel_err
@@ -312,6 +313,19 @@ def test_pruned_heat_ladder_matches_every_transform(grid, kind, seed, horizon, n
     with np.errstate(over="ignore", invalid="ignore"):
         got = _heat_ladder_sup(grid, c, ts, nu)
         ref = ladder_reference(grid, c, ts, nu)
+    assert repr(got) == repr(ref)
+
+
+@PROPS
+@given(grids, st.sampled_from(KINDS), seeds, st.integers(-900, 900),
+       st.sampled_from([1e-6, 5e-7, 1e-4, 0.3, 1.0]), st.sampled_from([0.5, 1.0]))
+def test_heat_linf_is_linf_of_heat(grid, kind, seed, scale, t, nu):
+    # the ladder, heat_ln_linf and oseen_kernel evaluate ||heat(c, t)||_inf
+    # by _heat_linf, and their JSONs keep linf(heat(...))'s bits
+    c = np.ldexp(make_state(grid, kind, seed).view(np.float64), scale).view(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _heat_linf(grid, c, t, nu)
+        ref = linf(heat(SpectralVectorField(grid, c), t, nu))
     assert repr(got) == repr(ref)
 
 

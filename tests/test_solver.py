@@ -372,7 +372,9 @@ class TestCrossValidate:
     def both_routes(u0, cfg):
         """compare_trajectories of the two routes, and Picard's report."""
         traj, report = picard_solve(u0, cfg)
-        return compare_trajectories(traj, etdrk4_integrate(u0, cfg), cfg.cross_tol), report
+        etd = etdrk4_integrate(u0, cfg)
+        return compare_trajectories(traj, etd, [linf(s) for s in etd.states],
+                                    cfg.cross_tol), report
 
     def test_zero_data(self, g2_16):
         cfg = SolverConfig(dim=2, res=16, horizon=0.5,
@@ -412,10 +414,29 @@ class TestCrossValidate:
         tg = TimeGrid.uniform(1.0, 3)
         good, bad = Trajectory(g2_16, tg, rows, "a"), Trajectory(g2_16, tg, spoilt, "b")
         a, b = (bad, good) if spoiled == "a" else (good, bad)
-        cmp = compare_trajectories(a, b, 1e-4)
+        cmp = compare_trajectories(a, b, [linf(s) for s in b.states], 1e-4)
         assert math.isnan(cmp["discrepancy"])
         assert cmp["passed"] is False
         assert math.isnan(cmp["node_errors"][2])
+
+    def test_sup_norms_of_b_come_from_the_caller(self, g2_16, monkeypatch):
+        # the caller's values, the monitor records' lp_inf in simulate, scale
+        # the errors; only the node differences are transformed here
+        u = single_mode_vector(g2_16, (1, 2), 0)
+        tg = TimeGrid.uniform(1.0, 3)
+        a = Trajectory(g2_16, tg, np.stack([u.coeffs * (1 + m) for m in range(4)]), "a")
+        b = Trajectory(g2_16, tg, np.stack([u.coeffs * (1 + 2 * m) for m in range(4)]), "b")
+        b_linf = [linf(s) for s in b.states]
+        seen = []
+        monkeypatch.setattr(solver, "linf", lambda f: seen.append(f) or linf(f))
+        cmp = compare_trajectories(a, b, b_linf, 1e-4)
+        assert len(seen) == 4
+        for f, sa, sb in zip(seen, a.states, b.states):
+            assert np.array_equal(f.coeffs, (sa - sb).coeffs)
+        assert cmp["node_errors"] == [linf(sa - sb) / max(b_linf)
+                                      for sa, sb in zip(a.states, b.states)]
+        with pytest.raises(ValueError, match="3 values for 4 states"):
+            compare_trajectories(a, b, b_linf[:3], 1e-4)
 
 
 class TestContractionProbe:
