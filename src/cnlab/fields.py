@@ -19,9 +19,9 @@ max_i |k_i| <= r, in the compact layout that _box_of gathers a half into
 grid indexes a box. The pair skips the transform lines the box leaves empty;
 the transform of an all-zero line is exactly zero, so it gives the full
 pair's values cut to the box, and once r >= res/2 it is the full pair. Every
-dealiased product (_products, behind pointwise_tensor, the Navier-Stokes
-right-hand side and the paraproducts) runs on it with the 2/3 box
-r = res // 3, and so does every Besov block.
+dealiased product (_products, behind pointwise_tensor and the Navier-Stokes
+right-hand side, and the one paraproduct kernel) runs on it with the 2/3 box
+r = Grid.dealias_radius, and so does every Besov block.
 
 On the two self-conjugate planes of the half (last index 0 and res/2) a
 half holds both c(k) and c(-k); spectral_values and _from_box replace those
@@ -32,8 +32,8 @@ _squared_magnitudes below is the only function that squares physical
 samples; _lp_norms, the Besov block sups and the Kato ladder read the
 pointwise magnitude through it, so none of them overflows or underflows on
 a finite state. _lp_norms is the package's only Lebesgue norm: lp_norm,
-linf, energy, the monitor columns, the Picard increment and the exact
-divergence guard all use it, and that guard runs only where the
+linf, energy, the monitor columns, the Picard increment and divergence_sup,
+the exact divergence guard, all use it; that guard runs only where the
 transform-free _divergence_bound cannot pass the input.
 
 All operations here are pure: inputs are never mutated and returned fields own
@@ -270,7 +270,7 @@ def divergence_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 def divergence_sup(f: SpectralVectorField) -> float:
     """Physical-space sup of |div f|."""
-    return float(np.max(np.abs(phys_values(f.grid, divergence_coeffs(f.grid, f.coeffs)))))
+    return _lp_norms(f.grid, divergence_coeffs(f.grid, f.coeffs), (math.inf,))[0]
 
 
 # A transform-free bound decides only below its threshold by this factor, far
@@ -442,7 +442,7 @@ def random_field(grid: Grid, rng: np.random.Generator, slope: float = 2.0,
     d = grid.dim
     ncomp = d if ncomp is None else ncomp
     if band is None:
-        band = (1, max(2, grid.res // 3))
+        band = (1, max(2, grid.dealias_radius))
     kmod = grid.kmod
     shell = (kmod >= band[0]) & (kmod <= band[1]) & (kmod <= grid.nyquist - 1)
     amp = np.zeros(grid.spectral_shape)

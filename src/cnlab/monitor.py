@@ -88,6 +88,8 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
     check_exponents(p_list)
     check_kato_horizon(kato_horizon)
     grid = traj.grid
+    if omega is not None:
+        _same_grid(grid, omega.grid)
     nu = float(traj.meta.get("nu", 1.0))
     part = build_partition(grid, cutoff)
     n = float(grid.dim)
@@ -97,7 +99,6 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
     with np.errstate(invalid="ignore"):
         besov = besov_norm_states(traj.coeffs, -1.0, part)
         if omega is not None:
-            _same_grid(grid, omega.grid)
             dists = besov_norm_states(traj.coeffs - omega.coeffs, -1.0, part)
     records = []
     for m, state in enumerate(traj.states):

@@ -457,7 +457,7 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
                 u = _etdrk4_segment(out[m], weights[h], nsteps, rhs)
                 if not np.all(np.isfinite(u)):
                     raise _NonFinite
-            except (_NonFinite, FloatingPointError):
+            except _NonFinite:
                 meta["blowup_time"] = float(nodes[m + 1])
                 raise BlowupSuspected(Trajectory(grid, tg, out[: m + 1], "etdrk4", meta)) from None
             out[m + 1] = u

@@ -23,9 +23,9 @@ from .fields import (_BOUND_MARGIN, SpectralVectorField, TensorField, linf,
 from .grid import Grid
 from .littlewood_paley import (_states_block_sups, _weighted_sups, besov_norm,
                                besov_norm_states, build_partition)
-from .paraproduct import _tensor_paraproducts, bony_split
+from .paraproduct import _paraproducts, bony_split
 from .semigroup import TimeGrid, div_tensor, duhamel_L, heat, leray_project
-from .solver import (PicardOptions, ProfileSpec, SolverConfig,
+from .solver import (PicardOptions, SolverConfig,
                      _heat_bounds, _heat_ladder_sup, _heat_linf, _kato_ladder, make_profile,
                      picard_solve)
 
@@ -100,7 +100,7 @@ def verify_smoothing(levels: Sequence[tuple[float, float]] = (
     # lets different blocks dominate numerator and denominator. The ladder
     # must be dense because the dyadic block weight against the |k|^2 decay
     # rate saw-tooths within each octave.
-    shells = list(range(1, int(res / 3) + 1))
+    shells = list(range(1, grid.dealias_radius + 1))
 
     # spread the trial budget evenly over the ladder so reduced-budget runs
     # still probe the saturating top shells
@@ -190,8 +190,8 @@ def verify_paraproduct(s_list: Sequence[float] = (1.5, 2.0), trials: int = 50,
             g_sups, f_sups = _states_block_sups(np.stack([g.coeffs, f.coeffs]), part)
             bf = float(_weighted_sups(f_sups, -1.0))
             fi = linf(f)
-            pi_sups = _states_block_sups(
-                np.stack([pi.coeffs for pi in _tensor_paraproducts((0, 1), f, g, part)]), part)
+            paras = np.stack(_paraproducts((0, 1), f.coeffs, g.coeffs, part))
+            pi_sups = _states_block_sups(paras, part)
             for k, s in enumerate(s_list):
                 bg = float(_weighted_sups(g_sups, 1.0 + s))
                 for sups in pi_sups:
@@ -353,7 +353,7 @@ def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         # steeper decay and would misstate the kernel law. The deterministic
         # axis probe A cos(m x_1) with A = e_2 (x) e_1 yields exactly
         # m |sin(m x_1)| after projection and anchors every shell.
-        shells = list(range(1, int(res / 3) + 1))
+        shells = list(range(1, grid.dealias_radius + 1))
         x1 = grid.coords()[0]
         envelope = np.zeros_like(t_grid)
         probes = []
@@ -376,7 +376,7 @@ def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         env_by_res[res] = envelope
         comp_sups.append(float(np.max(np.sqrt(t_grid) * envelope)))
 
-    kcap = int(res_list[-1] / 3)
+    kcap = Grid(dim, res_list[-1]).dealias_radius
     t_resolved = 3.0 / (nu * kcap * kcap)
     small = (t_grid <= 1e-2) & (t_grid >= t_resolved)
     if int(small.sum()) < 4:  # coarse grids resolve almost nothing below 1e-2
@@ -480,8 +480,7 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
     for res in res_list:
         grid = Grid(dim, res)
         cfg = SolverConfig(dim=dim, res=res, nu=nu, horizon=delta,
-                           picard=PicardOptions(node_count=32, contraction_tol=1e-11),
-                           profile=ProfileSpec(kind=profile_kind, amplitude=amplitude, seed=seed))
+                           picard=PicardOptions(node_count=32, contraction_tol=1e-11))
         w0 = make_profile(grid, profile_kind, amplitude=amplitude, seed=seed)
         traj, _ = picard_solve(w0, cfg)
         w = traj.states

@@ -81,6 +81,14 @@ class TestMonitor:
         want = [kato_smallness(state, 0.3, nu).value for state in tg_traj.states]
         assert [r.kato_I for r in monitor(traj, kato_horizon=0.3)] == want
 
+    def test_omega_grid_is_checked_before_any_pass(self, tg_traj, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Besov pass ran before the grid check")
+
+        monkeypatch.setattr("cnlab.monitor.besov_norm_states", refuse)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            monitor(tg_traj, omega=zero_field(Grid(2, 16)))
+
     def test_kato_column_reuses_the_lp_n_column(self, tg_traj, monkeypatch):
         # the record's lp_n is ||u||_n to the bit, so no second L^n norm is taken
         want = [kato_smallness(state, 0.3, 1.0).value for state in tg_traj.states]

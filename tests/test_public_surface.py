@@ -1,5 +1,6 @@
 """Every module-level public function of cnlab has a caller in the package,
-or its reason to stay is written down in KEEP.
+or its reason to stay is written down in KEEP; every module-level private
+helper (a _name, not a dunder) has a caller in the package, with no exception.
 
 A function has a caller when its name is read (an ast.Name in load context)
 somewhere in src/cnlab outside its own def; importing a name does not read
@@ -31,31 +32,40 @@ KEEP = {
 }
 
 
-def scan() -> tuple[set[str], set[str]]:
-    """(the module-level public functions of src/cnlab, the names read
-    outside the def of the function they name)."""
-    public, read = set(), set()
+def scan() -> tuple[set[str], set[str], set[str]]:
+    """(the module-level public functions of src/cnlab, its module-level
+    private helpers, the names read outside the def of the function they
+    name)."""
+    public, private, read = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             own = None
-            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
-                public.add(stmt.name)
+            if isinstance(stmt, ast.FunctionDef):
                 own = stmt.name
+                if not own.startswith("_"):
+                    public.add(own)
+                elif not (own.startswith("__") and own.endswith("__")):
+                    private.add(own)
             read |= {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)
                      and isinstance(node.ctx, ast.Load) and node.id != own}
-    return public, read
+    return public, private, read
 
 
 def test_every_public_function_has_a_caller_or_a_reason():
-    public, read = scan()
+    public, _, read = scan()
     assert sorted(public - read - set(KEEP)) == []
 
 
+def test_every_private_helper_has_a_caller():
+    _, private, read = scan()
+    assert private and sorted(private - read) == []
+
+
 def test_no_keep_entry_has_gained_a_caller():
-    _, read = scan()
+    _, _, read = scan()
     assert sorted(set(KEEP) & read) == []
 
 
 def test_every_keep_entry_names_a_public_function():
-    public, _ = scan()
+    public, _, _ = scan()
     assert sorted(set(KEEP) - public) == []

@@ -246,6 +246,19 @@ class TestEtdrk4:
         assert len(exc.value.trajectory.states) == 2
         assert np.all(np.isfinite(exc.value.last_state.coeffs))
 
+    def test_a_caller_trap_is_not_a_blowup(self):
+        # underflow in the heat factors of a finite solve: only the caller's
+        # trap raises, and it reaches the caller as Picard's does
+        g = Grid(2, 64)
+        u0 = make_profile(g, "random_divfree", amplitude=0.1, seed=1)
+        cfg = SolverConfig(dim=2, res=64, nu=1.0, horizon=1.0,
+                           picard=PicardOptions(node_count=2),
+                           etdrk4=EtdrkOptions(dt=0.5))
+        for solve in (etdrk4_integrate, picard_solve):
+            with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+                solve(u0, cfg)
+        assert np.all(np.isfinite(etdrk4_integrate(u0, cfg).coeffs))
+
     def test_stop_event_ends_the_solve_within_one_stage(self):
         g = Grid(2, 16)
         u0 = make_profile(g, "random_divfree", amplitude=0.3, seed=1)
