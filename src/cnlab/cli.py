@@ -46,7 +46,7 @@ from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapsho
 from .solver import (BlowupSuspected, Cancelled, NonConvergence, SolverConfig,
                      Trajectory, compare_trajectories, etdrk4_integrate, picard_solve,
                      profile_from_spec)
-from .verification import check_tasks, run_task, summary_csv
+from .verification import run_checks, summary_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -283,8 +283,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    tasks = check_tasks(checks, seed, sizes)
-    workers = _worker_count(len(tasks))
+    workers = _worker_count(len(set(checks)))
     run = map
     with ExitStack() as stack:
         # a forked child holds only the calling thread, and any lock that another
@@ -298,7 +297,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             run = pool.map
         # read in canonical order: the in-process reports and, if checks
         # raise, the error of the first of them in that order
-        reports = [rep for reps in run(run_task, tasks) for rep in reps]
+        reports = run_checks(checks, seed, sizes, run)
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())

@@ -54,6 +54,11 @@ def _list_of(entry: tuple) -> tuple:
             lambda v: isinstance(v, list) and len(v) > 0 and all(map(entry[1], v)))
 
 
+def _distinct(entry: tuple, rule: str, key) -> tuple:
+    each, ok = _list_of(entry)
+    return f"{each}, {rule}", lambda v: ok(v) and len(set(map(key, v))) == len(v)
+
+
 _DIM = "2 or 3", lambda v: _is_int(v) and _accepted(Grid, v, 8)
 _RES = "a power of two >= 8", lambda v: _is_int(v) and _accepted(Grid, 2, v)
 
@@ -89,13 +94,15 @@ _SIMULATE = {
     "monitor": _MONITOR,
 }
 
+# two values with one key in a report (a constant K_N{n} or opnorm_T{T:g}, a
+# report name paraproduct_s{s:g}) would keep one of them and drop the other
 _SIZES = {
     "trials": _at_least(1), "nodes": _at_least(1), "pairs": _at_least(1),
-    "res": _RES, "res_list": _list_of(_RES), "dim": _DIM, "dims": _list_of(_DIM),
-    "T_list": _list_of(_above(0)),
-    # two values with one report name would write one report file twice
-    "s_list": (_list_of(_above(1))[0] + ", no two with one report name (paraproduct_s{s:g})",
-               lambda v: _list_of(_above(1))[1](v) and len(set(map(paraproduct_name, v))) == len(v)),
+    "res": _RES, "res_list": _distinct(_RES, "no two equal", int),
+    "dim": _DIM, "dims": _list_of(_DIM),
+    "T_list": _distinct(_above(0), "no two with one report key (opnorm_T{T:g})", "{:g}".format),
+    "s_list": _distinct(_above(1), "no two with one report name (paraproduct_s{s:g})",
+                        paraproduct_name),
 }
 
 _VERIFY = {

@@ -62,10 +62,6 @@ class Grid:
         return self.res // 2
 
     @property
-    def npoints(self) -> int:
-        return self.res**self.dim
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return (self.res,) * self.dim
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralField, _box_of, _squared_magnitudes
+from .fields import SpectralField, _box_of, _same_grid, _squared_magnitudes
 from .grid import Grid
 
 
@@ -98,14 +98,15 @@ def build_partition(grid: Grid, mode: str = "sharp") -> DyadicPartition:
     return DyadicPartition(grid, mode, jmax, lowpass, delta, radii)
 
 
-def _need_field(f) -> None:
+def _need_field(f, part: DyadicPartition) -> None:
     if not isinstance(f, SpectralField):
         raise ValueError(f"expected a SpectralVectorField or TensorField, got {type(f).__name__}")
+    _same_grid(f.grid, part.grid)
 
 
 def block(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
     """Dyadic block D_j f; j = -1 selects the low-frequency piece S_0 f."""
-    _need_field(f)
+    _need_field(f, part)
     if not -1 <= j <= part.jmax:
         raise ValueError(f"block index {j} outside [-1, {part.jmax}]")
     return f * (part.s0 if j == -1 else part.delta[j])
@@ -113,13 +114,13 @@ def block(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
 
 def low_pass(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
     """Cumulative low-pass S_j f for 0 <= j <= jmax+1 (sharp: retains |k| < 2^j)."""
-    _need_field(f)
+    _need_field(f, part)
     if not 0 <= j <= part.jmax + 1:
         raise ValueError(f"low-pass index {j} outside [0, {part.jmax + 1}]")
     return f * part.lowpass[j]
 
 
-def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> np.ndarray:
+def _stack_block_sups(stack: np.ndarray, part: DyadicPartition) -> np.ndarray:
     """Per-state block sup norms for a (nstates, ncomp, *spectral_shape) stack.
 
     Returns (nstates, jmax+2): column 0 is the S_0 sup, column 1+j the D_j sup.
@@ -133,7 +134,7 @@ def _stack_block_sups(grid: Grid, stack: np.ndarray, part: DyadicPartition) -> n
     non-finite states for every block, since inf * 0 is nan. Sups are
     finite for every finite state (fields._squared_magnitudes).
     """
-    nstates = stack.shape[0]
+    grid, nstates = part.grid, stack.shape[0]
     out = np.zeros((nstates, part.jmax + 2))
     occupied = np.any(stack != 0, axis=1).reshape(nstates, -1)
     nonfinite = ~np.all(np.isfinite(stack).reshape(nstates, -1), axis=1)
@@ -168,8 +169,9 @@ def besov_norm(f: SpectralField, s: float, part: DyadicPartition | None = None) 
     over all component axes. When no partition is supplied the field's grid
     gets the sharp one.
     """
-    _need_field(f)
-    part = build_partition(f.grid, "sharp") if part is None else part
+    if part is None and isinstance(f, SpectralField):
+        part = build_partition(f.grid, "sharp")
+    _need_field(f, part)
     return float(besov_norm_states(f.coeffs[np.newaxis], s, part)[0])
 
 
@@ -188,7 +190,7 @@ def _states_block_sups(coeffs: np.ndarray, part: DyadicPartition) -> np.ndarray:
         return np.zeros((0, part.jmax + 2))
     flat = coeffs.reshape((len(coeffs), -1) + grid.spectral_shape)
     per = max(1, _BATCH_BYTES // flat[0].nbytes)
-    return np.concatenate([_stack_block_sups(grid, flat[i:i + per], part)
+    return np.concatenate([_stack_block_sups(flat[i:i + per], part)
                            for i in range(0, len(flat), per)])
 
 

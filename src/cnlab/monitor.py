@@ -120,7 +120,7 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
             rem = min(1.0, horizon - t) if kato_horizon == "default" else float(kato_horizon)
             if rem > 0:
                 with np.errstate(invalid="ignore"):
-                    rec.kato_I = _kato(state, rem, nu, lpn).value
+                    rec.kato_I = _kato(state, rem, nu, lpn)
         records.append(rec)
     return records
 
@@ -134,6 +134,7 @@ def bv_variation(traj: Trajectory, s: float, part: DyadicPartition | None = None
     if len(traj.coeffs) < 2:
         raise ValueError("need at least two stored states")
     part = build_partition(traj.grid, "sharp") if part is None else part
+    _same_grid(traj.grid, part.grid)
     norms = besov_norm_states(np.diff(traj.coeffs, axis=0), s, part)
     idx = int(np.argmax(norms))
     return BVResult(float(np.sum(norms)), float(norms[idx]), idx)

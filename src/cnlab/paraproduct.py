@@ -53,16 +53,18 @@ def _paraproducts(offsets: tuple[int, ...], lows: np.ndarray, highs: np.ndarray,
 def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,
                        part: DyadicPartition) -> np.ndarray:
     """para_i of two scalar coefficient arrays on the partition's grid."""
-    phi, psi = (np.asarray(a, dtype=np.complex128)[np.newaxis] for a in (phi, psi))
-    return _paraproducts((i,), phi, psi, part)[0][0, 0]
+    phi, psi = (np.asarray(a, dtype=np.complex128) for a in (phi, psi))
+    if not phi.shape == psi.shape == part.grid.spectral_shape:
+        raise ValueError(f"coefficient shapes {phi.shape} and {psi.shape} do not match "
+                         f"the partition grid's {part.grid.spectral_shape}")
+    return _paraproducts((i,), phi[np.newaxis], psi[np.newaxis], part)[0][0, 0]
 
 
 def tensor_paraproduct(i: int, f: SpectralVectorField, g: SpectralVectorField,
                        part: DyadicPartition) -> TensorField:
     """Entrywise paraproduct tensor: entry (a, b) = para_i(f_a, g_b)."""
     _same_grid(f.grid, g.grid)
-    if part.grid != f.grid:
-        raise ValueError("partition grid does not match the fields")
+    _same_grid(f.grid, part.grid)
     return TensorField(f.grid, _paraproducts((i,), f.coeffs, g.coeffs, part)[0])
 
 

@@ -16,9 +16,9 @@ Two routes to the same trajectory:
   four-stage exponential time differencing scheme of Cox & Matthews (2002),
   coefficients evaluated through the stable phi functions.
 
-kato_smallness measures (1 + ||u0||_n) * sup_t sqrt(t) ||e^{t nu Lap} u0||_inf
-over a fixed geometric ladder of times, the standard smallness functional
-controlling convergence of the fixed point.
+kato_smallness is the number (1 + ||u0||_n) * sup_t sqrt(t) ||e^{t nu Lap} u0||_inf,
+the sup taken over a fixed geometric ladder of times: the standard smallness
+functional controlling convergence of the fixed point.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -172,11 +172,6 @@ class ConvergenceReport:
         return asdict(self)
 
 
-class KatoSmallness(NamedTuple):
-    value: float
-    t_at: float
-
-
 # Fixed geometric ladder 1e-6 * r^j with r = 10^(6/63): exactly 64 points on
 # (0, 1], and nested across horizons so the sup is exactly monotone in the
 # horizon.
@@ -216,45 +211,36 @@ def _heat_linf(grid: Grid, coeffs: np.ndarray, t: float, nu: float) -> float:
     return float(_squared_magnitudes(grid, heated, grid.nyquist)[2][0])
 
 
-def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray,
-                     nu: float) -> tuple[float, float]:
-    """(sup over ts of sqrt(t) ||heat(c, t)||_inf, the first t attaining it).
+def _heat_ladder_sup(grid: Grid, coeffs: np.ndarray, ts: np.ndarray, nu: float) -> float:
+    """sup over ts of sqrt(t) ||heat(c, t)||_inf.
 
     Ladder points are evaluated in descending order of their bound
     sqrt(t) * _heat_bounds, stopping once the bound falls below the best
-    value, so every point left out is strictly below the sup. The maximizer
-    is the first strict maximum in ladder order; nan values never qualify,
-    and (-1, ts[0]) is returned when every value is nan. Values are finite
-    for every finite state (fields._squared_magnitudes).
+    value, so every point left out is strictly below the sup. nan values
+    never qualify, and -1 is returned when every value is nan. Values are
+    finite for every finite state (fields._squared_magnitudes).
     """
     bounds = np.sqrt(ts) * _heat_bounds(grid, coeffs, ts, nu)
-    vals = np.full(ts.shape, np.nan)
     best = -1.0
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] * _BOUND_MARGIN < best:
             break
-        vals[i] = math.sqrt(ts[i]) * _heat_linf(grid, coeffs, ts[i], nu)
-        best = max(best, vals[i])  # keeps best when vals[i] is nan
-    best, t_at = -1.0, float(ts[0])
-    for t, v in zip(ts, vals):
-        if v > best:
-            best, t_at = float(v), float(t)
-    return best, t_at
+        # max keeps best when the value is nan
+        best = max(best, math.sqrt(ts[i]) * _heat_linf(grid, coeffs, ts[i], nu))
+    return best
 
 
-def _kato(u0: SpectralVectorField, horizon: float, nu: float, n_norm: float) -> KatoSmallness:
+def _kato(u0: SpectralVectorField, horizon: float, nu: float, n_norm: float) -> float:
     """kato_smallness with ||u0||_n supplied by the caller."""
     if not 0 < nu < math.inf:
         raise ValueError(f"viscosity must be a finite number > 0, got {nu}")
-    value, t_at = _heat_ladder_sup(u0.grid, u0.coeffs, _kato_ladder(horizon), nu)
-    return KatoSmallness((1.0 + n_norm) * value, t_at)
+    return (1.0 + n_norm) * _heat_ladder_sup(u0.grid, u0.coeffs, _kato_ladder(horizon), nu)
 
 
-def kato_smallness(u0: SpectralVectorField, horizon: float, nu: float = 1.0) -> KatoSmallness:
+def kato_smallness(u0: SpectralVectorField, horizon: float, nu: float = 1.0) -> float:
     """Smallness functional (1 + ||u0||_n) * sup_t sqrt(t) ||heat(u0, t)||_inf.
 
-    The sup runs over the fixed geometric time ladder on (0, horizon]; the
-    maximizing time is reported alongside the value.
+    The sup runs over the fixed geometric time ladder on (0, horizon].
     """
     return _kato(u0, horizon, nu, lp_norm(u0, float(u0.grid.dim)))
 
@@ -517,7 +503,7 @@ def probe_contraction_threshold(base: SpectralVectorField, cfg: SolverConfig,
     entries = []
     for a in amplitudes:
         u0 = base * float(a)
-        kato = kato_smallness(u0, cfg.horizon, cfg.nu).value
+        kato = kato_smallness(u0, cfg.horizon, cfg.nu)
         try:
             rep = picard_solve(u0, cfg)[1]
         except NonConvergence as exc:

@@ -219,7 +219,7 @@ def verify_paraproduct(s_list: Sequence[float] = (1.5, 2.0), trials: int = 50,
 # ---------------------------------------------------------------------------
 
 def verify_bony_identity(pairs: int = 200, res_list: Sequence[int] = (16, 32, 64),
-                         dims: Sequence[int] = (2, 3), seed: int = 0) -> VerificationReport:
+                         dims: Sequence[int] = (2, 3), seed: int = 0) -> list[VerificationReport]:
     """Reassembly of the dealiased tensor product from its two split parts.
 
     Random mean-zero band-limited pairs on every (dim, res) combination; the
@@ -250,14 +250,14 @@ def verify_bony_identity(pairs: int = 200, res_list: Sequence[int] = (16, 32, 64
             worst = max(worst, err / max(scale, 1e-300))
             total += 1
     passed = worst <= 1e-12
-    return VerificationReport(
+    return [VerificationReport(
         name="bony_identity",
         passed=passed,
         trials=total,
         constants={"max_rel_error": worst},
         params={"res_list": list(res_list), "dims": list(dims), "seed": seed},
         headline_constant=worst,
-    )
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def verify_bony_identity(pairs: int = 200, res_list: Sequence[int] = (16, 32, 64
 # ---------------------------------------------------------------------------
 
 def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128),
-                        dim: int = 2, seed: int = 0, nu: float = 1.0) -> VerificationReport:
+                        dim: int = 2, seed: int = 0, nu: float = 1.0) -> list[VerificationReport]:
     """The t^{-1/2} smoothing constant of the heat flow from L^n into L^inf.
 
     K(N) = max over random fields of sup_t sqrt(t) ||heat(f, t)||_inf / ||f||_n
@@ -281,8 +281,7 @@ def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         best = 0.0
         for _ in range(trials):
             f = random_vector_field(grid, rng, slope=float(rng.choice([0.0, 1.0, 2.0, 3.0])))
-            best = max(best, _heat_ladder_sup(grid, f.coeffs, ladder, nu)[0]
-                       / lp_norm(f, float(dim)))
+            best = max(best, _heat_ladder_sup(grid, f.coeffs, ladder, nu) / lp_norm(f, float(dim)))
         ks.append(best)
 
     grid = Grid(dim, res_list[-1])
@@ -294,7 +293,7 @@ def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         f = to_spectral(samples, grid)
         lam = nu * kmod**2
         exact = 1.0 / math.sqrt(2.0 * math.e * lam) if 1.0 / (2 * lam) <= 1.0 else math.exp(-lam)
-        measured = _heat_ladder_sup(grid, f.coeffs, ladder, nu)[0]
+        measured = _heat_ladder_sup(grid, f.coeffs, ladder, nu)
         mode_errs.append(abs(measured - exact) / exact)
 
     f = random_vector_field(grid, rng)
@@ -310,7 +309,7 @@ def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
     halving_ok = v2 < v1 and abs(halving / math.sqrt(0.5) - 1.0) <= 0.05
 
     passed = _stable(ks) and max(mode_errs) <= 0.01 and trivial_ok and halving_ok
-    return VerificationReport(
+    return [VerificationReport(
         name="heat_ln_linf",
         passed=passed,
         trials=trials,
@@ -322,7 +321,7 @@ def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         },
         params={"res_list": list(res_list), "dim": dim, "seed": seed, "nu": nu},
         headline_constant=ks[-1],
-    )
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +330,7 @@ def verify_heat_ln_linf(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
 
 def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128),
                         dim: int = 2, seed: int = 0, nu: float = 1.0,
-                        t_grid: Sequence[float] | None = None) -> VerificationReport:
+                        t_grid: Sequence[float] | None = None) -> list[VerificationReport]:
     """t^{-1/2} decay of the smoothed projected divergence of unit tensors.
 
     Measures the compensated quantity sup_t sqrt(t) ||.||_inf over t in
@@ -383,7 +382,7 @@ def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         small = t_grid <= 1e-2
     slope = _fit_loglog(t_grid[small], env_by_res[res_list[-1]][small])
     passed = (-0.65 <= slope <= -0.35) and _stable(comp_sups)
-    return VerificationReport(
+    return [VerificationReport(
         name="oseen_kernel",
         passed=passed,
         trials=trials,
@@ -394,7 +393,7 @@ def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
         params={"res_list": list(res_list), "dim": dim, "seed": seed, "nu": nu},
         headline_constant=comp_sups[-1],
         headline_exponent=slope,
-    )
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +401,7 @@ def verify_oseen_kernel(trials: int = 50, res_list: Sequence[int] = (32, 64, 128
 # ---------------------------------------------------------------------------
 
 def verify_embedding(trials: int = 100, res_list: Sequence[int] = (32, 64, 128),
-                     dim: int = 2, seed: int = 0, mode: str = "smooth") -> VerificationReport:
+                     dim: int = 2, seed: int = 0, mode: str = "smooth") -> list[VerificationReport]:
     """Measured constant of ||f||_{B^{-1,inf}} <= K ||f||_n.
 
     The ensemble mixes random spectra of several slopes with deterministic
@@ -430,14 +429,14 @@ def verify_embedding(trials: int = 100, res_list: Sequence[int] = (32, 64, 128),
             best = max(best, besov_norm(f, -1.0, part) / lp_norm(f, float(dim)))
         ks.append(best)
     passed = _stable(ks)
-    return VerificationReport(
+    return [VerificationReport(
         name="embedding",
         passed=passed,
         trials=trials,
         constants={f"K_emb_N{n}": v for n, v in zip(res_list, ks)},
         params={"res_list": list(res_list), "dim": dim, "seed": seed, "mode": mode},
         headline_constant=ks[-1],
-    )
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,7 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
                            res_list: Sequence[int] = (16, 32), dim: int = 2,
                            seed: int = 0, nu: float = 1.0, amplitude: float = 0.3,
                            omega: str = "initial",
-                           profile_kind: str = "random_divfree") -> VerificationReport:
+                           profile_kind: str = "random_divfree") -> list[VerificationReport]:
     """Trajectory-level check of the composite bound behind short-time control.
 
     For a converged trajectory w on [0, delta] and a reference profile, the
@@ -516,7 +515,7 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
     nonzero = [c for c in cs if c > 0]
     stability_ok = _stable(nonzero) if len(nonzero) == len(cs) else True
     passed = stability_ok and max(resids) <= 1e-6
-    return VerificationReport(
+    return [VerificationReport(
         name="composite_bound",
         passed=passed,
         trials=len(res_list),
@@ -529,7 +528,7 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
                 "seed": seed, "omega": omega, "amplitude": amplitude,
                 "profile_kind": profile_kind},
         headline_constant=cs[-1],
-    )
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +536,9 @@ def verify_composite_bound(s: float = 1.5, delta: float = 0.25,
 # ---------------------------------------------------------------------------
 
 # Each check's verify_* function and the size overrides it accepts; the
-# defaults live in the verify_* signatures. verify_smoothing and
-# verify_paraproduct return a list of reports, the others one report.
-_REGISTRY: dict[str, tuple[Callable[..., VerificationReport | list[VerificationReport]],
-                           set[str]]] = {
+# defaults live in the verify_* signatures. Every verify_* returns its
+# reports as a list, in order.
+_REGISTRY: dict[str, tuple[Callable[..., list[VerificationReport]], set[str]]] = {
     "smoothing": (verify_smoothing, {"trials", "res", "dim", "nodes", "T_list"}),
     "paraproduct": (verify_paraproduct, {"trials", "res_list", "dim", "s_list"}),
     "bony_identity": (verify_bony_identity, {"pairs", "res_list", "dims"}),
@@ -553,11 +551,18 @@ CHECKS = {name: verify for name, (verify, _) in _REGISTRY.items()}
 SIZE_KEYS = {name: frozenset(keys) for name, (_, keys) in _REGISTRY.items()}
 
 
-def check_tasks(names: Sequence[str], seed: int = 0,
-                sizes: dict | None = None) -> list[tuple[str, dict]]:
-    """The named checks in canonical order, one (name, keywords) task per
-    check: the keywords are sizes[name] and the seed.
+def _run_task(task: tuple[str, dict]) -> list[VerificationReport]:
+    """The reports of one (name, keywords) task. CHECKS[name] is looked up
+    when the task runs, so that a wrapper put there is called."""
+    name, keywords = task
+    return CHECKS[name](**keywords)
 
+
+def run_checks(names: Sequence[str], seed: int = 0, sizes: dict | None = None,
+               run: Callable = map) -> list[VerificationReport]:
+    """The reports of the named checks, in canonical order. Each check is one
+    task, called with sizes[name] and the seed as keywords; run(task runner,
+    tasks) runs them: map one after another, cnlab verify on a fork pool.
     Each check draws its random data from seed alone (its own
     default_rng([seed, k])), so it does not depend on which other checks
     run, or in which process."""
@@ -565,26 +570,8 @@ def check_tasks(names: Sequence[str], seed: int = 0,
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
-    return [(name, {**sizes.get(name, {}), "seed": seed}) for name in CHECKS if name in names]
-
-
-def run_task(task: tuple[str, dict]) -> list[VerificationReport]:
-    """The reports of one (name, keywords) task of check_tasks, in order.
-    CHECKS[name] is looked up when the task runs, so that a wrapper put
-    there is called."""
-    name, keywords = task
-    reports = CHECKS[name](**keywords)
-    return [reports] if isinstance(reports, VerificationReport) else reports
-
-
-def run_checks(names: Sequence[str], seed: int = 0,
-               sizes: dict | None = None) -> list[VerificationReport]:
-    """Run the tasks of check_tasks(names, seed, sizes) one after another and
-    list their reports in order. cnlab verify runs the same tasks on up to one
-    forked worker per task and per usable CPU (a single task runs
-    in-process), and lists the reports in the same order, with the same
-    result."""
-    return [rep for task in check_tasks(names, seed, sizes) for rep in run_task(task)]
+    tasks = [(name, {**sizes.get(name, {}), "seed": seed}) for name in CHECKS if name in names]
+    return [rep for reports in run(_run_task, tasks) for rep in reports]
 
 
 def summary_csv(reports: Sequence[VerificationReport]) -> str:

@@ -99,9 +99,9 @@ def exact_product_coeffs(grid: Grid, ca: np.ndarray, cb: np.ndarray) -> np.ndarr
     pa = embed_coeffs(grid, full_spectrum(grid, ca), big)
     pb = embed_coeffs(grid, full_spectrum(grid, cb), big)
     axes = tuple(range(-grid.dim, 0))
-    fa = np.fft.ifftn(pa, axes=axes) * big.npoints
-    fb = np.fft.ifftn(pb, axes=axes) * big.npoints
-    prod = np.fft.fftn(fa * fb, axes=axes) / big.npoints
+    fa = np.fft.ifftn(pa, axes=axes) * big.res ** big.dim
+    fb = np.fft.ifftn(pb, axes=axes) * big.res ** big.dim
+    prod = np.fft.fftn(fa * fb, axes=axes) / big.res ** big.dim
     return half_of(grid, restrict_coeffs(big, prod, grid))
 
 

@@ -28,8 +28,7 @@ from cnlab.semigroup import TimeGrid, heat
 from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import (EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig,
                           etdrk4_integrate, kato_smallness, make_profile)
-from cnlab.verification import (CHECKS, SIZE_KEYS, VerificationReport, check_tasks,
-                                run_checks, run_task)
+from cnlab.verification import CHECKS, SIZE_KEYS, VerificationReport, run_checks
 
 
 def write_json(path: Path, obj) -> Path:
@@ -278,6 +277,18 @@ def test_schema_tables_name_every_reader_key():
                   "sizes": {"paraproduct": {"s_list": [2.0000001, 2.0000002], "trials": 2,
                                             "res_list": [16]}}},
      "config.sizes.paraproduct.s_list"),
+    # a repeated size wrote one constant (K_emb_N16, opnorm_T0.25) for two
+    (["verify"], {"checks": ["embedding"],
+                  "sizes": {"embedding": {"trials": 1, "res_list": [16, 16]}}},
+     "config.sizes.embedding.res_list"),
+    (["verify"], {"checks": ["smoothing"],
+                  "sizes": {"smoothing": {"trials": 1, "res": 16, "nodes": 4,
+                                          "T_list": [0.25, 0.25, 0.5, 1.0]}}},
+     "config.sizes.smoothing.T_list"),
+    (["verify"], {"checks": ["smoothing"],
+                  "sizes": {"smoothing": {"trials": 1, "res": 16, "nodes": 4,
+                                          "T_list": [0.25, 0.2500000001, 0.5, 1.0]}}},
+     "config.sizes.smoothing.T_list"),
 ])
 def test_bad_configs_are_rejected_up_front(tmp_path, capsys, argv, data, key):
     # each once ran, exited 0 on meaningless columns, or failed after writing
@@ -813,7 +824,7 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         fake = VerificationReport(name="bony_identity", passed=False, trials=1)
-        monkeypatch.setitem(CHECKS, "bony_identity", lambda *a, **k: fake)
+        monkeypatch.setitem(CHECKS, "bony_identity", lambda *a, **k: [fake])
         out = tmp_path / "v"
         code = cli_main(["verify", "--checks", "bony_identity", "--out", str(out)])
         assert code == 2
@@ -851,13 +862,13 @@ def refuse_process_pools(monkeypatch):
 
 def fake_check(tmp_path, name, delay=0.0, error=None):
     """A verify_* stand-in that notes the pid it ran in, waits, then returns
-    one passing report or raises error."""
+    a list of one passing report or raises error."""
     def verify(*, seed, **sizes):
         (tmp_path / f"{name}.pid").write_text(str(os.getpid()))
         time.sleep(delay)
         if error is not None:
             raise error
-        return VerificationReport(name=name, passed=True, trials=1, headline_constant=1.0)
+        return [VerificationReport(name=name, passed=True, trials=1, headline_constant=1.0)]
     return verify
 
 
@@ -954,14 +965,22 @@ class TestVerifyWorkers:
             "paraproduct_s2", "paraproduct_s1.5"]
 
     def test_one_task_per_check(self):
-        tasks = check_tasks(list(CHECKS), 5, VERIFY_SMALL)
+        tasks = []
+
+        def recording(runner, items):  # map, noting the tasks it is given
+            tasks.extend(items)
+            return map(runner, items)
+
+        reports = run_checks(list(reversed(CHECKS)), 5, VERIFY_SMALL, recording)
         assert tasks == [(name, {**VERIFY_SMALL[name], "seed": 5}) for name in CHECKS]
         assert len(tasks) == 7
+        assert reports == run_checks(list(CHECKS), seed=5, sizes=VERIFY_SMALL)
         # s_list is paraproduct's keyword like any other size
         sizes = {"paraproduct": {"trials": 2, "res_list": [16], "s_list": [3.0, 1.5, 2.0]}}
-        (task,) = check_tasks(["paraproduct"], 5, sizes)
-        assert task == ("paraproduct", {**sizes["paraproduct"], "seed": 5})
-        assert [rep.name for rep in run_task(task)] == [
+        tasks.clear()
+        reports = run_checks(["paraproduct"], 5, sizes, recording)
+        assert tasks == [("paraproduct", {**sizes["paraproduct"], "seed": 5})]
+        assert [rep.name for rep in reports] == [
             "paraproduct_s3", "paraproduct_s1.5", "paraproduct_s2"]
 
     def test_single_check_stays_in_process(self, tmp_path, monkeypatch, capsys):
@@ -972,15 +991,14 @@ class TestVerifyWorkers:
 
     def test_reports_keep_the_canonical_order(self, tmp_path, monkeypatch, capsys):
         # the first check ends last on the workers, after all the others
-        tasks = check_tasks(list(CHECKS), 5, VERIFY_SMALL)
-        (first, _), *_ = tasks
+        first, *_ = CHECKS
         for name in CHECKS:
             monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name))
         monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first, 0.5))
         code, _, files = self.run(tmp_path, monkeypatch, capsys, 2)
         assert code == 0
-        assert [row.split(",")[0] for row in files["summary.csv"].decode().splitlines()[1:]] == [
-            name for name, _ in tasks]
+        rows = files["summary.csv"].decode().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == list(CHECKS)
 
     # the solver's exceptions carry a trajectory back from the worker
     @pytest.mark.parametrize("kind, exit_code", [
@@ -1041,7 +1059,7 @@ class TestProfileCommand:
         assert (info["lp_2"], info["lp_n"], info["lp_inf"]) == (
             lp_norm(want, 2.0), lp_norm(want, float(field.grid.dim)), linf(want))
         assert info["besov_m1"] == besov_norm(want, -1.0)
-        assert info["kato_I"] == kato_smallness(want, 0.5, 1.0).value
+        assert info["kato_I"] == kato_smallness(want, 0.5, 1.0)
 
 
 class TestTopLevel:

@@ -29,7 +29,6 @@ class TestGrid:
     def test_valid(self, dim, res):
         g = Grid(dim, res)
         assert g.nyquist == res // 2
-        assert g.npoints == res**dim
         assert g.shape == (res,) * dim
         assert g.spectral_shape == (res,) * (dim - 1) + (res // 2 + 1,)
         assert g.cell_volume == pytest.approx((TAU / res) ** dim)

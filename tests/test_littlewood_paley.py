@@ -14,6 +14,10 @@ from cnlab.fields import SpectralVectorField, linf, random_vector_field, zero_fi
 from cnlab.grid import Grid
 from cnlab.littlewood_paley import (_stack_block_sups, besov_norm, besov_norm_states,
                                     block, build_partition, low_pass)
+from cnlab.monitor import bv_variation
+from cnlab.paraproduct import scalar_paraproduct
+from cnlab.semigroup import TimeGrid
+from cnlab.solver import Trajectory
 
 from helpers import rel_err, single_mode_vector
 
@@ -111,7 +115,7 @@ class TestBlocks:
             f = random_vector_field(grid, rng)
             for mode in worst:
                 part = build_partition(grid, mode)
-                sups = _stack_block_sups(grid, f.coeffs[np.newaxis], part)[0, 1:]
+                sups = _stack_block_sups(f.coeffs[np.newaxis], part)[0, 1:]
                 worst[mode] = max(worst[mode], float(np.max(sups)) / linf(f))
         assert worst["smooth"] <= 5.0
         print(f"sharp-mode block sup ratio (diagnostic): {worst['sharp']:.3f}")
@@ -150,7 +154,7 @@ class TestBesov:
     def test_monotonicity_literal(self, g2_16, rng):
         part = build_partition(g2_16, "sharp")
         f = random_vector_field(g2_16, rng)
-        s0_sup = _stack_block_sups(g2_16, f.coeffs[np.newaxis], part)[0, 0]
+        s0_sup = _stack_block_sups(f.coeffs[np.newaxis], part)[0, 0]
         for s1, s2 in [(-1.0, 0.0), (0.0, 1.5), (-2.0, 2.0)]:
             lhs = besov_norm(f, s1, part)
             assert lhs <= max(besov_norm(f, s2, part), s0_sup) * (1 + 1e-13)
@@ -195,3 +199,25 @@ class TestBesovDistance:
             lhs = besov_norm(f - h, -1.0, part)
             rhs = besov_norm(f - g, -1.0, part) + besov_norm(g - h, -1.0, part)
             assert lhs - rhs <= 1e-12
+
+
+_F3 = random_vector_field(Grid(3, 8), np.random.default_rng(0))
+_P2 = build_partition(Grid(2, 8), "sharp")
+_C32 = random_vector_field(Grid(2, 32), np.random.default_rng(1)).coeffs[0]
+_C16 = random_vector_field(Grid(2, 16), np.random.default_rng(2)).coeffs[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: besov_norm(_F3, -1.0, _P2),
+    lambda: block(_F3, 1, _P2),
+    lambda: low_pass(_F3, 1, _P2),
+    lambda: bv_variation(Trajectory(_F3.grid, TimeGrid.uniform(1.0, 1),
+                                    np.stack([_F3.coeffs] * 2), "synthetic"), -1.0, _P2),
+    lambda: scalar_paraproduct(0, _C32, _C32, build_partition(Grid(2, 16))),
+    lambda: scalar_paraproduct(0, _C16, _C16, build_partition(Grid(2, 32))),
+], ids=["besov_norm", "block", "low_pass", "bv_variation", "paraproduct-coarse-partition",
+        "paraproduct-fine-partition"])
+def test_partition_of_another_grid_is_rejected(call):
+    # each once returned a number or a field, or raised IndexError
+    with pytest.raises(ValueError):
+        call()

@@ -66,19 +66,19 @@ class TestMonitor:
         recs = monitor(tg_traj, kato_horizon="default")
         assert recs[-1].kato_I is None  # nothing remains past the final node
         rem0 = min(1.0, tg_traj.tgrid.horizon)
-        want = kato_smallness(tg_traj.states[0], rem0, 1.0).value
+        want = kato_smallness(tg_traj.states[0], rem0, 1.0)
         assert recs[0].kato_I == pytest.approx(want, rel=1e-12)
 
     def test_kato_column_fixed_horizon(self, tg_traj):
         recs = monitor(tg_traj, kato_horizon=0.3)
         for r, state in zip(recs, tg_traj.states):
-            want = kato_smallness(state, 0.3, 1.0).value
+            want = kato_smallness(state, 0.3, 1.0)
             assert r.kato_I == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("meta, nu", [({"nu": 0.25}, 0.25), ({}, 1.0)])
     def test_kato_column_takes_the_trajectorys_viscosity(self, tg_traj, meta, nu):
         traj = Trajectory(tg_traj.grid, tg_traj.tgrid, tg_traj.coeffs, "synthetic", meta)
-        want = [kato_smallness(state, 0.3, nu).value for state in tg_traj.states]
+        want = [kato_smallness(state, 0.3, nu) for state in tg_traj.states]
         assert [r.kato_I for r in monitor(traj, kato_horizon=0.3)] == want
 
     def test_omega_grid_is_checked_before_any_pass(self, tg_traj, monkeypatch):
@@ -91,7 +91,7 @@ class TestMonitor:
 
     def test_kato_column_reuses_the_lp_n_column(self, tg_traj, monkeypatch):
         # the record's lp_n is ||u||_n to the bit, so no second L^n norm is taken
-        want = [kato_smallness(state, 0.3, 1.0).value for state in tg_traj.states]
+        want = [kato_smallness(state, 0.3, 1.0) for state in tg_traj.states]
         calls = []
 
         def counted(f, p):
@@ -123,8 +123,8 @@ class TestMonitor:
 
 
 def test_kato_smallness_monotone_in_horizon(tg_traj):
-    lo = kato_smallness(tg_traj.states[2], 0.2, 1.0).value
-    hi = kato_smallness(tg_traj.states[2], 0.8, 1.0).value
+    lo = kato_smallness(tg_traj.states[2], 0.2, 1.0)
+    hi = kato_smallness(tg_traj.states[2], 0.8, 1.0)
     assert lo <= hi
 
 

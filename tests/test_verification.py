@@ -79,7 +79,7 @@ class TestParaproduct:
 
 class TestBonyIdentity:
     def test_reduced_run(self):
-        rep = verify_bony_identity(pairs=12, res_list=(16,), dims=(2,), seed=0)
+        (rep,) = verify_bony_identity(pairs=12, res_list=(16,), dims=(2,), seed=0)
         assert rep.passed
         assert rep.constants["max_rel_error"] <= 1e-12
         assert rep.name == "bony_identity"
@@ -87,7 +87,7 @@ class TestBonyIdentity:
 
 class TestHeatLnLinf:
     def test_reduced_run(self):
-        rep = verify_heat_ln_linf(trials=6, res_list=(16, 32), seed=0)
+        (rep,) = verify_heat_ln_linf(trials=6, res_list=(16, 32), seed=0)
         assert rep.passed
         assert rep.constants["single_mode_max_rel_err"] <= 0.01
         # sqrt(s)||heat f||_inf never exceeds sqrt(s)||f||_inf
@@ -99,7 +99,7 @@ class TestHeatLnLinf:
 
 class TestOseenKernel:
     def test_reduced_run(self):
-        rep = verify_oseen_kernel(trials=4, res_list=(32, 128), seed=0)
+        (rep,) = verify_oseen_kernel(trials=4, res_list=(32, 128), seed=0)
         assert rep.passed
         assert -0.65 <= rep.exponents["small_t_slope"] <= -0.35
         assert rep.exponents["target"] == -0.5
@@ -110,7 +110,7 @@ class TestOseenKernel:
 class TestEmbedding:
     @pytest.mark.parametrize("mode", ["smooth", "sharp"])
     def test_reduced_run(self, mode):
-        rep = verify_embedding(trials=10, res_list=(16, 32), seed=0, mode=mode)
+        (rep,) = verify_embedding(trials=10, res_list=(16, 32), seed=0, mode=mode)
         assert rep.passed
         ks = [rep.constants["K_emb_N16"], rep.constants["K_emb_N32"]]
         assert 0 < max(ks) <= STABILITY_FACTOR * min(ks)
@@ -118,20 +118,20 @@ class TestEmbedding:
 
 class TestCompositeBound:
     def test_default_run(self):
-        rep = verify_composite_bound()
+        (rep,) = verify_composite_bound()
         assert rep.passed
         assert rep.constants["max_reassembly_residual"] <= 1e-6
         assert rep.constants["min_slack_rel"] >= -1e-6
 
     def test_taylor_green_zero_reference(self):
-        rep = verify_composite_bound(profile_kind="taylor_green_2d",
+        (rep,) = verify_composite_bound(profile_kind="taylor_green_2d",
                                      omega="zero", amplitude=1.0)
         assert rep.passed
         assert rep.constants["C_N16"] == 0.0 and rep.constants["C_N32"] == 0.0
         assert rep.constants["max_reassembly_residual"] <= 1e-9
 
     def test_zero_data(self):
-        rep = verify_composite_bound(amplitude=0.0)
+        (rep,) = verify_composite_bound(amplitude=0.0)
         assert rep.passed
         assert rep.constants["max_reassembly_residual"] == 0.0
 
@@ -170,12 +170,12 @@ class TestRegistry:
                                 "composite_bound"]
 
     def test_deterministic_reports(self):
-        a = verify_embedding(trials=6, res_list=(16,), seed=5)
-        b = verify_embedding(trials=6, res_list=(16,), seed=5)
+        (a,) = verify_embedding(trials=6, res_list=(16,), seed=5)
+        (b,) = verify_embedding(trials=6, res_list=(16,), seed=5)
         assert a.to_dict() == b.to_dict()
 
     def test_summary_csv_shape(self):
-        rep = verify_bony_identity(pairs=4, res_list=(16,), dims=(2,), seed=1)
+        (rep,) = verify_bony_identity(pairs=4, res_list=(16,), dims=(2,), seed=1)
         text = summary_csv([rep])
         lines = text.splitlines()
         assert lines[0] == "check,constant,exponent,pass"
