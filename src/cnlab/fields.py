@@ -225,16 +225,12 @@ def to_physical(f: SpectralVectorField) -> np.ndarray:
     return phys_values(f.grid, f.coeffs)
 
 
-def to_spectral(samples: np.ndarray, grid: Grid | None = None) -> SpectralVectorField:
-    """Build a field from real physical samples of shape (dim, res, ..., res).
+def to_spectral(samples: np.ndarray, grid: Grid) -> SpectralVectorField:
+    """Build a field on grid from real physical samples of shape (dim, res, ..., res).
 
-    Exact inverse of to_physical up to roundoff. The grid is inferred from the
-    sample shape when not supplied.
+    Exact inverse of to_physical up to roundoff.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if grid is None:
-        dim = samples.shape[0]
-        grid = Grid(dim, samples.shape[-1])
     expect = (grid.dim,) + grid.shape
     if samples.shape != expect:
         raise ValueError(f"sample shape {samples.shape} != {expect}")

@@ -25,7 +25,9 @@ smooth mode:  L_j(k) = theta(|k| / 2^j) with the C^inf radial ramp
 
 Besov norms B^{s,inf}_inf take physical-space sup norms of the blocks:
 besov_norm(f, s) = max(||S_0 f||_inf, max_j 2^{js} ||D_j f||_inf).
-Block index j = -1 addresses S_0.
+Block index j = -1 addresses S_0. Every Besov number weighs the block sups of
+one kernel, _states_block_sups, which takes (n, dim, ..., dim, *spectral_shape)
+stacks of states of the partition's grid and raises ValueError on any other.
 """
 
 from __future__ import annotations
@@ -120,38 +122,6 @@ def low_pass(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
     return f * part.lowpass[j]
 
 
-def _stack_block_sups(stack: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    """Per-state block sup norms for a (nstates, ncomp, *spectral_shape) stack.
-
-    Returns (nstates, jmax+2): column 0 is the S_0 sup, column 1+j the D_j sup.
-    Transforms are batched per block over states and components. A block is
-    transformed only for the states whose spectral support meets the support
-    of its multiplier; the others have an all-zero block, whose sup is exactly
-    0. The transform runs on the smaller of two boxes (fields._box_phys_values):
-    the multiplier's (part.radii) and the batch's support box (Grid.kinf over
-    its nonzero entries); outside both the block is zero. A batch with a
-    non-finite coefficient is transformed on the whole half, and its
-    non-finite states for every block, since inf * 0 is nan. Sups are
-    finite for every finite state (fields._squared_magnitudes).
-    """
-    grid, nstates = part.grid, stack.shape[0]
-    out = np.zeros((nstates, part.jmax + 2))
-    occupied = np.any(stack != 0, axis=1).reshape(nstates, -1)
-    nonfinite = ~np.all(np.isfinite(stack).reshape(nstates, -1), axis=1)
-    if nonfinite.any():
-        radii = [grid.nyquist] * len(part.radii)
-    else:
-        support = int(grid.kinf.ravel()[occupied.any(axis=0)].max(initial=0))
-        radii = [min(reach, support) for reach in part.radii]
-    for col, (mult, radius) in enumerate(zip(part.blocks, radii)):
-        rows = nonfinite | np.any(occupied[:, mult.ravel() != 0], axis=1)
-        if not rows.any():
-            continue
-        blocks = _box_of(grid, stack if rows.all() else stack[rows], radius, mult)
-        out[rows, col] = _squared_magnitudes(grid, blocks, radius)[2]
-    return out
-
-
 # Bytes of half spectra per batched block transform: long trajectories go
 # through in batches, which bounds the transient memory of their block
 # transforms. At 2 MiB, simulate --method both on 3D/32 can run one route's
@@ -176,22 +146,43 @@ def besov_norm(f: SpectralField, s: float, part: DyadicPartition | None = None) 
 
 
 def besov_norm_states(coeffs: np.ndarray, s: float, part: DyadicPartition) -> np.ndarray:
-    """Besov norms of an (n, *component axes, *spectral_shape) stack such as
-    Trajectory.coeffs, batched by slicing (views, not copies) at _BATCH_BYTES."""
+    """Besov norms of an (n, dim, ..., dim, *spectral_shape) stack of states of
+    the partition's grid such as Trajectory.coeffs (_states_block_sups)."""
     return _weighted_sups(_states_block_sups(coeffs, part), s)
 
 
 def _states_block_sups(coeffs: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    """The (n, jmax+2) block sups of _stack_block_sups for an (n, *component
-    axes, *spectral_shape) stack, batched at _BATCH_BYTES; any level s of
-    besov_norm_states reads them through _weighted_sups."""
-    grid = part.grid
-    if len(coeffs) == 0:
-        return np.zeros((0, part.jmax + 2))
-    flat = coeffs.reshape((len(coeffs), -1) + grid.spectral_shape)
-    per = max(1, _BATCH_BYTES // flat[0].nbytes)
-    return np.concatenate([_stack_block_sups(flat[i:i + per], part)
-                           for i in range(0, len(flat), per)])
+    """The one block-sup kernel: the (n, jmax+2) sups (column 0 S_0, column
+    1+j D_j) of an (n, dim, ..., dim, *spectral_shape) stack of states of the
+    partition's grid, with zero or more component axes; other shapes raise
+    ValueError. The stack goes through in slices (views) of _BATCH_BYTES. A
+    block is transformed, over a slice's states and components, only where
+    the slice's support meets its multiplier's (else its sup is exactly 0),
+    on the smaller of the multiplier's box (part.radii) and the slice's
+    support box (Grid.kinf over its nonzero entries); a slice with a
+    non-finite coefficient on the whole half for every block, since inf * 0
+    is nan. Sups are finite for every finite state (_squared_magnitudes).
+    """
+    grid, dim = part.grid, part.grid.dim
+    if (coeffs.ndim <= dim or coeffs.shape[-dim:] != grid.spectral_shape
+            or set(coeffs.shape[1:-dim]) - {dim}):
+        raise ValueError(f"stack shape {coeffs.shape} does not hold states of {grid}: "
+                         f"expected (n, {dim}, ..., {dim}, *{grid.spectral_shape})")
+    flat = coeffs.reshape((len(coeffs), math.prod(coeffs.shape[1:-dim])) + grid.spectral_shape)
+    out = np.zeros((len(flat), part.jmax + 2))
+    per = max(1, _BATCH_BYTES // (flat.itemsize * math.prod(flat.shape[1:])))
+    for i in range(0, len(flat), per):
+        batch = flat[i:i + per]
+        occupied = np.any(batch != 0, axis=(0, 1))
+        finite = np.all(np.isfinite(batch))
+        support = int(grid.kinf[occupied].max(initial=0))
+        for col, (mult, reach) in enumerate(zip(part.blocks, part.radii)):
+            if finite and not np.any(occupied[mult != 0]):
+                continue
+            radius = min(reach, support) if finite else grid.nyquist
+            blocks = _box_of(grid, batch, radius, mult)
+            out[i:i + per, col] = _squared_magnitudes(grid, blocks, radius)[2]
+    return out
 
 
 def _weighted_sups(sups: np.ndarray, s: float) -> np.ndarray:

@@ -134,7 +134,6 @@ def bv_variation(traj: Trajectory, s: float, part: DyadicPartition | None = None
     if len(traj.coeffs) < 2:
         raise ValueError("need at least two stored states")
     part = build_partition(traj.grid, "sharp") if part is None else part
-    _same_grid(traj.grid, part.grid)
     norms = besov_norm_states(np.diff(traj.coeffs, axis=0), s, part)
     idx = int(np.argmax(norms))
     return BVResult(float(np.sum(norms)), float(norms[idx]), idx)

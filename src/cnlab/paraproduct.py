@@ -7,7 +7,8 @@ pieces of the first factor with dyadic blocks of the second:
 
 every product dealiased exactly as in pointwise_tensor. _paraproducts is the
 one place it is formed: for stacks of factors and any offsets, from one
-low-pass run and one set of high blocks on the 2/3 box. The telescoping
+low-pass run and one set of high blocks on the 2/3 box. It raises ValueError
+unless both stacks hold scalar spectra of the partition's grid. The telescoping
 identity (for mean-zero factors, so S_0 phi = 0)
 
     phi * psi = sum_k S_k(phi) D_k(psi) + sum_k S_{k+1}(psi) D_k(phi)
@@ -22,15 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (SpectralVectorField, TensorField, _box_of,
-                     _box_phys_values, _box_spectrum, _from_box, _same_grid)
+                     _box_phys_values, _box_spectrum, _from_box)
 from .littlewood_paley import DyadicPartition
 
 
 def _paraproducts(offsets: tuple[int, ...], lows: np.ndarray, highs: np.ndarray,
                   part: DyadicPartition) -> list[np.ndarray]:
     """For each offset i, in order, the (m, n, *spectral_shape) spectrum whose
-    entry (a, b) is para_i(lows[a], highs[b]), for an (m, *spectral_shape)
-    stack lows and an (n, *spectral_shape) stack highs on the partition's grid.
+    entry (a, b) is para_i(lows[a], highs[b]), for (m, *spectral_shape) lows
+    and (n, *spectral_shape) highs of the partition's grid, else ValueError.
 
     One low-pass run of lows covers every offset and one set of high blocks
     of highs serves them all; only the 2/3 box of either is read.
@@ -39,6 +40,9 @@ def _paraproducts(offsets: tuple[int, ...], lows: np.ndarray, highs: np.ndarray,
         if i not in (0, 1):
             raise ValueError(f"paraproduct offset must be 0 or 1, got {i}")
     grid, span, first = part.grid, part.jmax + 1, min(offsets)
+    if not lows.shape[1:] == highs.shape[1:] == grid.spectral_shape:
+        raise ValueError(f"factor stacks of shapes {lows.shape} and {highs.shape} do not hold "
+                         f"spectra of the partition grid {grid}")
     radius = grid.dealias_radius
 
     def blocks(coeffs: np.ndarray, mults: np.ndarray) -> np.ndarray:  # (J, m, *spatial)
@@ -54,17 +58,12 @@ def scalar_paraproduct(i: int, phi: np.ndarray, psi: np.ndarray,
                        part: DyadicPartition) -> np.ndarray:
     """para_i of two scalar coefficient arrays on the partition's grid."""
     phi, psi = (np.asarray(a, dtype=np.complex128) for a in (phi, psi))
-    if not phi.shape == psi.shape == part.grid.spectral_shape:
-        raise ValueError(f"coefficient shapes {phi.shape} and {psi.shape} do not match "
-                         f"the partition grid's {part.grid.spectral_shape}")
     return _paraproducts((i,), phi[np.newaxis], psi[np.newaxis], part)[0][0, 0]
 
 
 def tensor_paraproduct(i: int, f: SpectralVectorField, g: SpectralVectorField,
                        part: DyadicPartition) -> TensorField:
     """Entrywise paraproduct tensor: entry (a, b) = para_i(f_a, g_b)."""
-    _same_grid(f.grid, g.grid)
-    _same_grid(f.grid, part.grid)
     return TensorField(f.grid, _paraproducts((i,), f.coeffs, g.coeffs, part)[0])
 
 

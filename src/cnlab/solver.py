@@ -427,20 +427,23 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
 
     out = np.empty((nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
     out[0] = u0.coeffs
-    # keyed on the exact step: node spacings that agree to the bit share weights
+    spans = np.diff(nodes).tolist()
+    counts = [max(1, math.ceil(span / dt_req - 1e-12)) for span in spans]
+    steps = [span / n for span, n in zip(spans, counts)]
+    # keyed on the exact step (spacings that agree to the bit share weights),
+    # each set dropped after the last interval that steps by it
+    last = {h: m for m, h in enumerate(steps)}
     weights: dict[float, tuple[np.ndarray, ...]] = {}
     meta = {"nu": cfg.nu, "dt": dt_req}
     # rhs screens for non-finite input, so silence the overflow warnings the
     # final doomed step would otherwise emit
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(tg.nintervals):
-            span = float(nodes[m + 1] - nodes[m])
-            nsteps = max(1, math.ceil(span / dt_req - 1e-12))
-            h = span / nsteps
+        for m, (h, nsteps) in enumerate(zip(steps, counts)):
             try:
                 if h not in weights:
                     weights[h] = _etdrk4_coefficients(lam, h)
-                u = _etdrk4_segment(out[m], weights[h], nsteps, rhs)
+                step_weights = weights.pop(h) if last[h] == m else weights[h]
+                u = _etdrk4_segment(out[m], step_weights, nsteps, rhs)
                 if not np.all(np.isfinite(u)):
                     raise _NonFinite
             except _NonFinite:
@@ -487,9 +490,6 @@ class ProbeReport:
     last_converged: float | None
     first_diverged: float | None
     candidate_threshold: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def probe_contraction_threshold(base: SpectralVectorField, cfg: SolverConfig,

@@ -356,6 +356,16 @@ class TestSimulateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
 
+    def test_block_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "bad.json", {**TG_SIM, "picard": 3})
+        out = tmp_path / "never"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "ConfigError", "message": "config.picard: expected an object, got int"}
+
     def test_p_list_writes_the_sidecar(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {**TG_SIM, "monitor": {"p_list": [4]}})
         out = tmp_path / "out"
@@ -788,6 +798,28 @@ class TestMonitorCommand:
                          "--out", str(tmp_path / "m.csv")])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "UsageError"
+
+    def test_mixed_grids_rejected(self, tmp_path, capsys):
+        snapdir = tmp_path / "snaps"
+        snapdir.mkdir()
+        for res, t in ((16, 0.0), (8, 0.1)):
+            write_snapshot(snapdir / f"state_{res}.snap", make_profile(Grid(2, res),
+                                                                     "taylor_green_2d"), t)
+        out = tmp_path / "m.csv"
+        assert cli_main(["monitor", "--snapshots", str(snapdir), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "UsageError", "message": "snapshots mix different grids"}
+        assert not out.exists()
+
+    def test_directory_without_snapshots_rejected(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        code = cli_main(["monitor", "--snapshots", str(tmp_path / "empty"),
+                         "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "UsageError", "message": "no snapshot files found"}
 
     def test_single_snapshot_rejected(self, tg_simdir, tmp_path, capsys):
         one = str(sorted((tg_simdir / "snapshots" / "picard").glob("*.snap"))[0])

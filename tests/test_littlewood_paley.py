@@ -12,10 +12,10 @@ import pytest
 
 from cnlab.fields import SpectralVectorField, linf, random_vector_field, zero_field
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import (_stack_block_sups, besov_norm, besov_norm_states,
+from cnlab.littlewood_paley import (_states_block_sups, besov_norm, besov_norm_states,
                                     block, build_partition, low_pass)
 from cnlab.monitor import bv_variation
-from cnlab.paraproduct import scalar_paraproduct
+from cnlab.paraproduct import scalar_paraproduct, tensor_paraproduct
 from cnlab.semigroup import TimeGrid
 from cnlab.solver import Trajectory
 
@@ -115,7 +115,7 @@ class TestBlocks:
             f = random_vector_field(grid, rng)
             for mode in worst:
                 part = build_partition(grid, mode)
-                sups = _stack_block_sups(f.coeffs[np.newaxis], part)[0, 1:]
+                sups = _states_block_sups(f.coeffs[np.newaxis], part)[0, 1:]
                 worst[mode] = max(worst[mode], float(np.max(sups)) / linf(f))
         assert worst["smooth"] <= 5.0
         print(f"sharp-mode block sup ratio (diagnostic): {worst['sharp']:.3f}")
@@ -154,7 +154,7 @@ class TestBesov:
     def test_monotonicity_literal(self, g2_16, rng):
         part = build_partition(g2_16, "sharp")
         f = random_vector_field(g2_16, rng)
-        s0_sup = _stack_block_sups(f.coeffs[np.newaxis], part)[0, 0]
+        s0_sup = _states_block_sups(f.coeffs[np.newaxis], part)[0, 0]
         for s1, s2 in [(-1.0, 0.0), (0.0, 1.5), (-2.0, 2.0)]:
             lhs = besov_norm(f, s1, part)
             assert lhs <= max(besov_norm(f, s2, part), s0_sup) * (1 + 1e-13)
@@ -215,9 +215,20 @@ _C16 = random_vector_field(Grid(2, 16), np.random.default_rng(2)).coeffs[0]
                                     np.stack([_F3.coeffs] * 2), "synthetic"), -1.0, _P2),
     lambda: scalar_paraproduct(0, _C32, _C32, build_partition(Grid(2, 16))),
     lambda: scalar_paraproduct(0, _C16, _C16, build_partition(Grid(2, 32))),
+    lambda: besov_norm_states(_F3.coeffs[np.newaxis], -1.0, _P2),
+    lambda: tensor_paraproduct(0, _F3, _F3, _P2),
 ], ids=["besov_norm", "block", "low_pass", "bv_variation", "paraproduct-coarse-partition",
-        "paraproduct-fine-partition"])
+        "paraproduct-fine-partition", "besov_norm_states", "tensor_paraproduct"])
 def test_partition_of_another_grid_is_rejected(call):
     # each once returned a number or a field, or raised IndexError
     with pytest.raises(ValueError):
         call()
+
+
+def test_scalar_stacks_are_accepted():
+    # a stack may hold zero or more component axes of length dim
+    part = build_partition(_F3.grid, "sharp")
+    scalars = besov_norm_states(_F3.coeffs, -1.0, part)
+    assert scalars.tolist() == [besov_norm_states(c[np.newaxis], -1.0, part)[0]
+                                for c in _F3.coeffs]
+    assert max(scalars) <= besov_norm(_F3, -1.0, part)

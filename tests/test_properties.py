@@ -17,6 +17,7 @@ transformed sup it bounds, and the guard against the exact one.
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from cnlab.fields import (_BOUND_MARGIN, SpectralVectorField, _box_of, _box_phys
                           pointwise_tensor, random_field, random_tensor_field,
                           random_vector_field, spectral_values)
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import (_stack_block_sups, besov_norm, besov_norm_states,
+from cnlab.littlewood_paley import (_states_block_sups, besov_norm, besov_norm_states,
                                     build_partition)
 from cnlab.monitor import monitor
 from cnlab.paraproduct import bony_split
@@ -359,14 +360,19 @@ def test_heat_bounds_exact_on_one_mode(dim):
 
 @PROPS
 @given(grids, st.lists(st.sampled_from(KINDS[:8]), min_size=1, max_size=6),
-       st.booleans(), seeds, st.sampled_from(["sharp", "smooth"]))
-def test_pruned_block_sups_match_every_transform(grid, kinds, nonfinite, seed, mode):
+       st.booleans(), st.integers(0, 6), st.sampled_from([1, 2, 3, None]), seeds,
+       st.sampled_from(["sharp", "smooth"]))
+def test_pruned_block_sups_match_every_transform(grid, kinds, nonfinite, at, per, seed, mode):
+    # per states go through in one batch (None: the whole stack), so batch
+    # boundaries mix zero, single-shell and nan states
     if nonfinite:
-        kinds = kinds + ["nan"]
+        kinds = kinds[:at] + ["nan"] + kinds[at:]
     stack = np.stack([make_state(grid, kind, seed + i) for i, kind in enumerate(kinds)])
     part = build_partition(grid, mode)
-    with np.errstate(invalid="ignore"):
-        got = _stack_block_sups(stack, part)
+    batch_bytes = stack.nbytes if per is None else per * stack[0].nbytes
+    with np.errstate(invalid="ignore"), mock.patch("cnlab.littlewood_paley._BATCH_BYTES",
+                                                   batch_bytes):
+        got = _states_block_sups(stack, part)
         ref = block_sups_reference(grid, stack, part)
     assert got.tobytes() == ref.tobytes()
 
@@ -380,8 +386,8 @@ def test_magnitude_sups_scale_exactly_by_powers_of_two(grid, seed, k):
     v = u * 2.0**k
     part = build_partition(grid)
     assert besov_norm(v, -1.0, part) == math.ldexp(besov_norm(u, -1.0, part), k)
-    sups = _stack_block_sups(v.coeffs[np.newaxis], part)
-    sups_u = _stack_block_sups(u.coeffs[np.newaxis], part)
+    sups = _states_block_sups(v.coeffs[np.newaxis], part)
+    sups_u = _states_block_sups(u.coeffs[np.newaxis], part)
     assert sups.tobytes() == np.ldexp(sups_u, k).tobytes()
     ts = _kato_ladder(1.0)
     assert _heat_ladder_sup(grid, v.coeffs, ts, 0.5) == math.ldexp(

@@ -1,6 +1,7 @@
 """Fixed-point and exponential time-stepping solvers on exact references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ class TestKatoSmallness:
         u = single_mode_vector(g, (1, 0), 1, amplitude=0.4)
         vals = [kato_smallness(u, h) for h in (0.01, 0.05, 0.2, 1.0, 2.0)]
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
+
+    def test_horizon_below_the_ladder_base(self):
+        # the ladder's first point is 1e-6; a shorter horizon is its own one point
+        u = single_mode_vector(Grid(2, 16), (1, 0), 1, amplitude=0.4)
+        assert solver._kato_ladder(5e-7).tolist() == [5e-7]
+        want = (1.0 + lp_norm(u, 2.0)) * (math.sqrt(5e-7) * linf(heat(u, 5e-7)))
+        assert kato_smallness(u, 5e-7) == want
 
     def test_superadditive_in_amplitude(self):
         g = Grid(2, 16)
@@ -216,6 +224,23 @@ class TestEtdrk4:
                     for t, s in zip(traj.times, traj.states))
         assert worst <= 1e-10
         assert traj.meta["dt"] == 0.05
+
+    def test_graded_grid_holds_one_set_of_weights(self):
+        # every graded interval steps by its own size; each size's six weight
+        # arrays once stayed alive until the solve returned
+        u0 = make_profile(Grid(3, 16), "random_divfree", amplitude=0.5, seed=5)
+        peaks = {}
+        for grading in ("graded", "uniform"):
+            cfg = SolverConfig(dim=3, res=16, horizon=0.05, etdrk4=EtdrkOptions(dt=0.05),
+                               picard=PicardOptions(node_count=16, grading=grading))
+            tracemalloc.start()
+            try:
+                etdrk4_integrate(u0, cfg)
+                peaks[grading] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        weight_bytes = 6 * u0.coeffs[0].nbytes
+        assert peaks["graded"] <= peaks["uniform"] + 2 * weight_bytes
 
     def test_fourth_order_convergence(self):
         # successive-refinement differences should shrink ~16x per halving
