@@ -2,10 +2,12 @@
 
 Subcommands:
     simulate   run the mild solver on a configured profile, writing state
-               snapshots, a monitor CSV, and report.json; --method both
-               runs the two routes, each a solve and its monitor pass, side
-               by side on two threads when the states are large enough to
-               gain from it, and cross-validates their trajectories
+               snapshots, a monitor CSV, and report.json; a route writes and
+               monitors each state as the solve makes it, ETDRK4's without
+               ever holding its trajectory; --method both runs the two
+               routes side by side on two threads when the states are large
+               enough to gain from it, and cross-validates Picard's
+               trajectory against ETDRK4's snapshots, read back one at a time
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-report JSON
                files and a deterministic summary.csv; the checks run one per
@@ -28,7 +30,9 @@ import argparse
 import contextvars
 import json
 import os
+import shutil
 import sys
+import tempfile
 import threading
 from contextlib import ExitStack
 from functools import partial
@@ -40,11 +44,11 @@ from . import __version__
 from .config import (ConfigError, load_json, monitor_options_from_dict,
                      solver_config_from_dict, verify_config_from_dict)
 from .fields import SpectralVectorField, _transforms_rebound
-from .monitor import MonitorRecord, monitor, write_monitor_csv
+from .monitor import MonitorRecord, monitor, monitor_rows, write_monitor_csv
 from .semigroup import TimeGrid
 from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
-from .solver import (BlowupSuspected, Cancelled, NonConvergence, SolverConfig,
-                     Trajectory, compare_trajectories, etdrk4_integrate, picard_solve,
+from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
+                     _etdrk4_meta, compare_trajectories, etdrk4_rows, picard_solve,
                      profile_from_spec)
 from .verification import run_checks, summary_csv
 
@@ -94,44 +98,57 @@ def _dump_json(path: Path, obj: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: dict,
-           stop: threading.Event | None = None) -> tuple[Trajectory, dict, dict | None, int, list]:
-    """Solve by one method and monitor the (partial) trajectory. Returns the
-    trajectory, its run info for report.json, the error (None if the solve
-    succeeded), the exit code and the monitor records. ``stop`` goes to
-    etdrk4_integrate, and once it is set the route raises Cancelled in place
-    of the monitor pass."""
-    error, code = None, EXIT_OK
-    try:
-        if method == "picard":
+           stage: Path, stop: threading.Event | None = None
+           ) -> tuple[dict, dict | None, int, list, Trajectory | None]:
+    """Solve by one method, writing each state's snapshot into ``stage`` and
+    monitoring the states as they come. Returns the run info for
+    report.json, the error (None if the solve succeeded), the exit code, the
+    monitor records and Picard's trajectory (None for ETDRK4, which streams).
+    ``stop`` goes to etdrk4_rows and monitor_rows."""
+    error, code, traj = None, EXIT_OK, None
+    if method == "picard":
+        try:
             traj, conv = picard_solve(u0, cfg)
-            run_info = {"convergence": conv.to_dict()}
-        else:
-            traj = etdrk4_integrate(u0, cfg, stop=stop)
-            run_info = {"meta": traj.meta}
-    except (NonConvergence, BlowupSuspected) as exc:
-        traj, (error, code) = exc.trajectory, _failure(exc)
-        run_info = ({"convergence": exc.report.to_dict()} if isinstance(exc, NonConvergence)
-                    else {"blowup_time": exc.time})
-    if stop is not None and stop.is_set():
-        raise Cancelled("stopped before the monitor pass")
-    records = monitor(traj, p_list=mon_opts["p_list"], kato_horizon=mon_opts["kato_horizon"],
-                      cutoff=mon_opts["cutoff"])
-    return traj, run_info, error, code, records
+        except NonConvergence as exc:
+            traj, conv, (error, code) = exc.trajectory, exc.report, _failure(exc)
+        run_info = {"convergence": conv.to_dict()}
+        rows = traj.coeffs
+    else:
+        run_info = {"meta": _etdrk4_meta(cfg)}
+        rows = etdrk4_rows(u0, cfg, stop=stop)
+    tg = cfg.time_grid()
+    blowups = []
+
+    def staged():
+        try:
+            for m, row in enumerate(rows):
+                write_snapshot(stage / f"state_{m:04d}.snap", SpectralVectorField(u0.grid, row),
+                               float(tg.nodes[m]))
+                yield row
+        except BlowupSuspected as exc:  # the finite states before it are monitored
+            blowups.append(exc)
+
+    records = monitor_rows(staged(), u0.grid, tg.nodes, tg.horizon, float(cfg.nu), **mon_opts,
+                           stop=stop)
+    if blowups:
+        run_info, (error, code) = {"blowup_time": blowups[0].time}, _failure(blowups[0])
+    return run_info, error, code, records, traj
 
 
-def _write_trajectory_artifacts(outdir: Path, traj: Trajectory, method: str,
+def _write_trajectory_artifacts(outdir: Path, stage: Path, method: str,
                                 records: list[MonitorRecord], echo: dict) -> dict:
+    """Move a route's staged snapshots into snapshots/<method>, one at a time,
+    and write its monitor CSV."""
     snapdir = outdir / "snapshots" / method
-    snapdir.mkdir(parents=True, exist_ok=True)
+    snapdir.mkdir(exist_ok=True)
     paths = []
-    for m, state in enumerate(traj.states):
-        p = snapdir / f"state_{m:04d}.snap"
-        write_snapshot(p, state, float(traj.times[m]))
-        paths.append(str(p))
+    for m in range(len(records)):
+        name = f"state_{m:04d}.snap"
+        os.replace(stage / name, snapdir / name)
+        paths.append(str(snapdir / name))
     csv_path = outdir / f"monitor_{method}.csv"
     write_monitor_csv(records, csv_path, config_echo=echo)
-    return {"snapshots": paths, "monitor_csv": str(csv_path),
-            "states": len(traj.coeffs)}
+    return {"snapshots": paths, "monitor_csv": str(csv_path), "states": len(records)}
 
 
 # Half-spectrum bytes of one state from which simulate --method both runs
@@ -169,41 +186,49 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     u0 = profile_from_spec(cfg.grid(), cfg.profile)
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
 
     report: dict = {"config": echo, "runs": {}, "cross_validation": None, "error": None}
     methods = ["picard", "etdrk4"] if args.method == "both" else [args.method]
-    routes = [partial(_route, method, u0, cfg, mon_opts) for method in methods]
-    trajs: dict[str, Trajectory] = {}
-    # leaving the block stops and joins the worker, on every path: a failed
-    # Picard route drops ETDRK4's result, and an ETDRK4 failure is reported
-    # after Picard's artifacts are written, as in a sequential run
+    trajs: dict[str, Trajectory | None] = {}
     with ExitStack() as stack:
+        # hidden staging directories, removed after the worker is joined: a
+        # failed Picard route or an interrupt leaves no snapshots/etdrk4 behind
+        stages = []
+        for method in methods:
+            stages.append(Path(tempfile.mkdtemp(prefix=f".{method}-", dir=outdir / "snapshots")))
+            stack.callback(shutil.rmtree, stages[-1], ignore_errors=True)
+        routes = [partial(_route, method, u0, cfg, mon_opts, stage)
+                  for method, stage in zip(methods, stages)]
+        # leaving the block stops and joins the worker, on every path: a failed
+        # Picard route drops ETDRK4's result, and an ETDRK4 failure is reported
+        # after Picard's artifacts are written, as in a sequential run
         if (len(routes) == 2 and u0.coeffs.nbytes >= _OVERLAP_BYTES
                 and _worker_count(2) == 2):
             from concurrent.futures import ThreadPoolExecutor  # only this path pays its import
             pool = stack.enter_context(ThreadPoolExecutor(1))
             # set before the pool joins the worker, so that a run whose Picard
             # route failed, or that is interrupted, does not wait for the rest
-            # of the ETDRK4 solve or for its monitor pass; a pass under way
+            # of the ETDRK4 solve or for its monitor work; a batch under way
             # still finishes
             stop = threading.Event()
             stack.callback(stop.set)
             # the worker runs the whole ETDRK4 route in the caller's context,
             # numpy's error state included
             routes[1] = pool.submit(contextvars.copy_context().run, routes[1], stop=stop).result
-        for method, route in zip(methods, routes):
-            traj, run_info, report["error"], code, records = route()
-            trajs[method] = traj
-            run_info.update(_write_trajectory_artifacts(outdir, traj, method, records, echo))
+        for method, route, stage in zip(methods, routes, stages):
+            run_info, report["error"], code, records, trajs[method] = route()
+            run_info.update(_write_trajectory_artifacts(outdir, stage, method, records, echo))
             report["runs"][method] = run_info
             if code != EXIT_OK:
                 break
 
     if code == EXIT_OK and len(trajs) == 2:
-        # ETDRK4's route ran last, and its records hold the sup norms of its states
-        cross = compare_trajectories(trajs["picard"], trajs["etdrk4"],
-                                     [r.lp_inf for r in records], cfg.cross_tol)
+        # ETDRK4's route ran last: its states are read back from its
+        # snapshots one at a time, and its records hold their sup norms
+        etdrk4 = (read_snapshot(p)[0] for p in report["runs"]["etdrk4"]["snapshots"])
+        cross = compare_trajectories(trajs["picard"], etdrk4, [r.lp_inf for r in records],
+                                     cfg.cross_tol)
         report["cross_validation"] = cross
         if not cross["passed"]:
             report["error"] = {"type": "CrossValidationFailed",
@@ -244,7 +269,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         loaded.append((t, f, p))
     # order by header time, not file name: state_10000.snap sorts before state_1001.snap
     loaded.sort(key=lambda item: item[0])
-    times, states, paths = zip(*loaded)
+    times, states, paths = map(list, zip(*loaded))
+    del loaded
     grid = states[0].grid
     if any(f.grid != grid for f in states):
         raise UsageError("snapshots mix different grids")
@@ -257,10 +283,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     omega = read_snapshot(args.omega)[0] if args.omega else None
     kh = None if args.kato_horizon == "none" else (
         "default" if args.kato_horizon == "default" else float(args.kato_horizon))
-    traj = Trajectory(grid, tgrid, np.stack([f.coeffs for f in states]),
-                      method="snapshots", meta={"nu": args.nu})
-    records = monitor(traj, p_list=tuple(args.p), omega=omega, kato_horizon=kh,
-                      cutoff=args.cutoff)
+    # each state is dropped once the monitor has copied it into its batch
+    states.reverse()
+    records = monitor_rows((states.pop().coeffs for _ in times), grid, times, tgrid.horizon,
+                           args.nu, p_list=tuple(args.p), omega=omega, kato_horizon=kh,
+                           cutoff=args.cutoff)
     echo = {"nu": args.nu, "cutoff": args.cutoff, "kato_horizon": args.kato_horizon,
             "p_list": args.p, "snapshots": [str(p) for p in paths]}
     write_monitor_csv(records, args.out, config_echo=echo)

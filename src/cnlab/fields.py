@@ -32,7 +32,7 @@ _squared_magnitudes below is the only function that squares physical
 samples; _lp_norms, the Besov block sups and the Kato ladder read the
 pointwise magnitude through it, so none of them overflows or underflows on
 a finite state. _lp_norms is the package's only Lebesgue norm: lp_norm,
-linf, energy, the monitor columns, the Picard increment and divergence_sup,
+linf, the monitor columns, the Picard increment and divergence_sup,
 the exact divergence guard, all use it; that guard runs only where the
 transform-free _divergence_bound cannot pass the input.
 
@@ -411,12 +411,6 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 def linf(f: SpectralField) -> float:
     return lp_norm(f, math.inf)
-
-
-def energy(f: SpectralVectorField) -> float:
-    """Kinetic energy 0.5 * ||f||_2^2 (inf when the square overflows)."""
-    l2 = lp_norm(f, 2.0)
-    return 0.5 * l2 * l2
 
 
 # ---------------------------------------------------------------------------

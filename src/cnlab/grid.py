@@ -19,7 +19,7 @@ it (the 2/3 box r = res // 3 for dealiased products, 28 % of the half on
 3D/32). A Grid is immutable once constructed and safe to share between
 threads; the derived tables are plain caches of pure functions of (dim, res)
 and, for the box tables, the radius. cnlab relies on this: simulate --method
-both runs its Picard and ETDRK4 routes, solves and monitor passes, on two
+both runs its Picard and ETDRK4 routes, solves and monitor batches, on two
 threads over one Grid. Two threads may both miss a table and build it (a
 box table in _per_radius; a cached property too from Python 3.12, whose
 cached_property takes no lock; the monitor's dyadic partition, since the

@@ -123,13 +123,18 @@ def low_pass(f: SpectralField, j: int, part: DyadicPartition) -> SpectralField:
 
 
 # Bytes of half spectra per batched block transform: long trajectories go
-# through in batches, which bounds the transient memory of their block
-# transforms. At 2 MiB, simulate --method both on 3D/32 can run one route's
-# monitor pass beside the other route's solve and still peak below the
-# memory of running them one after the other. 2 MiB batches were also the
-# fastest measured: 65 states of 3D/32 took 367-546 ms, against 522-702 ms
-# at 4 MiB and 476-724 ms at 8 MiB (2-core VM, sizes interleaved).
+# through in batches of _batch_len states, which bounds the transient memory
+# of their block transforms. The monitor takes its records on the same
+# slices, which simulate's routes fill from their solves as the states come.
+# 2 MiB batches were the fastest measured: 65 states of 3D/32 took 367-546
+# ms, against 522-702 ms at 4 MiB and 476-724 ms at 8 MiB (2-core VM, sizes
+# interleaved).
 _BATCH_BYTES = 2 << 20
+
+
+def _batch_len(state_bytes: int) -> int:
+    """States per batch: max(1, _BATCH_BYTES // bytes of one state)."""
+    return max(1, _BATCH_BYTES // state_bytes)
 
 
 def besov_norm(f: SpectralField, s: float, part: DyadicPartition | None = None) -> float:
@@ -170,7 +175,7 @@ def _states_block_sups(coeffs: np.ndarray, part: DyadicPartition) -> np.ndarray:
                          f"expected (n, {dim}, ..., {dim}, *{grid.spectral_shape})")
     flat = coeffs.reshape((len(coeffs), math.prod(coeffs.shape[1:-dim])) + grid.spectral_shape)
     out = np.zeros((len(flat), part.jmax + 2))
-    per = max(1, _BATCH_BYTES // (flat.itemsize * math.prod(flat.shape[1:])))
+    per = _batch_len(flat.itemsize * math.prod(flat.shape[1:]))
     for i in range(0, len(flat), per):
         batch = flat[i:i + per]
         occupied = np.any(batch != 0, axis=(0, 1))

@@ -10,18 +10,21 @@ norms for extra exponents go to a JSON sidecar beside it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fields import SpectralVectorField, _lp_norms, _same_grid
-from .littlewood_paley import DyadicPartition, besov_norm_states, build_partition
+from .grid import Grid
+from .littlewood_paley import DyadicPartition, _batch_len, besov_norm_states, build_partition
 from .snapshots import atomic_write
-from .solver import Trajectory, _kato
+from .solver import Cancelled, Trajectory, _kato
 
 CSV_COLUMNS = ("t", "lp_2", "lp_n", "lp_inf", "besov_m1", "besov_dist_omega",
                "kato_I", "energy")
@@ -75,9 +78,59 @@ def check_kato_horizon(kato_horizon: float | str | None) -> None:
                          f"got {kato_horizon!r}")
 
 
+def monitor_rows(rows: Iterable[np.ndarray], grid: Grid, times: Sequence[float], horizon: float,
+                 nu: float, p_list: Sequence[float] = (), omega: SpectralVectorField | None = None,
+                 kato_horizon: float | str | None = None, cutoff: str = "sharp",
+                 stop: threading.Event | None = None) -> list[MonitorRecord]:
+    """monitor's records of the states that rows yields, the m-th at times[m];
+    horizon and nu are the smallness column's. The states are copied as they
+    come into one reused buffer of _batch_len states, the slices of a
+    whole-stack pass, and their records taken a batch at a time. Once
+    ``stop`` is set, Cancelled is raised in place of the next batch's work.
+    """
+    check_exponents(p_list)
+    check_kato_horizon(kato_horizon)
+    if omega is not None:
+        _same_grid(grid, omega.grid)
+    part = build_partition(grid, cutoff)
+    n = float(grid.dim)
+    shape = (grid.dim,) + grid.spectral_shape
+    batch = np.empty((_batch_len(16 * math.prod(shape)),) + shape, dtype=np.complex128)
+    rows, times = iter(rows), np.asarray(times, dtype=np.float64)
+    records: list[MonitorRecord] = []
+    while True:
+        count = 0
+        for count, row in enumerate(itertools.islice(rows, len(batch)), 1):
+            batch[count - 1] = row
+        if count == 0:
+            return records
+        if stop is not None and stop.is_set():
+            raise Cancelled("stopped before a monitor batch")
+        states = batch[:count]
+        # a NaN or inf state gives nan block sups; the column says so
+        with np.errstate(invalid="ignore"):
+            besov = besov_norm_states(states, -1.0, part)
+            dists = (besov_norm_states(states - omega.coeffs, -1.0, part)
+                     if omega is not None else [None] * count)
+        at = times[len(records):len(records) + count].tolist()
+        for c, t, b, d in zip(states, at, besov, dists):
+            # one transform per state for every exponent; the same values lp_norm gives
+            lp2, lpn, lpinf, *extra = _lp_norms(grid, c, (2.0, n, math.inf, *p_list))
+            rec = MonitorRecord(t=t, lp_2=lp2, lp_n=lpn, lp_inf=lpinf, besov_m1=float(b),
+                                besov_dist_omega=None if d is None else float(d),
+                                kato_I=None, energy=0.5 * lp2 * lp2,
+                                extra_lp=dict(zip(p_list, extra)))
+            if kato_horizon is not None:
+                rem = min(1.0, horizon - t) if kato_horizon == "default" else float(kato_horizon)
+                if rem > 0:
+                    with np.errstate(invalid="ignore"):
+                        rec.kato_I = _kato(SpectralVectorField(grid, c), rem, nu, lpn)
+            records.append(rec)
+
+
 def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVectorField | None = None,
             kato_horizon: float | str | None = None, cutoff: str = "sharp") -> list[MonitorRecord]:
-    """One record per stored state.
+    """One record per stored state, by monitor_rows.
 
     p_list adds Lebesgue norms beyond the always-computed {2, dim, inf}.
     kato_horizon: None disables the smallness column; "default" uses
@@ -85,44 +138,8 @@ def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVecto
     The smallness column's viscosity is the trajectory's meta["nu"], 1.0
     when the meta has none. Works on partial (blow-up) trajectories as-is.
     """
-    check_exponents(p_list)
-    check_kato_horizon(kato_horizon)
-    grid = traj.grid
-    if omega is not None:
-        _same_grid(grid, omega.grid)
-    nu = float(traj.meta.get("nu", 1.0))
-    part = build_partition(grid, cutoff)
-    n = float(grid.dim)
-    horizon = traj.tgrid.horizon
-
-    # a NaN or inf state gives nan block sups; the column says so
-    with np.errstate(invalid="ignore"):
-        besov = besov_norm_states(traj.coeffs, -1.0, part)
-        if omega is not None:
-            dists = besov_norm_states(traj.coeffs - omega.coeffs, -1.0, part)
-    records = []
-    for m, state in enumerate(traj.states):
-        t = float(traj.times[m])
-        # one transform per state for every exponent; the same values lp_norm gives
-        lp2, lpn, lpinf, *extra = _lp_norms(grid, state.coeffs, (2.0, n, math.inf, *p_list))
-        rec = MonitorRecord(
-            t=t,
-            lp_2=lp2,
-            lp_n=lpn,
-            lp_inf=lpinf,
-            besov_m1=float(besov[m]),
-            besov_dist_omega=float(dists[m]) if omega is not None else None,
-            kato_I=None,
-            energy=0.5 * lp2 * lp2,
-            extra_lp=dict(zip(p_list, extra)),
-        )
-        if kato_horizon is not None:
-            rem = min(1.0, horizon - t) if kato_horizon == "default" else float(kato_horizon)
-            if rem > 0:
-                with np.errstate(invalid="ignore"):
-                    rec.kato_I = _kato(state, rem, nu, lpn)
-        records.append(rec)
-    return records
+    return monitor_rows(traj.coeffs, traj.grid, traj.times, traj.tgrid.horizon,
+                        float(traj.meta.get("nu", 1.0)), p_list, omega, kato_horizon, cutoff)
 
 
 def bv_variation(traj: Trajectory, s: float, part: DyadicPartition | None = None) -> BVResult:

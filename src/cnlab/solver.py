@@ -12,9 +12,11 @@ Two routes to the same trajectory:
   norms are taken row by row in the same pass, so the solve holds about one
   trajectory.
 
-* etdrk4_integrate advances the spectral Galerkin system with the classical
+* etdrk4_rows advances the spectral Galerkin system with the classical
   four-stage exponential time differencing scheme of Cox & Matthews (2002),
-  coefficients evaluated through the stable phi functions.
+  coefficients evaluated through the stable phi functions. It yields each
+  node's state as it is made and keeps only the current one;
+  etdrk4_integrate collects the states into one Trajectory.
 
 kato_smallness is the number (1 + ||u0||_n) * sup_t sqrt(t) ||e^{t nu Lap} u0||_inf,
 the sup taken over a fixed geometric ladder of times: the standard smallness
@@ -27,7 +29,7 @@ import math
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +56,7 @@ class NonConvergence(RuntimeError):
 
 
 class Cancelled(RuntimeError):
-    """etdrk4_integrate stopped before the horizon because its stop event was set."""
+    """An ETDRK4 solve or a monitor pass stopped early because its stop event was set."""
 
 
 class BlowupSuspected(RuntimeError):
@@ -136,7 +138,8 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """States on a time grid plus provenance: row m of coeffs, shaped (n, dim,
-    *spectral_shape), is the state at tgrid.nodes[m] (fewer rows if partial)."""
+    *spectral_shape), is the state at tgrid.nodes[m] (fewer rows if partial).
+    Iterating a trajectory gives its states."""
 
     grid: Grid
     tgrid: TimeGrid
@@ -156,6 +159,9 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.tgrid.nodes[: len(self.coeffs)]
+
+    def __iter__(self) -> Iterator[SpectralVectorField]:
+        return iter(self.states)
 
 
 @dataclass
@@ -395,26 +401,33 @@ def _etdrk4_segment(u: np.ndarray, weights: tuple[np.ndarray, ...], nsteps: int,
     return u
 
 
-def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
-                     stop: threading.Event | None = None) -> Trajectory:
-    """Fixed-step exponential integrator recording states at the time-grid nodes.
+def _etdrk4_meta(cfg: SolverConfig) -> dict:
+    """ETDRK4's run meta {nu, dt}: dt is the requested step, an upper bound per
+    step (horizon / 1000 when the config gives none)."""
+    dt = cfg.etdrk4.dt if cfg.etdrk4.dt is not None else cfg.horizon / 1000.0
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return {"nu": cfg.nu, "dt": dt}
+
+
+def etdrk4_rows(u0: SpectralVectorField, cfg: SolverConfig,
+                stop: threading.Event | None = None) -> Iterator[np.ndarray]:
+    """Fixed-step exponential integrator yielding the state at each time-grid
+    node as a fresh array, a copy of u0's coefficients first.
 
     The requested dt is an upper bound: each inter-node interval is covered by
     an integer number of equal steps so node times are hit exactly. Raises
-    BlowupSuspected on NaN/overflow, with the finite states before it as the
-    partial trajectory, whose meta["blowup_time"] is the node it missed.
-    Every right-hand side first looks at ``stop``, if given, and raises
-    Cancelled once it is set, so another thread can end the solve within one
-    stage.
+    BlowupSuspected on NaN/overflow, its trajectory empty (the generator
+    keeps no states) and its meta["blowup_time"] the node it missed. Every
+    right-hand side first looks at ``stop``, if given, and raises Cancelled
+    once it is set, so another thread can end the solve within one stage.
     """
     grid = u0.grid
     if (grid.dim, grid.res) != (cfg.dim, cfg.res):
         raise ValueError(f"initial data on {grid}, config says ({cfg.dim}, {cfg.res})")
+    meta = _etdrk4_meta(cfg)
     tg = cfg.time_grid()
     nodes = tg.nodes
-    dt_req = cfg.etdrk4.dt if cfg.etdrk4.dt is not None else cfg.horizon / 1000.0
-    if not dt_req > 0:
-        raise ValueError(f"dt must be positive, got {dt_req}")
     lam = -cfg.nu * grid.ksq
 
     def rhs(coeffs: np.ndarray) -> np.ndarray:
@@ -425,50 +438,65 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
         f = SpectralVectorField(grid, coeffs)
         return -nonlinearity(f, cfg.dealias).coeffs
 
-    out = np.empty((nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
-    out[0] = u0.coeffs
+    u = u0.coeffs.copy()
+    yield u
     spans = np.diff(nodes).tolist()
-    counts = [max(1, math.ceil(span / dt_req - 1e-12)) for span in spans]
+    counts = [max(1, math.ceil(span / meta["dt"] - 1e-12)) for span in spans]
     steps = [span / n for span, n in zip(spans, counts)]
     # keyed on the exact step (spacings that agree to the bit share weights),
     # each set dropped after the last interval that steps by it
     last = {h: m for m, h in enumerate(steps)}
     weights: dict[float, tuple[np.ndarray, ...]] = {}
-    meta = {"nu": cfg.nu, "dt": dt_req}
-    # rhs screens for non-finite input, so silence the overflow warnings the
-    # final doomed step would otherwise emit
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, (h, nsteps) in enumerate(zip(steps, counts)):
+    for m, (h, nsteps) in enumerate(zip(steps, counts)):
+        # rhs screens for non-finite input, so silence the overflow warnings of
+        # the final doomed step; not across a yield, where it would reach the consumer
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
                 if h not in weights:
                     weights[h] = _etdrk4_coefficients(lam, h)
                 step_weights = weights.pop(h) if last[h] == m else weights[h]
-                u = _etdrk4_segment(out[m], step_weights, nsteps, rhs)
+                u = _etdrk4_segment(u, step_weights, nsteps, rhs)
                 if not np.all(np.isfinite(u)):
                     raise _NonFinite
             except _NonFinite:
                 meta["blowup_time"] = float(nodes[m + 1])
-                raise BlowupSuspected(Trajectory(grid, tg, out[: m + 1], "etdrk4", meta)) from None
-            out[m + 1] = u
-    return Trajectory(grid, tg, out, "etdrk4", meta)
+                raise BlowupSuspected(Trajectory(grid, tg, u[None][:0], "etdrk4", meta)) from None
+        yield u
+
+
+def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
+                     stop: threading.Event | None = None) -> Trajectory:
+    """etdrk4_rows collected into one trajectory; a BlowupSuspected carries the
+    finite states before it as the partial trajectory."""
+    tg = cfg.time_grid()
+    out = np.empty((tg.nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
+    m = 0
+    try:
+        for m, row in enumerate(etdrk4_rows(u0, cfg, stop), 1):
+            out[m - 1] = row
+    except BlowupSuspected as exc:
+        exc.trajectory.coeffs = out[:m]
+        raise
+    return Trajectory(u0.grid, tg, out, "etdrk4", _etdrk4_meta(cfg))
 
 
 # ---------------------------------------------------------------------------
 # cross validation and the amplitude probe
 # ---------------------------------------------------------------------------
 
-def compare_trajectories(a: Trajectory, b: Trajectory, b_linf: Sequence[float], tol: float) -> dict:
-    """Sup-norm discrepancy of two trajectories at their shared nodes.
+def compare_trajectories(a: Iterable[SpectralVectorField], b: Iterable[SpectralVectorField],
+                         b_linf: Sequence[float], tol: float) -> dict:
+    """Sup-norm discrepancy of two iterables of states, such as trajectories, read pairwise.
 
     Node errors are ||a(t_m) - b(t_m)||_inf / max(1, max(b_linf)), b_linf[m] =
     ||b(t_m)||_inf; returns {discrepancy: their max, tolerance, passed,
-    node_errors}. A nan at any node of either trajectory makes the discrepancy
+    node_errors}. A nan at any node of either sequence makes the discrepancy
     nan (np.max propagates it where the builtin max() would drop it), which fails.
     """
-    if len(b_linf) != len(b.coeffs):
-        raise ValueError(f"b_linf has {len(b_linf)} values for {len(b.coeffs)} states")
     scale = float(np.maximum(1.0, np.max(b_linf)))
-    errs = [linf(sa - sb) / scale for sa, sb in zip(a.states, b.states)]
+    errs = [linf(sa - sb) / scale for sa, sb in zip(a, b)]
+    if len(b_linf) != len(errs):
+        raise ValueError(f"b_linf has {len(b_linf)} values for {len(errs)} states")
     disc = float(np.max(errs))
     return {"discrepancy": disc, "tolerance": tol, "passed": disc <= tol,
             "node_errors": errs}

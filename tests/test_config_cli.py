@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,12 +23,12 @@ from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
 from cnlab.fields import linf, lp_norm
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import besov_norm, block, build_partition
-from cnlab.monitor import CSV_COLUMNS, monitor, read_monitor_csv, write_monitor_csv
+from cnlab.littlewood_paley import besov_norm, besov_norm_states, block, build_partition
+from cnlab.monitor import CSV_COLUMNS, read_monitor_csv, write_monitor_csv
 from cnlab.semigroup import TimeGrid, heat
 from cnlab.snapshots import read_snapshot, write_snapshot
 from cnlab.solver import (EtdrkOptions, PicardOptions, ProfileSpec, SolverConfig,
-                          etdrk4_integrate, kato_smallness, make_profile)
+                          etdrk4_rows, kato_smallness, make_profile)
 from cnlab.verification import CHECKS, SIZE_KEYS, VerificationReport, run_checks
 
 
@@ -502,21 +503,30 @@ class TestSimulateOverlap:
     @staticmethod
     def run(tmp_path, monkeypatch, capsys, data, cutoff):
         """The run's (exit code, stderr, files, report), the threads that
-        called etdrk4_integrate and {method: thread} of the monitor passes."""
+        iterated etdrk4_rows, {method: threads} of the snapshot writes and
+        the thread of each monitor batch."""
         monkeypatch.setattr(cli, "_OVERLAP_BYTES", cutoff)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        solved_on, monitored_on = [], {}
+        solved_on, written_on, monitored_on = [], {}, []
 
-        def integrate(*args, **kwargs):
+        def rows(*args, **kwargs):
             solved_on.append(threading.current_thread())
-            return etdrk4_integrate(*args, **kwargs)
+            yield from etdrk4_rows(*args, **kwargs)
 
-        def monitor_on_thread(traj, **kwargs):
-            monitored_on[traj.method] = threading.current_thread()
-            return monitor(traj, **kwargs)
+        def write_on_thread(path, *args):
+            # each route stages its snapshots in snapshots/.<method>-XXXX
+            method = Path(path).parent.name[1:].split("-")[0]
+            written_on.setdefault(method, set()).add(threading.current_thread())
+            return write_snapshot(path, *args)
 
-        monkeypatch.setattr(cli, "etdrk4_integrate", integrate)
-        monkeypatch.setattr(cli, "monitor", monitor_on_thread)
+        def besov_on_thread(*args):
+            monitored_on.append(threading.current_thread())
+            return besov_norm_states(*args)
+
+        monkeypatch.setattr(cli, "etdrk4_rows", rows)
+        monkeypatch.setattr(cli, "write_snapshot", write_on_thread)
+        # the Besov column is taken once per monitor batch
+        monkeypatch.setattr("cnlab.monitor.besov_norm_states", besov_on_thread)
         cfg = write_json(tmp_path / "cfg.json", data)
         out = tmp_path / f"out-{cutoff}"
         threads = threading.active_count()
@@ -526,12 +536,14 @@ class TestSimulateOverlap:
                              "--method", "both"])
         assert threading.active_count() == threads
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        # no staging directory is left behind
+        assert {p.name for p in (out / "snapshots").iterdir()} <= {"picard", "etdrk4"}
         err = capsys.readouterr().err.replace(str(out), "OUT")
         files = {p.relative_to(out).as_posix(): p.read_bytes()
                  for p in sorted(out.rglob("*")) if p.is_file() and p.name != "report.json"}
         report = json.loads((out / "report.json").read_text().replace(str(out), "OUT"))
         report["runs"]["picard"]["convergence"].pop("wall_time")
-        return (code, err, files, report), solved_on, monitored_on
+        return (code, err, files, report), solved_on, written_on, monitored_on
 
     @pytest.mark.parametrize("case, data, exit_code", [
         ("converged", OVERLAP_SIM, 0),
@@ -544,9 +556,9 @@ class TestSimulateOverlap:
                                                       "contraction_tol": 1e30}}, 4)])
     def test_worker_thread_changes_no_artifact(self, tmp_path, monkeypatch, capsys,
                                                case, data, exit_code):
-        overlapped, on_worker, monitored_overlapped = self.run(
+        overlapped, on_worker, written_overlapped, monitored_overlapped = self.run(
             tmp_path, monkeypatch, capsys, data, 0)
-        sequential, on_caller, monitored_sequential = self.run(
+        sequential, on_caller, written_sequential, monitored_sequential = self.run(
             tmp_path, monkeypatch, capsys, data, math.inf)
         assert overlapped == sequential
         code, err, files, report = sequential
@@ -560,27 +572,38 @@ class TestSimulateOverlap:
         main = threading.main_thread()
         assert len(on_worker) == 1 and on_worker[0] is not main
         assert on_caller == [main] * (len(routes) - 1)
-        # the worker runs the whole ETDRK4 route, monitor pass included; after
-        # a failed Picard route it may or may not have reached that pass
+        # the worker runs the whole ETDRK4 route, its snapshots and its one
+        # monitor batch included; after a failed Picard route it may or may
+        # not have reached them
+        worker = on_worker[0]
         if exit_code == 3:
-            monitored_overlapped.setdefault("etdrk4", on_worker[0])
-        assert monitored_overlapped == {"picard": main, "etdrk4": on_worker[0]}
-        assert monitored_sequential == dict.fromkeys(routes, main)
+            written_overlapped.setdefault("etdrk4", {worker})
+            if worker not in monitored_overlapped:
+                monitored_overlapped.append(worker)
+        assert written_overlapped == {"picard": {main}, "etdrk4": {worker}}
+        assert sorted(monitored_overlapped, key=lambda t: t is worker) == [main, worker]
+        assert written_sequential == dict.fromkeys(routes, {main})
+        assert monitored_sequential == [main] * len(routes)
 
     def test_small_states_stay_on_the_calling_thread(self, tmp_path, monkeypatch, capsys):
         # 2D/16 states are 4.5 KiB, below the module's cutoff
-        _, solved_on, monitored_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM,
-                                              cli._OVERLAP_BYTES)
-        assert solved_on == [threading.main_thread()]
-        assert monitored_on == dict.fromkeys(["picard", "etdrk4"], threading.main_thread())
+        _, solved_on, written_on, monitored_on = self.run(tmp_path, monkeypatch, capsys,
+                                                          OVERLAP_SIM, cli._OVERLAP_BYTES)
+        main = threading.main_thread()
+        assert solved_on == [main]
+        assert written_on == dict.fromkeys(["picard", "etdrk4"], {main})
+        assert monitored_on == [main, main]
 
     def test_rebound_transforms_keep_the_calling_thread(self, tmp_path, monkeypatch, capsys):
         # a wrapper around a numpy transform, as a profiler installs one
         irfftn = np.fft.irfftn
         monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k))
-        _, solved_on, monitored_on = self.run(tmp_path, monkeypatch, capsys, OVERLAP_SIM, 0)
-        assert solved_on == [threading.main_thread()]
-        assert monitored_on == dict.fromkeys(["picard", "etdrk4"], threading.main_thread())
+        _, solved_on, written_on, monitored_on = self.run(tmp_path, monkeypatch, capsys,
+                                                          OVERLAP_SIM, 0)
+        main = threading.main_thread()
+        assert solved_on == [main]
+        assert written_on == dict.fromkeys(["picard", "etdrk4"], {main})
+        assert monitored_on == [main, main]
 
     @pytest.mark.parametrize("data", [
         {**OVERLAP_SIM, "picard": {"node_count": 8, "max_iters": 1}}, BLOWUP_SIM])
@@ -589,18 +612,18 @@ class TestSimulateOverlap:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         ends = []
 
-        def integrate(u0, cfg, stop):
+        def rows(u0, cfg, stop):
             # hold the solve back until the calling thread has left the
             # overlap; a stop that never comes leaves False here
             ends.append(stop.wait(60))
             try:
-                etdrk4_integrate(u0, cfg, stop)
+                yield from etdrk4_rows(u0, cfg, stop)
             except solver.Cancelled:
                 ends.append("cancelled")
             else:
                 ends.append("finished")
 
-        monkeypatch.setattr(cli, "etdrk4_integrate", integrate)
+        monkeypatch.setattr(cli, "etdrk4_rows", rows)
         cfg = write_json(tmp_path / "cfg.json", data)
         out = tmp_path / "out"
         threads = threading.active_count()
@@ -608,27 +631,28 @@ class TestSimulateOverlap:
                          "--method", "both"]) == 3
         assert threading.active_count() == threads
         assert ends == [True, "cancelled"]
-        assert not (out / "snapshots" / "etdrk4").exists()
+        # the worker staged u0's snapshot before the stop; its staging
+        # directory is gone with it
+        assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
 
     def test_no_monitor_pass_after_the_stop(self, tmp_path, monkeypatch):
         # the solve runs to its end only after Picard has failed and the
-        # calling thread has set the stop; the worker then skips its monitor pass
+        # calling thread has set the stop; the worker then skips its monitor batch
         monkeypatch.setattr(cli, "_OVERLAP_BYTES", 0)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         ends, monitored_on = [], []
 
-        def integrate(u0, cfg, stop):
+        def rows(u0, cfg, stop):
             ends.append(stop.wait(60))
-            traj = etdrk4_integrate(u0, cfg)
+            yield from etdrk4_rows(u0, cfg)
             ends.append("finished")
-            return traj
 
-        def monitor_on_thread(traj, **kwargs):
+        def besov_on_thread(*args):
             monitored_on.append(threading.current_thread())
-            return monitor(traj, **kwargs)
+            return besov_norm_states(*args)
 
-        monkeypatch.setattr(cli, "etdrk4_integrate", integrate)
-        monkeypatch.setattr(cli, "monitor", monitor_on_thread)
+        monkeypatch.setattr(cli, "etdrk4_rows", rows)
+        monkeypatch.setattr("cnlab.monitor.besov_norm_states", besov_on_thread)
         cfg = write_json(tmp_path / "cfg.json",
                          {**OVERLAP_SIM, "picard": {"node_count": 8, "max_iters": 1}})
         out = tmp_path / "out"
@@ -638,7 +662,64 @@ class TestSimulateOverlap:
         assert threading.active_count() == threads
         assert ends == [True, "finished"]
         assert monitored_on == [threading.main_thread()]
-        assert not (out / "snapshots" / "etdrk4").exists()
+        assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
+
+    @pytest.mark.parametrize("cutoff, left", [(0, []), (math.inf, ["picard"])])
+    def test_an_interrupt_leaves_no_etdrk4_snapshots(self, tmp_path, monkeypatch, cutoff, left):
+        # on the worker, Picard's route is interrupted once ETDRK4's has staged
+        # three snapshots; on the calling thread, ETDRK4's route is interrupted
+        # after its third
+        monkeypatch.setattr(cli, "_OVERLAP_BYTES", cutoff)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        staged = threading.Event()
+
+        def rows(u0, cfg, stop=None):
+            for m, row in enumerate(etdrk4_rows(u0, cfg, stop)):
+                if m == 3:
+                    staged.set()
+                    if stop is None:
+                        raise KeyboardInterrupt
+                yield row
+
+        def picard_solve(u0, cfg):
+            if cutoff == 0:
+                assert staged.wait(60)
+                raise KeyboardInterrupt
+            return solver.picard_solve(u0, cfg)
+
+        monkeypatch.setattr(cli, "etdrk4_rows", rows)
+        monkeypatch.setattr(cli, "picard_solve", picard_solve)
+        cfg = write_json(tmp_path / "cfg.json", OVERLAP_SIM)
+        out = tmp_path / "out"
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["simulate", "--config", str(cfg), "--out", str(out), "--method", "both"])
+        assert threading.active_count() == threads
+        assert staged.is_set()
+        assert [p.name for p in (out / "snapshots").iterdir()] == left
+
+
+def test_etdrk4_route_holds_no_trajectory(tmp_path, monkeypatch):
+    # the route streams its states: with batches of 4 states, its peak stays
+    # below half of the 65 states a collected ETDRK4 trajectory would hold
+    # (at the default 2 MiB, one batch is a quarter of this 7.2 MB trajectory)
+    state_bytes = 3 * 16 * 16 * 9 * 16
+    monkeypatch.setattr("cnlab.littlewood_paley._BATCH_BYTES", 4 * state_bytes)
+    cfg = write_json(tmp_path / "cfg.json", {
+        "dim": 3, "res": 16, "nu": 1.0, "horizon": 0.02,
+        "picard": {"node_count": 64}, "etdrk4": {"dt": 0.02},
+        "profile": {"kind": "random_divfree", "amplitude": 0.1, "seed": 0}})
+    argv = ["simulate", "--config", str(cfg), "--method", "etdrk4", "--out"]
+    # the first run fills the grid's tables and the partition cache
+    assert cli_main(argv + [str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli_main(argv + [str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(list((tmp_path / "out" / "snapshots" / "etdrk4").glob("*.snap"))) == 65
+    assert peak < 0.5 * 65 * state_bytes
 
 
 def test_long_run_reaches_underflow_scale_states(tmp_path):

@@ -10,13 +10,14 @@ import pytest
 import cnlab
 
 from cnlab.fields import (SpectralVectorField, derivative,
-                          divergence_sup, energy, linf, lp_norm,
+                          divergence_sup, linf, lp_norm,
                           pointwise_tensor, project_mean_zero, random_field,
                           random_vector_field, to_physical, to_spectral,
                           zero_field)
 from cnlab.grid import TAU, Grid
-from cnlab.semigroup import heat
-from cnlab.solver import make_profile
+from cnlab.monitor import monitor
+from cnlab.semigroup import TimeGrid, heat
+from cnlab.solver import Trajectory, make_profile
 
 from helpers import (dealias, dealias_mask, exact_product_coeffs, full_spectrum,
                      hermitian_defect, rel_err, single_mode_vector)
@@ -250,9 +251,16 @@ class TestNorms:
         with pytest.raises(ValueError):
             lp_norm(zero_field(g2_16), 0.5)
 
+    @staticmethod
+    def energies(f):
+        """The monitor's energy column for two copies of f."""
+        traj = Trajectory(f.grid, TimeGrid.uniform(1.0, 1), np.stack([f.coeffs] * 2), "x")
+        return [rec.energy for rec in monitor(traj)]
+
     def test_energy(self, g2_16, rng):
         f = random_vector_field(g2_16, rng)
-        assert energy(f) == pytest.approx(0.5 * lp_norm(f, 2.0) ** 2, rel=1e-14)
+        l2 = lp_norm(f, 2.0)
+        assert self.energies(f) == [0.5 * l2 * l2] * 2
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_huge_and_tiny_fields_keep_finite_norms(self, g3_16, scale):
@@ -270,7 +278,7 @@ class TestNorms:
 
     def test_energy_of_a_huge_field_is_inf(self, g2_16, rng):
         f = random_vector_field(g2_16, rng) * 1e200
-        assert math.isfinite(lp_norm(f, 2.0)) and energy(f) == math.inf
+        assert math.isfinite(lp_norm(f, 2.0)) and self.energies(f) == [math.inf] * 2
 
 
 class TestRandomFields:

@@ -15,6 +15,7 @@ The divergence guard's transform-free bound is checked against the
 transformed sup it bounds, and the guard against the exact one.
 """
 
+import dataclasses
 import math
 import re
 from unittest import mock
@@ -26,13 +27,13 @@ from hypothesis import strategies as st
 
 from cnlab.fields import (_BOUND_MARGIN, SpectralVectorField, _box_of, _box_phys_values,
                           _box_spectrum, _divergence_bound, _from_box,
-                          divergence_sup, energy, linf, lp_norm, phys_values,
+                          divergence_sup, linf, lp_norm, phys_values,
                           pointwise_tensor, random_field, random_tensor_field,
                           random_vector_field, spectral_values)
 from cnlab.grid import Grid
-from cnlab.littlewood_paley import (_states_block_sups, besov_norm, besov_norm_states,
-                                    build_partition)
-from cnlab.monitor import monitor
+from cnlab.littlewood_paley import (_batch_len, _states_block_sups, besov_norm,
+                                    besov_norm_states, build_partition)
+from cnlab.monitor import monitor, monitor_rows
 from cnlab.paraproduct import bony_split
 from cnlab.semigroup import (DIV_FREE_TOL, TimeGrid, div_tensor, heat, leray_project,
                              nonlinearity)
@@ -423,7 +424,33 @@ def test_monitor_norm_columns_are_lp_norm(grid, seed, scales):
         assert rec.lp_n == lp_norm(u, float(grid.dim))
         assert rec.lp_inf == lp_norm(u, math.inf) == linf(u)
         assert rec.extra_lp == {1.0: lp_norm(u, 1.0), 4.0: lp_norm(u, 4.0)}
-        assert rec.energy == energy(u)
+        l2 = lp_norm(u, 2.0)
+        assert rec.energy == 0.5 * l2 * l2
+
+
+@PROPS
+@given(grids, st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+       st.sampled_from([1, 2, 3, None]), seeds, st.booleans(),
+       st.sampled_from([None, "default", 0.25]), st.sampled_from(["sharp", "smooth"]))
+@example(Grid(2, 8), ["zero", "single_shell", "nan", "broadband", "single_shell"], 2, 0, True,
+         "default", "sharp")
+def test_streamed_records_are_one_pass_records(grid, kinds, per, seed, with_omega, kato, mode):
+    # per states go through in one batch (None: the whole stack), streamed
+    # from a generator as simulate's routes stream them; the reference is
+    # one pass over the whole stack
+    stack = np.stack([make_state(grid, kind, seed + i) for i, kind in enumerate(kinds)])
+    traj = Trajectory(grid, TimeGrid.uniform(1.0, len(kinds)), stack, "synthetic", {"nu": 0.5})
+    omega = SpectralVectorField(grid, make_state(grid, "broadband", seed)) if with_omega else None
+    opts = dict(p_list=(1.0, 4.0), omega=omega, kato_horizon=kato, cutoff=mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch("cnlab.littlewood_paley._BATCH_BYTES", stack.nbytes):
+            whole = monitor(traj, **opts)
+        with mock.patch("cnlab.littlewood_paley._BATCH_BYTES",
+                        stack.nbytes if per is None else per * stack[0].nbytes):
+            assert _batch_len(stack[0].nbytes) == (len(stack) if per is None else per)
+            got = monitor_rows((row for row in stack), grid, traj.times, 1.0, 0.5, **opts)
+    assert [repr(dataclasses.asdict(r)) for r in got] == [repr(dataclasses.asdict(r))
+                                                          for r in whole]
 
 
 @PROPS

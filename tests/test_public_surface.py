@@ -24,10 +24,11 @@ KEEP = {
     "expected_blowup_exponent": "acceptance 10; the blow-up verdict (ROADMAP direction 1) "
                                 "gives it a caller",
     "probe_contraction_threshold": "acceptance 08's amplitude sweep",
+    "etdrk4_integrate": "the collector of etdrk4_rows: whole ETDRK4 trajectories for the "
+                        "acceptance suite, and BlowupSuspected's partial trajectory",
     "read_monitor_csv": "the reader of the monitor CSV format",
     "zero_field": "25 test uses; moving it into tests would move code, not remove it",
     "to_physical": "the inverse of to_spectral",
-    "energy": "defines the monitor CSV's energy column",
     "derivative": "hides the Nyquist-zeroed k_deriv",
     "block": "checks the block index and hides the multiplier layout",
     "low_pass": "checks the low-pass index and hides the multiplier layout",

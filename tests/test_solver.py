@@ -14,8 +14,8 @@ from cnlab.monitor import monitor
 from cnlab.semigroup import TimeGrid, duhamel_L, heat
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
                           PicardOptions, SolverConfig, Trajectory, compare_trajectories,
-                          etdrk4_integrate, kato_smallness, make_profile, picard_solve,
-                          probe_contraction_threshold)
+                          etdrk4_integrate, etdrk4_rows, kato_smallness, make_profile,
+                          picard_solve, probe_contraction_threshold)
 
 from helpers import picard_reference, rel_err, single_mode_vector
 
@@ -255,6 +255,34 @@ class TestEtdrk4:
             finals.append(etdrk4_integrate(u0, cfg).states[-1])
         d = [linf(finals[i] - finals[i + 1]) for i in range(3)]
         assert d[0] / d[1] >= 11.0 and d[1] / d[2] >= 11.0
+
+    def test_rows_leave_the_error_state_alone(self):
+        # numpy's error state is a context variable: one held across a yield
+        # would reach the consumer
+        g = Grid(2, 16)
+        u0 = make_profile(g, "random_divfree", amplitude=1e3, seed=1)
+        cfg = SolverConfig(dim=2, res=16, nu=1e-3, horizon=1.0,
+                           picard=PicardOptions(node_count=10),
+                           etdrk4=EtdrkOptions(dt=0.05))
+        before = np.geterr()
+        rows = etdrk4_rows(u0, cfg)
+        for _ in range(2):
+            next(rows)
+            assert np.geterr() == before
+        with pytest.raises(BlowupSuspected):
+            next(rows)
+        assert np.geterr() == before
+
+    def test_rows_are_fresh_arrays_of_the_collected_trajectory(self):
+        g = Grid(2, 16)
+        u0 = make_profile(g, "random_divfree", amplitude=0.3, seed=1)
+        cfg = SolverConfig(dim=2, res=16, nu=0.7, horizon=0.2,
+                           picard=PicardOptions(node_count=8),
+                           etdrk4=EtdrkOptions(dt=0.005))
+        rows = list(etdrk4_rows(u0, cfg))
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(rows)
+                       for b in rows[i + 1:] + [u0.coeffs])
+        assert np.stack(rows).tobytes() == etdrk4_integrate(u0, cfg).coeffs.tobytes()
 
     def test_blowup_carries_partial_trajectory(self):
         g = Grid(2, 16)
