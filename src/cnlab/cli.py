@@ -2,9 +2,8 @@
 
 Subcommands:
     simulate   run the mild solver on a configured profile, writing state
-               snapshots, a monitor CSV, and report.json; a route writes and
-               monitors each state as the solve makes it, ETDRK4's without
-               ever holding its trajectory; --method both runs the two
+               snapshots and monitor records as the solve makes the states,
+               a monitor CSV, and report.json; --method both runs the two
                routes side by side on two threads when the states are large
                enough to gain from it, and cross-validates Picard's
                trajectory against ETDRK4's snapshots, read back one at a time
@@ -47,7 +46,7 @@ from .fields import SpectralVectorField, _transforms_rebound
 from .monitor import MonitorRecord, monitor, monitor_rows, write_monitor_csv
 from .semigroup import TimeGrid
 from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
-from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
+from .solver import (BlowupSuspected, Cancelled, NonConvergence, SolverConfig, Trajectory,
                      _etdrk4_meta, compare_trajectories, etdrk4_rows, picard_solve,
                      profile_from_spec)
 from .verification import run_checks, summary_csv
@@ -100,11 +99,12 @@ def _dump_json(path: Path, obj: dict) -> None:
 def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: dict,
            stage: Path, stop: threading.Event | None = None
            ) -> tuple[dict, dict | None, int, list, Trajectory | None]:
-    """Solve by one method, writing each state's snapshot into ``stage`` and
-    monitoring the states as they come. Returns the run info for
-    report.json, the error (None if the solve succeeded), the exit code, the
-    monitor records and Picard's trajectory (None for ETDRK4, which streams).
-    ``stop`` goes to etdrk4_rows and monitor_rows."""
+    """Solve by one method and monitor the states as they come, writing
+    their snapshots into ``stage`` as <method>_state_<m>.snap. Returns
+    the run info for report.json, the error (None if the solve succeeded),
+    the exit code, the monitor records and Picard's trajectory (None for
+    ETDRK4, which streams). ``stop`` goes to etdrk4_rows, and once it is set
+    the route raises Cancelled in place of the next monitor batch."""
     error, code, traj = None, EXIT_OK, None
     if method == "picard":
         try:
@@ -119,17 +119,22 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
     tg = cfg.time_grid()
     blowups = []
 
-    def staged():
+    def finite():
         try:
-            for m, row in enumerate(rows):
-                write_snapshot(stage / f"state_{m:04d}.snap", SpectralVectorField(u0.grid, row),
-                               float(tg.nodes[m]))
-                yield row
+            yield from rows
         except BlowupSuspected as exc:  # the finite states before it are monitored
             blowups.append(exc)
 
-    records = monitor_rows(staged(), u0.grid, tg.nodes, tg.horizon, float(cfg.nu), **mon_opts,
-                           stop=stop)
+    # a batch's snapshots in one burst: one at a time between solve steps took twice as long
+    def write(start: int, states: np.ndarray) -> None:
+        if stop is not None and stop.is_set():
+            raise Cancelled("stopped before a monitor batch")
+        for m, row in enumerate(states, start):
+            write_snapshot(stage / f"{method}_state_{m:04d}.snap",
+                           SpectralVectorField(u0.grid, row), float(tg.nodes[m]))
+
+    records = monitor_rows(finite(), u0.grid, tg.nodes, tg.horizon, float(cfg.nu), **mon_opts,
+                           on_batch=write)
     if blowups:
         run_info, (error, code) = {"blowup_time": blowups[0].time}, _failure(blowups[0])
     return run_info, error, code, records, traj
@@ -141,14 +146,13 @@ def _write_trajectory_artifacts(outdir: Path, stage: Path, method: str,
     and write its monitor CSV."""
     snapdir = outdir / "snapshots" / method
     snapdir.mkdir(exist_ok=True)
-    paths = []
-    for m in range(len(records)):
-        name = f"state_{m:04d}.snap"
-        os.replace(stage / name, snapdir / name)
-        paths.append(str(snapdir / name))
+    paths = [snapdir / f"state_{m:04d}.snap" for m in range(len(records))]
+    for p in paths:
+        os.replace(stage / f"{method}_{p.name}", p)
     csv_path = outdir / f"monitor_{method}.csv"
     write_monitor_csv(records, csv_path, config_echo=echo)
-    return {"snapshots": paths, "monitor_csv": str(csv_path), "states": len(records)}
+    return {"snapshots": list(map(str, paths)), "monitor_csv": str(csv_path),
+            "states": len(records)}
 
 
 # Half-spectrum bytes of one state from which simulate --method both runs
@@ -192,14 +196,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     methods = ["picard", "etdrk4"] if args.method == "both" else [args.method]
     trajs: dict[str, Trajectory | None] = {}
     with ExitStack() as stack:
-        # hidden staging directories, removed after the worker is joined: a
+        # a hidden staging directory, removed after the worker is joined: a
         # failed Picard route or an interrupt leaves no snapshots/etdrk4 behind
-        stages = []
-        for method in methods:
-            stages.append(Path(tempfile.mkdtemp(prefix=f".{method}-", dir=outdir / "snapshots")))
-            stack.callback(shutil.rmtree, stages[-1], ignore_errors=True)
-        routes = [partial(_route, method, u0, cfg, mon_opts, stage)
-                  for method, stage in zip(methods, stages)]
+        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=outdir / "snapshots"))
+        stack.callback(shutil.rmtree, stage, ignore_errors=True)
+        routes = [partial(_route, method, u0, cfg, mon_opts, stage) for method in methods]
         # leaving the block stops and joins the worker, on every path: a failed
         # Picard route drops ETDRK4's result, and an ETDRK4 failure is reported
         # after Picard's artifacts are written, as in a sequential run
@@ -216,7 +217,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             # the worker runs the whole ETDRK4 route in the caller's context,
             # numpy's error state included
             routes[1] = pool.submit(contextvars.copy_context().run, routes[1], stop=stop).result
-        for method, route, stage in zip(methods, routes, stages):
+        for method, route in zip(methods, routes):
             run_info, report["error"], code, records, trajs[method] = route()
             run_info.update(_write_trajectory_artifacts(outdir, stage, method, records, echo))
             report["runs"][method] = run_info
@@ -227,8 +228,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # ETDRK4's route ran last: its states are read back from its
         # snapshots one at a time, and its records hold their sup norms
         etdrk4 = (read_snapshot(p)[0] for p in report["runs"]["etdrk4"]["snapshots"])
-        cross = compare_trajectories(trajs["picard"], etdrk4, [r.lp_inf for r in records],
-                                     cfg.cross_tol)
+        cross = compare_trajectories(trajs["picard"].states, etdrk4,
+                                     [r.lp_inf for r in records], cfg.cross_tol)
         report["cross_validation"] = cross
         if not cross["passed"]:
             report["error"] = {"type": "CrossValidationFailed",

@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .fields import SpectralVectorField, _lp_norms, _same_grid
 from .grid import Grid
 from .littlewood_paley import DyadicPartition, _batch_len, besov_norm_states, build_partition
 from .snapshots import atomic_write
-from .solver import Cancelled, Trajectory, _kato
+from .solver import Trajectory, _kato
 
 CSV_COLUMNS = ("t", "lp_2", "lp_n", "lp_inf", "besov_m1", "besov_dist_omega",
                "kato_I", "energy")
@@ -81,12 +80,16 @@ def check_kato_horizon(kato_horizon: float | str | None) -> None:
 def monitor_rows(rows: Iterable[np.ndarray], grid: Grid, times: Sequence[float], horizon: float,
                  nu: float, p_list: Sequence[float] = (), omega: SpectralVectorField | None = None,
                  kato_horizon: float | str | None = None, cutoff: str = "sharp",
-                 stop: threading.Event | None = None) -> list[MonitorRecord]:
-    """monitor's records of the states that rows yields, the m-th at times[m];
-    horizon and nu are the smallness column's. The states are copied as they
-    come into one reused buffer of _batch_len states, the slices of a
-    whole-stack pass, and their records taken a batch at a time. Once
-    ``stop`` is set, Cancelled is raised in place of the next batch's work.
+                 on_batch: Callable[[int, np.ndarray], None] | None = None) -> list[MonitorRecord]:
+    """One record per state that rows yields, the m-th at times[m].
+
+    p_list adds Lebesgue norms beyond the always-computed {2, dim, inf}. The
+    smallness column has viscosity nu; kato_horizon None disables it,
+    "default" uses min(1, horizon - t) per record, a number fixes the
+    remaining horizon. The states are copied as they come into one reused
+    buffer of _batch_len states, the slices of a whole-stack pass, and their
+    records taken a batch at a time, each batch first handed to
+    on_batch(index of its first state, states) if given.
     """
     check_exponents(p_list)
     check_kato_horizon(kato_horizon)
@@ -104,9 +107,9 @@ def monitor_rows(rows: Iterable[np.ndarray], grid: Grid, times: Sequence[float],
             batch[count - 1] = row
         if count == 0:
             return records
-        if stop is not None and stop.is_set():
-            raise Cancelled("stopped before a monitor batch")
         states = batch[:count]
+        if on_batch is not None:
+            on_batch(len(records), states)
         # a NaN or inf state gives nan block sups; the column says so
         with np.errstate(invalid="ignore"):
             besov = besov_norm_states(states, -1.0, part)
@@ -130,14 +133,8 @@ def monitor_rows(rows: Iterable[np.ndarray], grid: Grid, times: Sequence[float],
 
 def monitor(traj: Trajectory, p_list: Sequence[float] = (), omega: SpectralVectorField | None = None,
             kato_horizon: float | str | None = None, cutoff: str = "sharp") -> list[MonitorRecord]:
-    """One record per stored state, by monitor_rows.
-
-    p_list adds Lebesgue norms beyond the always-computed {2, dim, inf}.
-    kato_horizon: None disables the smallness column; "default" uses
-    min(1, horizon - t) per record; a number fixes the remaining horizon.
-    The smallness column's viscosity is the trajectory's meta["nu"], 1.0
-    when the meta has none. Works on partial (blow-up) trajectories as-is.
-    """
+    """monitor_rows over a trajectory's states, nu its meta["nu"] (1.0 when the
+    meta has none). Works on partial (blow-up) trajectories as-is."""
     return monitor_rows(traj.coeffs, traj.grid, traj.times, traj.tgrid.horizon,
                         float(traj.meta.get("nu", 1.0)), p_list, omega, kato_horizon, cutoff)
 

@@ -56,12 +56,13 @@ class NonConvergence(RuntimeError):
 
 
 class Cancelled(RuntimeError):
-    """An ETDRK4 solve or a monitor pass stopped early because its stop event was set."""
+    """An ETDRK4 solve or a simulate route stopped early because its stop event was set."""
 
 
 class BlowupSuspected(RuntimeError):
     """Time stepping hit NaN/overflow at trajectory.meta["blowup_time"]; the
-    trajectory holds the finite states before it, the last one last_state."""
+    trajectory holds finite states before it, the last one last_state: all
+    of them from etdrk4_integrate, only that last one from etdrk4_rows."""
 
     def __init__(self, trajectory: "Trajectory"):
         super().__init__(f"non-finite state at t = {trajectory.meta['blowup_time']:.6g}")
@@ -138,8 +139,7 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """States on a time grid plus provenance: row m of coeffs, shaped (n, dim,
-    *spectral_shape), is the state at tgrid.nodes[m] (fewer rows if partial).
-    Iterating a trajectory gives its states."""
+    *spectral_shape), is the state at tgrid.nodes[m] (fewer rows if partial)."""
 
     grid: Grid
     tgrid: TimeGrid
@@ -159,9 +159,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.tgrid.nodes[: len(self.coeffs)]
-
-    def __iter__(self) -> Iterator[SpectralVectorField]:
-        return iter(self.states)
 
 
 @dataclass
@@ -417,17 +414,17 @@ def etdrk4_rows(u0: SpectralVectorField, cfg: SolverConfig,
 
     The requested dt is an upper bound: each inter-node interval is covered by
     an integer number of equal steps so node times are hit exactly. Raises
-    BlowupSuspected on NaN/overflow, its trajectory empty (the generator
-    keeps no states) and its meta["blowup_time"] the node it missed. Every
-    right-hand side first looks at ``stop``, if given, and raises Cancelled
-    once it is set, so another thread can end the solve within one stage.
+    BlowupSuspected on NaN/overflow: its meta["blowup_time"] is the node it
+    missed, its trajectory the last finite state alone, on the time grid from
+    that state's node on. Every right-hand side first looks at ``stop``, if
+    given, and raises Cancelled once it is set, so another thread can end the
+    solve within one stage.
     """
     grid = u0.grid
     if (grid.dim, grid.res) != (cfg.dim, cfg.res):
         raise ValueError(f"initial data on {grid}, config says ({cfg.dim}, {cfg.res})")
     meta = _etdrk4_meta(cfg)
-    tg = cfg.time_grid()
-    nodes = tg.nodes
+    nodes = cfg.time_grid().nodes
     lam = -cfg.nu * grid.ksq
 
     def rhs(coeffs: np.ndarray) -> np.ndarray:
@@ -455,27 +452,28 @@ def etdrk4_rows(u0: SpectralVectorField, cfg: SolverConfig,
                 if h not in weights:
                     weights[h] = _etdrk4_coefficients(lam, h)
                 step_weights = weights.pop(h) if last[h] == m else weights[h]
-                u = _etdrk4_segment(u, step_weights, nsteps, rhs)
-                if not np.all(np.isfinite(u)):
+                new = _etdrk4_segment(u, step_weights, nsteps, rhs)
+                if not np.all(np.isfinite(new)):
                     raise _NonFinite
             except _NonFinite:
                 meta["blowup_time"] = float(nodes[m + 1])
-                raise BlowupSuspected(Trajectory(grid, tg, u[None][:0], "etdrk4", meta)) from None
+                raise BlowupSuspected(Trajectory(grid, TimeGrid(nodes[m:]), u[None], "etdrk4",
+                                                 meta)) from None
+        u = new
         yield u
 
 
-def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
-                     stop: threading.Event | None = None) -> Trajectory:
-    """etdrk4_rows collected into one trajectory; a BlowupSuspected carries the
-    finite states before it as the partial trajectory."""
+def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig) -> Trajectory:
+    """etdrk4_rows collected into one trajectory; a BlowupSuspected carries
+    every finite state before it as the partial trajectory."""
     tg = cfg.time_grid()
     out = np.empty((tg.nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
     m = 0
     try:
-        for m, row in enumerate(etdrk4_rows(u0, cfg, stop), 1):
+        for m, row in enumerate(etdrk4_rows(u0, cfg), 1):
             out[m - 1] = row
     except BlowupSuspected as exc:
-        exc.trajectory.coeffs = out[:m]
+        exc.trajectory.tgrid, exc.trajectory.coeffs = tg, out[:m]
         raise
     return Trajectory(u0.grid, tg, out, "etdrk4", _etdrk4_meta(cfg))
 
@@ -486,7 +484,7 @@ def etdrk4_integrate(u0: SpectralVectorField, cfg: SolverConfig,
 
 def compare_trajectories(a: Iterable[SpectralVectorField], b: Iterable[SpectralVectorField],
                          b_linf: Sequence[float], tol: float) -> dict:
-    """Sup-norm discrepancy of two iterables of states, such as trajectories, read pairwise.
+    """Sup-norm discrepancy of two iterables of states, such as Trajectory.states, read pairwise.
 
     Node errors are ||a(t_m) - b(t_m)||_inf / max(1, max(b_linf)), b_linf[m] =
     ||b(t_m)||_inf; returns {discrepancy: their max, tolerance, passed,

@@ -54,7 +54,8 @@ def tg_runs():
     t0 = time.monotonic()
     pic, report = picard_solve(u0, cfg)
     etd = etdrk4_integrate(u0, cfg)
-    xval = compare_trajectories(pic, etd, [linf(s) for s in etd.states], cfg.cross_tol)
+    xval = compare_trajectories(pic.states, etd.states, [linf(s) for s in etd.states],
+                                cfg.cross_tol)
     wall = time.monotonic() - t0
     return {"grid": grid, "u0": u0, "cfg": cfg, "picard": pic,
             "report": report, "etdrk4": etd, "xval": xval, "wall": wall}

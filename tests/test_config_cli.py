@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnlab import cli, config, solver
+from cnlab import cli, config, littlewood_paley, solver
 from cnlab.cli import main as cli_main
 from cnlab.config import (ConfigError, load_json, monitor_options_from_dict,
                           solver_config_from_dict, verify_config_from_dict)
@@ -514,8 +514,9 @@ class TestSimulateOverlap:
             yield from etdrk4_rows(*args, **kwargs)
 
         def write_on_thread(path, *args):
-            # each route stages its snapshots in snapshots/.<method>-XXXX
-            method = Path(path).parent.name[1:].split("-")[0]
+            # each route stages its snapshots in snapshots/.staging-XXXX as
+            # <method>_state_<m>.snap
+            method = Path(path).name.split("_")[0]
             written_on.setdefault(method, set()).add(threading.current_thread())
             return write_snapshot(path, *args)
 
@@ -631,8 +632,8 @@ class TestSimulateOverlap:
                          "--method", "both"]) == 3
         assert threading.active_count() == threads
         assert ends == [True, "cancelled"]
-        # the worker staged u0's snapshot before the stop; its staging
-        # directory is gone with it
+        # the worker staged u0's snapshot after the stop, before its solve
+        # looked at it; the staging directory is gone with it
         assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
 
     def test_no_monitor_pass_after_the_stop(self, tmp_path, monkeypatch):
@@ -666,9 +667,11 @@ class TestSimulateOverlap:
 
     @pytest.mark.parametrize("cutoff, left", [(0, []), (math.inf, ["picard"])])
     def test_an_interrupt_leaves_no_etdrk4_snapshots(self, tmp_path, monkeypatch, cutoff, left):
-        # on the worker, Picard's route is interrupted once ETDRK4's has staged
-        # three snapshots; on the calling thread, ETDRK4's route is interrupted
-        # after its third
+        # batches of one state, so each snapshot is staged before the next
+        # state is made. On the worker, Picard's route is interrupted once
+        # ETDRK4's has staged three snapshots; on the calling thread, ETDRK4's
+        # route is interrupted after its third
+        monkeypatch.setattr(littlewood_paley, "_BATCH_BYTES", 1)
         monkeypatch.setattr(cli, "_OVERLAP_BYTES", cutoff)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         staged = threading.Event()
@@ -676,6 +679,7 @@ class TestSimulateOverlap:
         def rows(u0, cfg, stop=None):
             for m, row in enumerate(etdrk4_rows(u0, cfg, stop)):
                 if m == 3:
+                    assert len(list(out.glob("snapshots/.staging-*/etdrk4_*.snap"))) == 3
                     staged.set()
                     if stop is None:
                         raise KeyboardInterrupt
@@ -700,11 +704,11 @@ class TestSimulateOverlap:
 
 
 def test_etdrk4_route_holds_no_trajectory(tmp_path, monkeypatch):
-    # the route streams its states: with batches of 4 states, its peak stays
-    # below half of the 65 states a collected ETDRK4 trajectory would hold
-    # (at the default 2 MiB, one batch is a quarter of this 7.2 MB trajectory)
+    # the route streams its states. At the default 2 MiB batches its peak
+    # stays below the 65 states (7.2 MB) a collected ETDRK4 trajectory would
+    # hold plus one batch; with batches of 4 states, below half of them
     state_bytes = 3 * 16 * 16 * 9 * 16
-    monkeypatch.setattr("cnlab.littlewood_paley._BATCH_BYTES", 4 * state_bytes)
+    trajectory_bytes = 65 * state_bytes
     cfg = write_json(tmp_path / "cfg.json", {
         "dim": 3, "res": 16, "nu": 1.0, "horizon": 0.02,
         "picard": {"node_count": 64}, "etdrk4": {"dt": 0.02},
@@ -712,14 +716,20 @@ def test_etdrk4_route_holds_no_trajectory(tmp_path, monkeypatch):
     argv = ["simulate", "--config", str(cfg), "--method", "etdrk4", "--out"]
     # the first run fills the grid's tables and the partition cache
     assert cli_main(argv + [str(tmp_path / "warm")]) == 0
-    tracemalloc.start()
-    try:
-        assert cli_main(argv + [str(tmp_path / "out")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(list((tmp_path / "out" / "snapshots" / "etdrk4").glob("*.snap"))) == 65
-    assert peak < 0.5 * 65 * state_bytes
+
+    def peak(out: Path) -> int:
+        tracemalloc.start()
+        try:
+            assert cli_main(argv + [str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(tmp_path / "default") < trajectory_bytes + littlewood_paley._BATCH_BYTES
+    monkeypatch.setattr(littlewood_paley, "_BATCH_BYTES", 4 * state_bytes)
+    assert peak(tmp_path / "out") < 0.5 * trajectory_bytes
+    for out in ("default", "out"):
+        assert len(list((tmp_path / out / "snapshots" / "etdrk4").glob("*.snap"))) == 65
 
 
 def test_long_run_reaches_underflow_scale_states(tmp_path):

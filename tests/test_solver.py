@@ -295,7 +295,27 @@ class TestEtdrk4:
         assert exc.value.time == pytest.approx(0.2)
         assert exc.value.trajectory.meta["blowup_time"] == exc.value.time
         assert len(exc.value.trajectory.states) == 2
+        assert np.array_equal(exc.value.trajectory.times, cfg.time_grid().nodes[:2])
         assert np.all(np.isfinite(exc.value.last_state.coeffs))
+
+    def test_streamed_blowup_carries_the_last_finite_state(self):
+        g = Grid(2, 16)
+        u0 = make_profile(g, "random_divfree", amplitude=1e3, seed=1)
+        cfg = SolverConfig(dim=2, res=16, nu=1e-3, horizon=1.0,
+                           picard=PicardOptions(node_count=10),
+                           etdrk4=EtdrkOptions(dt=0.05))
+        rows = []
+        with pytest.raises(BlowupSuspected) as exc:
+            for row in etdrk4_rows(u0, cfg):
+                rows.append(row)
+        assert len(rows) == 2 and exc.value.time == pytest.approx(0.2)
+        # the row yielded last, at t = 0.1, on the time grid from there on
+        last = exc.value.last_state.coeffs
+        assert np.shares_memory(last, rows[-1]) and np.array_equal(last, rows[-1])
+        traj = exc.value.trajectory
+        nodes = cfg.time_grid().nodes
+        assert len(traj.coeffs) == 1 and np.array_equal(traj.tgrid.nodes, nodes[1:])
+        assert traj.times.tolist() == [nodes[1]]
 
     def test_a_caller_trap_is_not_a_blowup(self):
         # underflow in the heat factors of a finite solve: only the caller's
@@ -330,11 +350,11 @@ class TestEtdrk4:
         # 40 steps of four stages; the solve stops at the seventh look
         stop = StopAfter(6)
         with pytest.raises(solver.Cancelled):
-            etdrk4_integrate(u0, cfg, stop)
+            list(etdrk4_rows(u0, cfg, stop))
         assert stop.looks == 7
         # an event that is never set changes nothing
         never = StopAfter(math.inf)
-        assert (etdrk4_integrate(u0, cfg, never).coeffs.tobytes()
+        assert (np.stack(list(etdrk4_rows(u0, cfg, never))).tobytes()
                 == etdrk4_integrate(u0, cfg).coeffs.tobytes())
         assert never.looks == 4 * 40
 
@@ -437,7 +457,7 @@ class TestCrossValidate:
         """compare_trajectories of the two routes, and Picard's report."""
         traj, report = picard_solve(u0, cfg)
         etd = etdrk4_integrate(u0, cfg)
-        return compare_trajectories(traj, etd, [linf(s) for s in etd.states],
+        return compare_trajectories(traj.states, etd.states, [linf(s) for s in etd.states],
                                     cfg.cross_tol), report
 
     def test_zero_data(self, g2_16):
@@ -478,7 +498,7 @@ class TestCrossValidate:
         tg = TimeGrid.uniform(1.0, 3)
         good, bad = Trajectory(g2_16, tg, rows, "a"), Trajectory(g2_16, tg, spoilt, "b")
         a, b = (bad, good) if spoiled == "a" else (good, bad)
-        cmp = compare_trajectories(a, b, [linf(s) for s in b.states], 1e-4)
+        cmp = compare_trajectories(a.states, b.states, [linf(s) for s in b.states], 1e-4)
         assert math.isnan(cmp["discrepancy"])
         assert cmp["passed"] is False
         assert math.isnan(cmp["node_errors"][2])
@@ -493,14 +513,14 @@ class TestCrossValidate:
         b_linf = [linf(s) for s in b.states]
         seen = []
         monkeypatch.setattr(solver, "linf", lambda f: seen.append(f) or linf(f))
-        cmp = compare_trajectories(a, b, b_linf, 1e-4)
+        cmp = compare_trajectories(a.states, b.states, b_linf, 1e-4)
         assert len(seen) == 4
         for f, sa, sb in zip(seen, a.states, b.states):
             assert np.array_equal(f.coeffs, (sa - sb).coeffs)
         assert cmp["node_errors"] == [linf(sa - sb) / max(b_linf)
                                       for sa, sb in zip(a.states, b.states)]
         with pytest.raises(ValueError, match="3 values for 4 states"):
-            compare_trajectories(a, b, b_linf[:3], 1e-4)
+            compare_trajectories(a.states, b.states, b_linf[:3], 1e-4)
 
 
 class TestContractionProbe:
