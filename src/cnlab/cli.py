@@ -3,16 +3,17 @@
 Subcommands:
     simulate   run the mild solver on a configured profile, writing state
                snapshots and monitor records as the solve makes the states,
-               a monitor CSV, and report.json; --method both runs the two
-               routes side by side on two threads when the states are large
-               enough to gain from it, and cross-validates Picard's
-               trajectory against ETDRK4's snapshots, read back one at a time
+               a monitor CSV, and report.json; --method both runs the
+               ETDRK4 route in a forked child beside Picard's on two or more
+               usable CPUs, and cross-validates Picard's trajectory against
+               ETDRK4's snapshots, read back one at a time
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-report JSON
                files and a deterministic summary.csv; the checks run one per
                task on forked worker processes, at most one worker per usable
                CPU and per check, with the same output as one after another
-               in-process; a single check runs in-process
+               in-process; a single check runs in-process, and a raising
+               check ends the checks still running
     profile    materialize configured initial data as a snapshot and print
                its monitor record at t = 0
 
@@ -26,7 +27,6 @@ Errors are emitted as a single JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import os
 import shutil
@@ -46,7 +46,7 @@ from .fields import SpectralVectorField, _transforms_rebound
 from .monitor import MonitorRecord, monitor, monitor_rows, write_monitor_csv
 from .semigroup import TimeGrid
 from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
-from .solver import (BlowupSuspected, Cancelled, NonConvergence, SolverConfig, Trajectory,
+from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
                      _etdrk4_meta, compare_trajectories, etdrk4_rows, picard_solve,
                      profile_from_spec)
 from .verification import run_checks, summary_csv
@@ -97,14 +97,12 @@ def _dump_json(path: Path, obj: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: dict,
-           stage: Path, stop: threading.Event | None = None
-           ) -> tuple[dict, dict | None, int, list, Trajectory | None]:
+           stage: Path) -> tuple[dict, dict | None, int, list, Trajectory | None]:
     """Solve by one method and monitor the states as they come, writing
     their snapshots into ``stage`` as <method>_state_<m>.snap. Returns
     the run info for report.json, the error (None if the solve succeeded),
     the exit code, the monitor records and Picard's trajectory (None for
-    ETDRK4, which streams). ``stop`` goes to etdrk4_rows, and once it is set
-    the route raises Cancelled in place of the next monitor batch."""
+    ETDRK4, which streams)."""
     error, code, traj = None, EXIT_OK, None
     if method == "picard":
         try:
@@ -115,7 +113,7 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
         rows = traj.coeffs
     else:
         run_info = {"meta": _etdrk4_meta(cfg)}
-        rows = etdrk4_rows(u0, cfg, stop=stop)
+        rows = etdrk4_rows(u0, cfg)
     tg = cfg.time_grid()
     blowups = []
 
@@ -127,8 +125,6 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
 
     # a batch's snapshots in one burst: one at a time between solve steps took twice as long
     def write(start: int, states: np.ndarray) -> None:
-        if stop is not None and stop.is_set():
-            raise Cancelled("stopped before a monitor batch")
         for m, row in enumerate(states, start):
             write_snapshot(stage / f"{method}_state_{m:04d}.snap",
                            SpectralVectorField(u0.grid, row), float(tg.nodes[m]))
@@ -155,18 +151,6 @@ def _write_trajectory_artifacts(outdir: Path, stage: Path, method: str,
             "states": len(records)}
 
 
-# Half-spectrum bytes of one state from which simulate --method both runs
-# its ETDRK4 route on a worker thread while Picard's runs on the calling
-# thread. The two routes share only u0, and their time goes to FFTs and
-# large elementwise loops, which numpy runs without holding the GIL. On smaller
-# states the GIL hand-offs cost more than the second core gains (measured:
-# 2D/64 and 3D/16 lose, 2D/128 and 3D/32 win). Both routes would call a
-# profiler's wrappers around the transforms, and one that keeps a single
-# call stack per process would mix their attributions from run to run, so
-# with the transforms rebound the routes run one after the other.
-_OVERLAP_BYTES = 256 << 10
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -180,6 +164,31 @@ def _worker_count(jobs: int) -> int:
     rebound, since a profiler's wrappers attribute each transform to one
     call stack."""
     return 1 if _transforms_rebound() else max(1, min(jobs, _usable_cpus()))
+
+
+def _fork_pool(stack: ExitStack, jobs: int, caller_works: bool = False):
+    """A fork-context pool of one worker per core that _worker_count spreads
+    ``jobs`` over, less one if the caller works on a job itself; None where
+    the jobs stay in this process: on one core, without os.fork, or beside
+    another live thread, whose locks would stay held in a forked child.
+    Leaving ``stack`` ends every live worker, a running task's too, and then
+    shuts the pool down."""
+    cores = _worker_count(jobs)
+    if cores < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    import multiprocessing  # only this path pays its imports
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(cores - caller_works,
+                               mp_context=multiprocessing.get_context("fork"))
+
+    def end() -> None:
+        # shutdown() waits for a running task, so its worker is ended first
+        for process in list(pool._processes.values()):
+            process.terminate()
+        pool.shutdown(cancel_futures=True)
+
+    stack.callback(end)
+    return pool
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -196,27 +205,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     methods = ["picard", "etdrk4"] if args.method == "both" else [args.method]
     trajs: dict[str, Trajectory | None] = {}
     with ExitStack() as stack:
-        # a hidden staging directory, removed after the worker is joined: a
+        # a hidden staging directory, removed after the child is ended: a
         # failed Picard route or an interrupt leaves no snapshots/etdrk4 behind
         stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=outdir / "snapshots"))
         stack.callback(shutil.rmtree, stage, ignore_errors=True)
         routes = [partial(_route, method, u0, cfg, mon_opts, stage) for method in methods]
-        # leaving the block stops and joins the worker, on every path: a failed
-        # Picard route drops ETDRK4's result, and an ETDRK4 failure is reported
-        # after Picard's artifacts are written, as in a sequential run
-        if (len(routes) == 2 and u0.coeffs.nbytes >= _OVERLAP_BYTES
-                and _worker_count(2) == 2):
-            from concurrent.futures import ThreadPoolExecutor  # only this path pays its import
-            pool = stack.enter_context(ThreadPoolExecutor(1))
-            # set before the pool joins the worker, so that a run whose Picard
-            # route failed, or that is interrupted, does not wait for the rest
-            # of the ETDRK4 solve or for its monitor work; a batch under way
-            # still finishes
-            stop = threading.Event()
-            stack.callback(stop.set)
-            # the worker runs the whole ETDRK4 route in the caller's context,
-            # numpy's error state included
-            routes[1] = pool.submit(contextvars.copy_context().run, routes[1], stop=stop).result
+        # a forked child runs the whole ETDRK4 route while Picard's runs here.
+        # A failed Picard route drops ETDRK4's result, and an ETDRK4 failure
+        # is reported after Picard's artifacts are written, as in a sequential run
+        if (pool := _fork_pool(stack, len(routes), caller_works=True)) is not None:
+            routes[1] = pool.submit(routes[1]).result
         for method, route in zip(methods, routes):
             run_info, report["error"], code, records, trajs[method] = route()
             run_info.update(_write_trajectory_artifacts(outdir, stage, method, records, echo))
@@ -311,21 +309,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = _worker_count(len(set(checks)))
-    run = map
     with ExitStack() as stack:
-        # a forked child holds only the calling thread, and any lock that another
-        # thread held at the fork stays locked in it, so only a lone thread forks
-        if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-            import multiprocessing  # only this path pays its imports
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            # drops the checks not yet started and joins every worker, on every path
-            stack.callback(pool.shutdown, cancel_futures=True)
-            run = pool.map
+        pool = _fork_pool(stack, len(set(checks)))
         # read in canonical order: the in-process reports and, if checks
         # raise, the error of the first of them in that order
-        reports = run_checks(checks, seed, sizes, run)
+        reports = run_checks(checks, seed, sizes, map if pool is None else pool.map)
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())

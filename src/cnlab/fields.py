@@ -276,9 +276,9 @@ _BOUND_MARGIN = 1.0 + 1e-9
 
 def _divergence_bound(grid: Grid, coeffs: np.ndarray) -> float:
     """Bound sum_k |k . c(k)| over the full spectrum on sup |div f|, with no
-    transform; a bound for non-Hermitian self-conjugate planes too, and nan or
-    inf for non-finite or overflow-scale input."""
-    return float(np.vdot(grid.mirror_weights, np.abs(divergence_coeffs(grid, coeffs))))
+    transform, also for non-Hermitian self-conjugate planes; nan or inf for
+    non-finite or overflow-scale input. numpy's sum: BLAS's dot spins a second core."""
+    return float(np.sum(grid.mirror_weights * np.abs(divergence_coeffs(grid, coeffs))))
 
 
 def project_mean_zero(f: SpectralVectorField) -> SpectralVectorField:

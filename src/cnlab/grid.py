@@ -16,16 +16,8 @@ first half of a full spectrum. The one exception is the box of radius r,
 max_i |k_i| <= r: box_index gathers it from a half as a compact
 (2r+1, ..., 2r+1, r+1) array, and the projected-divergence table is held on
 it (the 2/3 box r = res // 3 for dealiased products, 28 % of the half on
-3D/32). A Grid is immutable once constructed and safe to share between
-threads; the derived tables are plain caches of pure functions of (dim, res)
-and, for the box tables, the radius. cnlab relies on this: simulate --method
-both runs its Picard and ETDRK4 routes, solves and monitor batches, on two
-threads over one Grid. Two threads may both miss a table and build it (a
-box table in _per_radius; a cached property too from Python 3.12, whose
-cached_property takes no lock; the monitor's dyadic partition, since the
-lru_cache of littlewood_paley.build_partition holds no lock while it
-builds). The race is benign: both build identical tables that nothing
-writes, each uses its own, and the cache keeps one of them.
+3D/32). A Grid is immutable once constructed; the derived tables are plain
+caches of pure functions of (dim, res) and, for the box tables, the radius.
 """
 
 from __future__ import annotations

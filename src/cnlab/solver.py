@@ -26,7 +26,6 @@ functional controlling convergence of the fixed point.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -55,14 +54,11 @@ class NonConvergence(RuntimeError):
         return type(self), (self.args[0], self.trajectory, self.report)
 
 
-class Cancelled(RuntimeError):
-    """An ETDRK4 solve or a simulate route stopped early because its stop event was set."""
-
-
 class BlowupSuspected(RuntimeError):
     """Time stepping hit NaN/overflow at trajectory.meta["blowup_time"]; the
     trajectory holds finite states before it, the last one last_state: all
-    of them from etdrk4_integrate, only that last one from etdrk4_rows."""
+    of them from etdrk4_integrate, only that last one from etdrk4_rows. It
+    pickles with its trajectory, as a forked worker sends it back."""
 
     def __init__(self, trajectory: "Trajectory"):
         super().__init__(f"non-finite state at t = {trajectory.meta['blowup_time']:.6g}")
@@ -407,8 +403,7 @@ def _etdrk4_meta(cfg: SolverConfig) -> dict:
     return {"nu": cfg.nu, "dt": dt}
 
 
-def etdrk4_rows(u0: SpectralVectorField, cfg: SolverConfig,
-                stop: threading.Event | None = None) -> Iterator[np.ndarray]:
+def etdrk4_rows(u0: SpectralVectorField, cfg: SolverConfig) -> Iterator[np.ndarray]:
     """Fixed-step exponential integrator yielding the state at each time-grid
     node as a fresh array, a copy of u0's coefficients first.
 
@@ -416,9 +411,8 @@ def etdrk4_rows(u0: SpectralVectorField, cfg: SolverConfig,
     an integer number of equal steps so node times are hit exactly. Raises
     BlowupSuspected on NaN/overflow: its meta["blowup_time"] is the node it
     missed, its trajectory the last finite state alone, on the time grid from
-    that state's node on. Every right-hand side first looks at ``stop``, if
-    given, and raises Cancelled once it is set, so another thread can end the
-    solve within one stage.
+    that state's node on. It has no stop: simulate ends the solve early by
+    ending the forked child that runs it.
     """
     grid = u0.grid
     if (grid.dim, grid.res) != (cfg.dim, cfg.res):
@@ -428,8 +422,6 @@ def etdrk4_rows(u0: SpectralVectorField, cfg: SolverConfig,
     lam = -cfg.nu * grid.ksq
 
     def rhs(coeffs: np.ndarray) -> np.ndarray:
-        if stop is not None and stop.is_set():
-            raise Cancelled("stopped before the horizon")
         if not np.all(np.isfinite(coeffs)):
             raise _NonFinite
         f = SpectralVectorField(grid, coeffs)

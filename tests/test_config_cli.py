@@ -495,46 +495,70 @@ BLOWUP_SIM = {"dim": 2, "res": 16, "nu": 1e-3, "horizon": 1.0,
               "profile": {"kind": "random_divfree", "amplitude": 1e3, "seed": 1}}
 
 
+def wait_for(ready, seconds=60.0):
+    """Poll ready() until it is true or the seconds have passed; its last value."""
+    deadline = time.monotonic() + seconds
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return ready()
+
+
 class TestSimulateOverlap:
     """simulate --method both ends the same, artifact for artifact, whether
-    the ETDRK4 route runs on a worker thread beside Picard's (cutoff 0) or
-    after it on the calling thread (cutoff inf)."""
+    the ETDRK4 route runs in a forked child beside Picard's (2 CPUs) or
+    after it in the calling process (1 CPU)."""
 
     @staticmethod
-    def run(tmp_path, monkeypatch, capsys, data, cutoff):
-        """The run's (exit code, stderr, files, report), the threads that
-        iterated etdrk4_rows, {method: threads} of the snapshot writes and
-        the thread of each monitor batch."""
-        monkeypatch.setattr(cli, "_OVERLAP_BYTES", cutoff)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        solved_on, written_on, monitored_on = [], {}, []
+    def run(tmp_path, monkeypatch, capsys, data, cpus):
+        """The run's (exit code, stderr, files, report), the pids that
+        iterated etdrk4_rows, {method: pids} of the snapshot writes and the
+        pid of each monitor batch. The pids are noted in files, which a
+        forked child shares with this process. Beside a forked child,
+        Picard's route starts once the child has started ETDRK4's."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        notes = tmp_path / f"notes-{cpus}"
+        notes.mkdir(parents=True)
+
+        def note(name):
+            with open(notes / name, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        def noted(name):
+            path = notes / name
+            return [int(pid) for pid in path.read_text().split()] if path.exists() else []
 
         def rows(*args, **kwargs):
-            solved_on.append(threading.current_thread())
+            note("solved")
             yield from etdrk4_rows(*args, **kwargs)
 
-        def write_on_thread(path, *args):
+        def picard_solve(*args):
+            # the forked child is alive from before Picard's route on
+            assert not multiprocessing.active_children() or wait_for(lambda: noted("solved"))
+            return solver.picard_solve(*args)
+
+        def write_noting(path, *args):
             # each route stages its snapshots in snapshots/.staging-XXXX as
             # <method>_state_<m>.snap
-            method = Path(path).name.split("_")[0]
-            written_on.setdefault(method, set()).add(threading.current_thread())
+            note("written-" + Path(path).name.split("_")[0])
             return write_snapshot(path, *args)
 
-        def besov_on_thread(*args):
-            monitored_on.append(threading.current_thread())
+        def besov_noting(*args):
+            note("monitored")
             return besov_norm_states(*args)
 
         monkeypatch.setattr(cli, "etdrk4_rows", rows)
-        monkeypatch.setattr(cli, "write_snapshot", write_on_thread)
+        monkeypatch.setattr(cli, "picard_solve", picard_solve)
+        monkeypatch.setattr(cli, "write_snapshot", write_noting)
         # the Besov column is taken once per monitor batch
-        monkeypatch.setattr("cnlab.monitor.besov_norm_states", besov_on_thread)
+        monkeypatch.setattr("cnlab.monitor.besov_norm_states", besov_noting)
         cfg = write_json(tmp_path / "cfg.json", data)
-        out = tmp_path / f"out-{cutoff}"
+        out = tmp_path / f"out-{cpus}"
         threads = threading.active_count()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli_main(["simulate", "--config", str(cfg), "--out", str(out),
                              "--method", "both"])
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         # no staging directory is left behind
@@ -544,7 +568,9 @@ class TestSimulateOverlap:
                  for p in sorted(out.rglob("*")) if p.is_file() and p.name != "report.json"}
         report = json.loads((out / "report.json").read_text().replace(str(out), "OUT"))
         report["runs"]["picard"]["convergence"].pop("wall_time")
-        return (code, err, files, report), solved_on, written_on, monitored_on
+        written = {path.name.removeprefix("written-"): set(noted(path.name))
+                   for path in notes.glob("written-*")}
+        return (code, err, files, report), noted("solved"), written, noted("monitored")
 
     @pytest.mark.parametrize("case, data, exit_code", [
         ("converged", OVERLAP_SIM, 0),
@@ -555,139 +581,120 @@ class TestSimulateOverlap:
         # a loose tolerance lets Picard pass, so ETDRK4's blow-up decides
         ("etdrk4-blows-up", {**BLOWUP_SIM, "picard": {"node_count": 10,
                                                       "contraction_tol": 1e30}}, 4)])
-    def test_worker_thread_changes_no_artifact(self, tmp_path, monkeypatch, capsys,
-                                               case, data, exit_code):
-        overlapped, on_worker, written_overlapped, monitored_overlapped = self.run(
-            tmp_path, monkeypatch, capsys, data, 0)
-        sequential, on_caller, written_sequential, monitored_sequential = self.run(
-            tmp_path, monkeypatch, capsys, data, math.inf)
-        assert overlapped == sequential
+    def test_forked_child_changes_no_artifact(self, tmp_path, monkeypatch, capsys,
+                                              case, data, exit_code):
+        forked, in_child, written_forked, monitored_forked = self.run(
+            tmp_path, monkeypatch, capsys, data, 2)
+        sequential, in_caller, written_sequential, monitored_sequential = self.run(
+            tmp_path, monkeypatch, capsys, data, 1)
+        assert forked == sequential
         code, err, files, report = sequential
         assert code == exit_code
         assert (json.loads(err)["error"]["type"] if err else None) == (
             report["error"] and report["error"]["type"])
-        # a failed Picard route drops ETDRK4's result, which the worker computed
+        # a failed Picard route drops ETDRK4's result, which the child computed
         routes = {"picard"} if exit_code == 3 else {"picard", "etdrk4"}
         assert set(report["runs"]) == routes
         assert {name.split("/")[1] for name in files if "/" in name} == routes
-        main = threading.main_thread()
-        assert len(on_worker) == 1 and on_worker[0] is not main
-        assert on_caller == [main] * (len(routes) - 1)
-        # the worker runs the whole ETDRK4 route, its snapshots and its one
+        here = os.getpid()
+        assert len(in_child) == 1 and in_child[0] != here
+        assert in_caller == [here] * (len(routes) - 1)
+        # the child runs the whole ETDRK4 route, its snapshots and its one
         # monitor batch included; after a failed Picard route it may or may
         # not have reached them
-        worker = on_worker[0]
+        child = in_child[0]
         if exit_code == 3:
-            written_overlapped.setdefault("etdrk4", {worker})
-            if worker not in monitored_overlapped:
-                monitored_overlapped.append(worker)
-        assert written_overlapped == {"picard": {main}, "etdrk4": {worker}}
-        assert sorted(monitored_overlapped, key=lambda t: t is worker) == [main, worker]
-        assert written_sequential == dict.fromkeys(routes, {main})
-        assert monitored_sequential == [main] * len(routes)
+            written_forked.setdefault("etdrk4", {child})
+            if child not in monitored_forked:
+                monitored_forked.append(child)
+        assert written_forked == {"picard": {here}, "etdrk4": {child}}
+        assert sorted(monitored_forked, key=lambda pid: pid == child) == [here, child]
+        assert written_sequential == dict.fromkeys(routes, {here})
+        assert monitored_sequential == [here] * len(routes)
 
-    def test_small_states_stay_on_the_calling_thread(self, tmp_path, monkeypatch, capsys):
-        # 2D/16 states are 4.5 KiB, below the module's cutoff
-        _, solved_on, written_on, monitored_on = self.run(tmp_path, monkeypatch, capsys,
-                                                          OVERLAP_SIM, cli._OVERLAP_BYTES)
-        main = threading.main_thread()
-        assert solved_on == [main]
-        assert written_on == dict.fromkeys(["picard", "etdrk4"], {main})
-        assert monitored_on == [main, main]
-
-    def test_rebound_transforms_keep_the_calling_thread(self, tmp_path, monkeypatch, capsys):
+    def test_rebound_transforms_keep_the_calling_process(self, tmp_path, monkeypatch, capsys):
         # a wrapper around a numpy transform, as a profiler installs one
         irfftn = np.fft.irfftn
         monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: irfftn(*a, **k))
-        _, solved_on, written_on, monitored_on = self.run(tmp_path, monkeypatch, capsys,
-                                                          OVERLAP_SIM, 0)
-        main = threading.main_thread()
-        assert solved_on == [main]
-        assert written_on == dict.fromkeys(["picard", "etdrk4"], {main})
-        assert monitored_on == [main, main]
+        _, solved_in, written_in, monitored_in = self.run(tmp_path, monkeypatch, capsys,
+                                                          OVERLAP_SIM, 2)
+        here = os.getpid()
+        assert solved_in == [here]
+        assert written_in == dict.fromkeys(["picard", "etdrk4"], {here})
+        assert monitored_in == [here, here]
+
+    def test_the_child_keeps_the_callers_error_state(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        seen = tmp_path / "seen.json"
+
+        def rows(u0, cfg):
+            seen.write_text(json.dumps([os.getpid(), np.geterr()]))
+            yield from etdrk4_rows(u0, cfg)
+
+        monkeypatch.setattr(cli, "etdrk4_rows", rows)
+        cfg = write_json(tmp_path / "cfg.json", OVERLAP_SIM)
+        with np.errstate(divide="ignore", over="raise"):
+            want = np.geterr()
+            assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                             "--method", "both"]) == 0
+        assert want != np.geterr()
+        pid, err = json.loads(seen.read_text())
+        assert pid != os.getpid() and err == want
 
     @pytest.mark.parametrize("data", [
         {**OVERLAP_SIM, "picard": {"node_count": 8, "max_iters": 1}}, BLOWUP_SIM])
-    def test_failed_picard_stops_the_worker(self, tmp_path, monkeypatch, data):
-        monkeypatch.setattr(cli, "_OVERLAP_BYTES", 0)
+    def test_failed_picard_ends_the_child(self, tmp_path, monkeypatch, data):
+        # the child holds its solve back for 60 s, and Picard's route starts
+        # only once it does
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        ends = []
+        held = tmp_path / "held"
 
-        def rows(u0, cfg, stop):
-            # hold the solve back until the calling thread has left the
-            # overlap; a stop that never comes leaves False here
-            ends.append(stop.wait(60))
-            try:
-                yield from etdrk4_rows(u0, cfg, stop)
-            except solver.Cancelled:
-                ends.append("cancelled")
-            else:
-                ends.append("finished")
+        def rows(u0, cfg):
+            held.write_text(str(os.getpid()))
+            time.sleep(60)
+            yield from etdrk4_rows(u0, cfg)
+
+        def picard_solve(u0, cfg):
+            assert wait_for(held.exists)
+            return solver.picard_solve(u0, cfg)
 
         monkeypatch.setattr(cli, "etdrk4_rows", rows)
+        monkeypatch.setattr(cli, "picard_solve", picard_solve)
         cfg = write_json(tmp_path / "cfg.json", data)
         out = tmp_path / "out"
-        threads = threading.active_count()
+        start = time.monotonic()
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
                          "--method", "both"]) == 3
-        assert threading.active_count() == threads
-        assert ends == [True, "cancelled"]
-        # the worker staged u0's snapshot after the stop, before its solve
-        # looked at it; the staging directory is gone with it
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+        assert int(held.read_text()) != os.getpid()
+        # the child staged u0's snapshot before its solve; the staging
+        # directory is gone with it
         assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
 
-    def test_no_monitor_pass_after_the_stop(self, tmp_path, monkeypatch):
-        # the solve runs to its end only after Picard has failed and the
-        # calling thread has set the stop; the worker then skips its monitor batch
-        monkeypatch.setattr(cli, "_OVERLAP_BYTES", 0)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        ends, monitored_on = [], []
-
-        def rows(u0, cfg, stop):
-            ends.append(stop.wait(60))
-            yield from etdrk4_rows(u0, cfg)
-            ends.append("finished")
-
-        def besov_on_thread(*args):
-            monitored_on.append(threading.current_thread())
-            return besov_norm_states(*args)
-
-        monkeypatch.setattr(cli, "etdrk4_rows", rows)
-        monkeypatch.setattr("cnlab.monitor.besov_norm_states", besov_on_thread)
-        cfg = write_json(tmp_path / "cfg.json",
-                         {**OVERLAP_SIM, "picard": {"node_count": 8, "max_iters": 1}})
-        out = tmp_path / "out"
-        threads = threading.active_count()
-        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
-                         "--method", "both"]) == 3
-        assert threading.active_count() == threads
-        assert ends == [True, "finished"]
-        assert monitored_on == [threading.main_thread()]
-        assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
-
-    @pytest.mark.parametrize("cutoff, left", [(0, []), (math.inf, ["picard"])])
-    def test_an_interrupt_leaves_no_etdrk4_snapshots(self, tmp_path, monkeypatch, cutoff, left):
+    @pytest.mark.parametrize("cpus, left", [(2, []), (1, ["picard"])])
+    def test_an_interrupt_leaves_no_etdrk4_snapshots(self, tmp_path, monkeypatch, cpus, left):
         # batches of one state, so each snapshot is staged before the next
-        # state is made. On the worker, Picard's route is interrupted once
-        # ETDRK4's has staged three snapshots; on the calling thread, ETDRK4's
-        # route is interrupted after its third
+        # state is made. With a forked child, Picard's route is interrupted
+        # once ETDRK4's has staged three snapshots; in the calling process,
+        # ETDRK4's route is interrupted after its third
         monkeypatch.setattr(littlewood_paley, "_BATCH_BYTES", 1)
-        monkeypatch.setattr(cli, "_OVERLAP_BYTES", cutoff)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        staged = threading.Event()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        here = os.getpid()
 
-        def rows(u0, cfg, stop=None):
-            for m, row in enumerate(etdrk4_rows(u0, cfg, stop)):
-                if m == 3:
-                    assert len(list(out.glob("snapshots/.staging-*/etdrk4_*.snap"))) == 3
-                    staged.set()
-                    if stop is None:
-                        raise KeyboardInterrupt
+        def staged():
+            return len(list(out.glob("snapshots/.staging-*/etdrk4_*.snap")))
+
+        def rows(u0, cfg):
+            for m, row in enumerate(etdrk4_rows(u0, cfg)):
+                if m == 3 and os.getpid() == here:
+                    assert staged() == 3
+                    raise KeyboardInterrupt
                 yield row
 
         def picard_solve(u0, cfg):
-            if cutoff == 0:
-                assert staged.wait(60)
+            if cpus == 2:
+                assert wait_for(lambda: staged() >= 3)
                 raise KeyboardInterrupt
             return solver.picard_solve(u0, cfg)
 
@@ -698,8 +705,8 @@ class TestSimulateOverlap:
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             cli_main(["simulate", "--config", str(cfg), "--out", str(out), "--method", "both"])
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
-        assert staged.is_set()
         assert [p.name for p in (out / "snapshots").iterdir()] == left
 
 
@@ -1042,7 +1049,11 @@ class TestVerifyWorkers:
 
     @pytest.mark.parametrize("case", ["rebound-transforms", "no-fork", "other-thread"])
     def test_unforkable_runs_stay_in_process(self, tmp_path, monkeypatch, capsys, case):
+        # verify's checks, and simulate --method both's ETDRK4 route
         want = self.run(tmp_path, monkeypatch, capsys, 2, tag="forked")
+        want_sim, in_child, *_ = TestSimulateOverlap.run(tmp_path / "sim-forked", monkeypatch,
+                                                         capsys, OVERLAP_SIM, 2)
+        assert in_child != [os.getpid()]
         refuse_process_pools(monkeypatch)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
@@ -1056,6 +1067,9 @@ class TestVerifyWorkers:
             other.start()
         try:
             assert self.run(tmp_path, monkeypatch, capsys, 2, tag=case) == want
+            got_sim, in_caller, *_ = TestSimulateOverlap.run(tmp_path / f"sim-{case}",
+                                                             monkeypatch, capsys, OVERLAP_SIM, 2)
+            assert (got_sim, in_caller) == (want_sim, [os.getpid()])
         finally:
             release.set()
             if other.is_alive():
@@ -1157,6 +1171,22 @@ class TestVerifyWorkers:
         code, err, files = self.run(tmp_path, monkeypatch, capsys, 2)
         assert code == 1 and json.loads(err)["error"]["message"] == "no" and files == {}
         assert not (tmp_path / f"{rest[-1]}.pid").exists()
+
+    def test_a_raising_check_ends_the_checks_running(self, tmp_path, monkeypatch, capsys):
+        # the second check sleeps for 60 s, and the first raises once it runs
+        first, second, *rest = CHECKS
+        started = tmp_path / f"{second}.pid"
+        raising = fake_check(tmp_path, first, 0.0, ValueError("no"))
+        monkeypatch.setitem(CHECKS, first,
+                            lambda **sizes: wait_for(started.exists) and raising(**sizes))
+        monkeypatch.setitem(CHECKS, second, fake_check(tmp_path, second, 60.0))
+        for name in rest:
+            monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name))
+        begin = time.monotonic()
+        code, err, files = self.run(tmp_path, monkeypatch, capsys, 2)
+        assert time.monotonic() - begin < 30
+        assert code == 1 and json.loads(err)["error"]["message"] == "no" and files == {}
+        assert int(started.read_text()) != os.getpid()
 
     @pytest.mark.parametrize("jobs, cpus, workers", [
         (0, 4, 1), (1, 4, 1), (7, 1, 1), (7, 2, 2), (2, 8, 2), (7, 64, 7), (11, 64, 11)])

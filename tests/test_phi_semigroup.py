@@ -1,6 +1,10 @@
 """Heat flow, projection, Duhamel quadrature, and the phi-function kernels."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +189,35 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             nonlinearity(single_mode_vector(grid, (1,) + (0,) * (dim - 1), 0))
         assert len(calls) == 1  # a divergent input gets the exact guard
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_the_divergence_guard_keeps_to_one_core(self):
+        # the guard's sum once went to BLAS's threaded dot from 3D/32 on, whose
+        # helper thread spun for about 0.1 s after each call when no BLAS
+        # thread count is set: 1.98 CPU seconds per wall second on 2 CPUs
+        script = """
+import os, time
+from cnlab.grid import Grid
+from cnlab.semigroup import nonlinearity
+from cnlab.solver import make_profile
+u = make_profile(Grid(3, 32), "random_divfree", amplitude=0.1)
+nonlinearity(u)
+time.sleep(0.5)
+wall, cpu = time.perf_counter(), os.times()
+for _ in range(200):
+    nonlinearity(u)
+end = os.times()
+print((end.user + end.system - cpu.user - cpu.system) / (time.perf_counter() - wall))
+"""
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if "PYTHONPATH" in env else "")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= 1.3
 
 
 class TestDuhamel:

@@ -330,34 +330,6 @@ class TestEtdrk4:
                 solve(u0, cfg)
         assert np.all(np.isfinite(etdrk4_integrate(u0, cfg).coeffs))
 
-    def test_stop_event_ends_the_solve_within_one_stage(self):
-        g = Grid(2, 16)
-        u0 = make_profile(g, "random_divfree", amplitude=0.3, seed=1)
-        cfg = SolverConfig(dim=2, res=16, nu=0.7, horizon=0.2,
-                           picard=PicardOptions(node_count=8),
-                           etdrk4=EtdrkOptions(dt=0.005))
-
-        class StopAfter:
-            """An event that reads set from its (n + 1)-th look on."""
-
-            def __init__(self, n):
-                self.n, self.looks = n, 0
-
-            def is_set(self):
-                self.looks += 1
-                return self.looks > self.n
-
-        # 40 steps of four stages; the solve stops at the seventh look
-        stop = StopAfter(6)
-        with pytest.raises(solver.Cancelled):
-            list(etdrk4_rows(u0, cfg, stop))
-        assert stop.looks == 7
-        # an event that is never set changes nothing
-        never = StopAfter(math.inf)
-        assert (np.stack(list(etdrk4_rows(u0, cfg, never))).tobytes()
-                == etdrk4_integrate(u0, cfg).coeffs.tobytes())
-        assert never.looks == 4 * 40
-
     def test_blowup_trajectory_is_the_finite_states(self):
         g = Grid(2, 16)
         u0 = make_profile(g, "random_divfree", amplitude=1e3, seed=1)
