@@ -3,17 +3,19 @@
 Subcommands:
     simulate   run the mild solver on a configured profile, writing state
                snapshots and monitor records as the solve makes the states,
-               a monitor CSV, and report.json; --method both runs the
-               ETDRK4 route in a forked child beside Picard's on two or more
-               usable CPUs, and cross-validates Picard's trajectory against
-               ETDRK4's snapshots, read back one at a time
+               a monitor CSV, and report.json; one rename per route publishes
+               its snapshots as snapshots/<method>, replacing an earlier run's;
+               --method both runs the ETDRK4 route in a forked child beside
+               Picard's on two or more usable CPUs, and cross-validates
+               Picard's trajectory against ETDRK4's snapshots, read back one
+               at a time
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-report JSON
                files and a deterministic summary.csv; the checks run one per
-               task on forked worker processes, at most one worker per usable
-               CPU and per check, with the same output as one after another
-               in-process; a single check runs in-process, and a raising
-               check ends the checks still running
+               task on a fork-context multiprocessing Pool, at most one worker
+               per usable CPU and per check, with the same output as one after
+               another in-process; a single check runs in-process, and a
+               raising check or an interrupt ends the checks still running
     profile    materialize configured initial data as a snapshot and print
                its monitor record at t = 0
 
@@ -31,8 +33,8 @@ import json
 import os
 import shutil
 import sys
-import tempfile
 import threading
+import uuid
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
@@ -99,7 +101,7 @@ def _dump_json(path: Path, obj: dict) -> None:
 def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: dict,
            stage: Path) -> tuple[dict, dict | None, int, list, Trajectory | None]:
     """Solve by one method and monitor the states as they come, writing
-    their snapshots into ``stage`` as <method>_state_<m>.snap. Returns
+    their snapshots into ``stage`` as state_<m>.snap. Returns
     the run info for report.json, the error (None if the solve succeeded),
     the exit code, the monitor records and Picard's trajectory (None for
     ETDRK4, which streams)."""
@@ -126,7 +128,7 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
     # a batch's snapshots in one burst: one at a time between solve steps took twice as long
     def write(start: int, states: np.ndarray) -> None:
         for m, row in enumerate(states, start):
-            write_snapshot(stage / f"{method}_state_{m:04d}.snap",
+            write_snapshot(stage / f"state_{m:04d}.snap",
                            SpectralVectorField(u0.grid, row), float(tg.nodes[m]))
 
     records = monitor_rows(finite(), u0.grid, tg.nodes, tg.horizon, float(cfg.nu), **mon_opts,
@@ -138,13 +140,12 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
 
 def _write_trajectory_artifacts(outdir: Path, stage: Path, method: str,
                                 records: list[MonitorRecord], echo: dict) -> dict:
-    """Move a route's staged snapshots into snapshots/<method>, one at a time,
-    and write its monitor CSV."""
+    """Publish a route's staged snapshots as snapshots/<method>, replacing
+    what an earlier run left there, with one rename, and write its monitor CSV."""
     snapdir = outdir / "snapshots" / method
-    snapdir.mkdir(exist_ok=True)
+    shutil.rmtree(snapdir, ignore_errors=True)
+    os.replace(stage, snapdir)
     paths = [snapdir / f"state_{m:04d}.snap" for m in range(len(records))]
-    for p in paths:
-        os.replace(stage / f"{method}_{p.name}", p)
     csv_path = outdir / f"monitor_{method}.csv"
     write_monitor_csv(records, csv_path, config_echo=echo)
     return {"snapshots": list(map(str, paths)), "monitor_csv": str(csv_path),
@@ -167,28 +168,18 @@ def _worker_count(jobs: int) -> int:
 
 
 def _fork_pool(stack: ExitStack, jobs: int, caller_works: bool = False):
-    """A fork-context pool of one worker per core that _worker_count spreads
-    ``jobs`` over, less one if the caller works on a job itself; None where
-    the jobs stay in this process: on one core, without os.fork, or beside
-    another live thread, whose locks would stay held in a forked child.
-    Leaving ``stack`` ends every live worker, a running task's too, and then
-    shuts the pool down."""
+    """A fork-context multiprocessing Pool of one worker per core that
+    _worker_count spreads ``jobs`` over, less one if the caller works on a
+    job itself; None where the jobs stay in this process: on one core,
+    without os.fork, or beside another live thread, whose locks would stay
+    held in a forked child. The pool is entered into ``stack``: leaving it
+    calls terminate(), which ends every worker, a running task's too, and
+    joins the pool's threads."""
     cores = _worker_count(jobs)
     if cores < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return None
     import multiprocessing  # only this path pays its imports
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(cores - caller_works,
-                               mp_context=multiprocessing.get_context("fork"))
-
-    def end() -> None:
-        # shutdown() waits for a running task, so its worker is ended first
-        for process in list(pool._processes.values()):
-            process.terminate()
-        pool.shutdown(cancel_futures=True)
-
-    stack.callback(end)
-    return pool
+    return stack.enter_context(multiprocessing.get_context("fork").Pool(cores - caller_works))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -205,17 +196,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     methods = ["picard", "etdrk4"] if args.method == "both" else [args.method]
     trajs: dict[str, Trajectory | None] = {}
     with ExitStack() as stack:
-        # a hidden staging directory, removed after the child is ended: a
-        # failed Picard route or an interrupt leaves no snapshots/etdrk4 behind
-        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=outdir / "snapshots"))
-        stack.callback(shutil.rmtree, stage, ignore_errors=True)
-        routes = [partial(_route, method, u0, cfg, mon_opts, stage) for method in methods]
+        # a hidden staging directory per route, with the mode of snapshots/
+        # (mkdtemp's is 0o700), removed after the child is ended: a failed
+        # Picard route or an interrupt publishes no snapshots/etdrk4
+        stages = [outdir / "snapshots" / f".{method}-{uuid.uuid4().hex[:12]}" for method in methods]
+        for stage in stages:
+            stage.mkdir()
+            stack.callback(shutil.rmtree, stage, ignore_errors=True)
+        routes = [partial(_route, method, u0, cfg, mon_opts, stage)
+                  for method, stage in zip(methods, stages)]
         # a forked child runs the whole ETDRK4 route while Picard's runs here.
         # A failed Picard route drops ETDRK4's result, and an ETDRK4 failure
         # is reported after Picard's artifacts are written, as in a sequential run
         if (pool := _fork_pool(stack, len(routes), caller_works=True)) is not None:
-            routes[1] = pool.submit(routes[1]).result
-        for method, route in zip(methods, routes):
+            routes[1] = pool.apply_async(routes[1]).get
+        for method, stage, route in zip(methods, stages, routes):
             run_info, report["error"], code, records, trajs[method] = route()
             run_info.update(_write_trajectory_artifacts(outdir, stage, method, records, echo))
             report["runs"][method] = run_info
@@ -313,7 +308,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         pool = _fork_pool(stack, len(set(checks)))
         # read in canonical order: the in-process reports and, if checks
         # raise, the error of the first of them in that order
-        reports = run_checks(checks, seed, sizes, map if pool is None else pool.map)
+        reports = run_checks(checks, seed, sizes, map if pool is None else pool.imap)
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())

@@ -1,11 +1,12 @@
 """Strict config parsing and the in-process command line surface."""
 
-import concurrent.futures
 import dataclasses
 import json
 import math
 import multiprocessing
+import multiprocessing.pool
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -484,6 +485,40 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["runs"]["etdrk4"]["blowup_time"] == pytest.approx(0.2)
 
+    def test_a_rerun_replaces_the_earlier_snapshots(self, tmp_path):
+        # a shorter second run into the same --out once left the first run's
+        # last four states in snapshots/picard, and monitor read all nine
+        out = tmp_path / "out"
+        for nodes, horizon in ((8, 1.0), (4, 0.5)):
+            cfg = write_json(tmp_path / "cfg.json", {**TG_SIM, "horizon": horizon,
+                                                     "picard": {"node_count": nodes}})
+            assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        snapdir = out / "snapshots" / "picard"
+        assert sorted(map(str, snapdir.iterdir())) == report["runs"]["picard"]["snapshots"]
+        assert len(report["runs"]["picard"]["snapshots"]) == 5
+        csv = tmp_path / "m.csv"
+        assert cli_main(["monitor", "--snapshots", str(snapdir), "--out", str(csv)]) == 0
+        assert [r.t for r in read_monitor_csv(csv)] == [0.0, 0.125, 0.25, 0.375, 0.5]
+
+    def test_published_snapshots_take_the_parent_directory_mode(self, tmp_path):
+        # each snapshots/<method> is made afresh, with the mode of snapshots/
+        # itself, also over an earlier run's directory of another mode
+        cfg = write_json(tmp_path / "cfg.json", TG_SIM)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out), "--method", "both"]
+        umask = os.umask(0o022)
+        try:
+            for _ in range(2):
+                assert cli_main(argv) == 0
+                want = (out / "snapshots").stat().st_mode
+                assert stat.S_IMODE(want) == 0o755
+                for method in ("picard", "etdrk4"):
+                    assert (out / "snapshots" / method).stat().st_mode == want
+                    (out / "snapshots" / method).chmod(0o700)
+        finally:
+            os.umask(umask)
+
 
 # a random 2D/16 run that converges and cross-validates, with the sidecar on
 OVERLAP_SIM = {"dim": 2, "res": 16, "nu": 0.7, "horizon": 0.2,
@@ -537,9 +572,8 @@ class TestSimulateOverlap:
             return solver.picard_solve(*args)
 
         def write_noting(path, *args):
-            # each route stages its snapshots in snapshots/.staging-XXXX as
-            # <method>_state_<m>.snap
-            note("written-" + Path(path).name.split("_")[0])
+            # each route stages its snapshots in its own snapshots/.<method>-XXXX
+            note("written-" + Path(path).parent.name[1:].split("-")[0])
             return write_snapshot(path, *args)
 
         def besov_noting(*args):
@@ -683,7 +717,7 @@ class TestSimulateOverlap:
         here = os.getpid()
 
         def staged():
-            return len(list(out.glob("snapshots/.staging-*/etdrk4_*.snap")))
+            return len(list(out.glob("snapshots/.etdrk4-*/state_*.snap")))
 
         def rows(u0, cfg):
             for m, row in enumerate(etdrk4_rows(u0, cfg)):
@@ -987,7 +1021,7 @@ VERIFY_SMALL = {
 def refuse_process_pools(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify started a process pool")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
 
 
 def fake_check(tmp_path, name, delay=0.0, error=None):
@@ -1187,6 +1221,35 @@ class TestVerifyWorkers:
         assert time.monotonic() - begin < 30
         assert code == 1 and json.loads(err)["error"]["message"] == "no" and files == {}
         assert int(started.read_text()) != os.getpid()
+
+    def test_an_interrupt_ends_the_checks_running(self, tmp_path, monkeypatch):
+        # the first check reports at once and the others sleep for 60 s; the
+        # interrupt comes once the first report is in and the second check runs
+        first, second, *rest = CHECKS
+        monkeypatch.setitem(CHECKS, first, fake_check(tmp_path, first))
+        for name in (second, *rest):
+            monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name, 60.0))
+        started = tmp_path / f"{second}.pid"
+
+        def interrupted(checks, seed, sizes, run):
+            def run_until_a_report(runner, tasks):
+                for _ in run(runner, tasks):
+                    assert wait_for(started.exists)
+                    raise KeyboardInterrupt
+            return run_checks(checks, seed, sizes, run_until_a_report)
+
+        monkeypatch.setattr(cli, "run_checks", interrupted)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "v"
+        threads = threading.active_count()
+        begin = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["verify", "--all", "--out", str(out)])
+        assert time.monotonic() - begin < 30
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        assert int(started.read_text()) != os.getpid()
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("jobs, cpus, workers", [
         (0, 4, 1), (1, 4, 1), (7, 1, 1), (7, 2, 2), (2, 8, 2), (7, 64, 7), (11, 64, 11)])
