@@ -11,11 +11,11 @@ Subcommands:
                at a time
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-report JSON
-               files and a deterministic summary.csv; the checks run one per
-               task on a fork-context multiprocessing Pool, at most one worker
-               per usable CPU and per check, with the same output as one after
-               another in-process; a single check runs in-process, and a
-               raising check or an interrupt ends the checks still running
+               files and a deterministic summary.csv; each check runs in its
+               own forked child, at most one at a time per usable CPU, with
+               the same output as one after another in-process; a single
+               check runs in-process, and a raising check, an interrupt or a
+               child that dies ends the checks still running
     profile    materialize configured initial data as a snapshot and print
                its monitor record at t = 0
 
@@ -35,9 +35,11 @@ import shutil
 import sys
 import threading
 import uuid
+from collections import deque
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -167,19 +169,68 @@ def _worker_count(jobs: int) -> int:
     return 1 if _transforms_rebound() else max(1, min(jobs, _usable_cpus()))
 
 
-def _fork_pool(stack: ExitStack, jobs: int, caller_works: bool = False):
-    """A fork-context multiprocessing Pool of one worker per core that
-    _worker_count spreads ``jobs`` over, less one if the caller works on a
-    job itself; None where the jobs stay in this process: on one core,
-    without os.fork, or beside another live thread, whose locks would stay
-    held in a forked child. The pool is entered into ``stack``: leaving it
-    calls terminate(), which ends every worker, a running task's too, and
-    joins the pool's threads."""
+def _fork_count(jobs: int) -> int:
+    """How many forked children run ``jobs`` at a time: one per core that
+    _worker_count spreads them over; 0 where the jobs stay in this process:
+    on one core, without os.fork, or beside another live thread, whose locks
+    would stay held in a forked child."""
     cores = _worker_count(jobs)
-    if cores < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return None
+    return 0 if cores < 2 or not hasattr(os, "fork") or threading.active_count() > 1 else cores
+
+
+def _send_outcome(send, call: Callable) -> None:
+    # in the forked child: (True, what call() returned) or (False, what it raised)
+    try:
+        outcome = True, call()
+    except Exception as exc:
+        outcome = False, exc
+    send.send(outcome)
+
+
+def _fork(stack: ExitStack, call: Callable):
+    """Start call() in a forked child, which inherits it unpickled and which
+    leaving ``stack`` ends: terminated, a running call's too, and joined.
+    Returns the read end of the pipe that gets the call's outcome."""
     import multiprocessing  # only this path pays its imports
-    return stack.enter_context(multiprocessing.get_context("fork").Pool(cores - caller_works))
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_outcome, args=(send, call))
+    child.start()
+    send.close()  # the child holds the only write end: its death leaves the pipe at EOF
+    stack.callback(child.join)
+    stack.callback(child.terminate)
+    stack.callback(recv.close)
+    return recv
+
+
+def _result(recv):
+    """What a forked call() returned, or what it raised, raised again here;
+    ChildProcessError if its child ended without either, killed say."""
+    try:
+        ok, value = recv.recv()
+    except EOFError:
+        raise ChildProcessError("a forked child ended without a result") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _fork_imap(stack: ExitStack, cores: int, fn: Callable, items):
+    """fn(item) for each item, in order, each call in its own forked child
+    (see _fork), at most ``cores`` at a time: the next starts once a running
+    child's pipe is readable, its outcome sent or the child dead. Outcomes
+    are read in item order, so the error raised is the first in that order."""
+    from multiprocessing.connection import wait
+    todo = deque(enumerate(items))
+    running, ended = {}, {}  # read end -> item index; item index -> read end
+    for k in range(len(todo)):
+        while k not in ended:
+            while todo and len(running) < cores:
+                i, item = todo.popleft()
+                running[_fork(stack, partial(fn, item))] = i
+            for recv in wait(list(running)):
+                ended[running.pop(recv)] = recv
+        yield _result(ended.pop(k))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -208,14 +259,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # a forked child runs the whole ETDRK4 route while Picard's runs here.
         # A failed Picard route drops ETDRK4's result, and an ETDRK4 failure
         # is reported after Picard's artifacts are written, as in a sequential run
-        if (pool := _fork_pool(stack, len(routes), caller_works=True)) is not None:
-            routes[1] = pool.apply_async(routes[1]).get
+        if _fork_count(len(routes)):
+            routes[1] = partial(_result, _fork(stack, routes[1]))
         for method, stage, route in zip(methods, stages, routes):
             run_info, report["error"], code, records, trajs[method] = route()
             run_info.update(_write_trajectory_artifacts(outdir, stage, method, records, echo))
             report["runs"][method] = run_info
             if code != EXIT_OK:
                 break
+        # an earlier run's artifacts of the routes report.json does not list
+        for method in {"picard", "etdrk4"} - report["runs"].keys():
+            shutil.rmtree(outdir / "snapshots" / method, ignore_errors=True)
+            for path in outdir.glob(f"monitor_{method}.*"):
+                path.unlink()
 
     if code == EXIT_OK and len(trajs) == 2:
         # ETDRK4's route ran last: its states are read back from its
@@ -305,10 +361,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
-        pool = _fork_pool(stack, len(set(checks)))
+        cores = _fork_count(len(set(checks)))
         # read in canonical order: the in-process reports and, if checks
         # raise, the error of the first of them in that order
-        reports = run_checks(checks, seed, sizes, map if pool is None else pool.imap)
+        reports = run_checks(checks, seed, sizes,
+                             partial(_fork_imap, stack, cores) if cores else map)
     for rep in reports:
         _dump_json(outdir / f"{rep.name}.json", rep.to_dict())
     atomic_write(outdir / "summary.csv", summary_csv(reports).encode())

@@ -17,8 +17,7 @@ max_i |k_i| <= r: box_index gathers it from a half as a compact
 (2r+1, ..., 2r+1, r+1) array, and the projected-divergence table is held on
 it (the 2/3 box r = res // 3 for dealiased products, 28 % of the half on
 3D/32). A Grid is immutable once constructed; the derived tables are plain
-caches of pure functions of (dim, res) and, for the box tables, the radius,
-so a pickled Grid carries (dim, res) alone.
+caches of pure functions of (dim, res) and, for the box tables, the radius.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.res < 8 or (self.res & (self.res - 1)) != 0:
             raise ValueError(f"res must be a power of two >= 8, got {self.res}")
-
-    def __reduce__(self):  # the cached tables are rebuilt on first use, not pickled
-        return (Grid, (self.dim, self.res))
 
     @property
     def nyquist(self) -> int:

@@ -562,7 +562,7 @@ def run_checks(names: Sequence[str], seed: int = 0, sizes: dict | None = None,
                run: Callable = map) -> list[VerificationReport]:
     """The reports of the named checks, in canonical order. Each check is one
     task, called with sizes[name] and the seed as keywords; run(task runner,
-    tasks) runs them: map one after another, cnlab verify on a fork pool.
+    tasks) runs them: map one after another, cnlab verify in forked children.
     Each check draws its random data from seed alone (its own
     default_rng([seed, k])), so it does not depend on which other checks
     run, or in which process."""

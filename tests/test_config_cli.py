@@ -4,8 +4,8 @@ import dataclasses
 import json
 import math
 import multiprocessing
-import multiprocessing.pool
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -520,6 +520,28 @@ class TestSimulateCommand:
             os.umask(umask)
 
 
+    @pytest.mark.parametrize("second, method, exit_code", [
+        ("BLOWUP_SIM", "both", 3), ("TG_SIM", "picard", 0)])
+    def test_a_rerun_removes_the_routes_it_does_not_publish(self, tmp_path, second, method,
+                                                            exit_code):
+        # a rerun whose Picard route fails never reaches ETDRK4's, and a
+        # Picard-only rerun never runs it: report.json lists no etdrk4 run,
+        # so the first run's snapshots/etdrk4 and monitor_etdrk4 files must
+        # not outlive it
+        out = tmp_path / "out"
+        argv = ["simulate", "--out", str(out), "--config"]
+        first = write_json(tmp_path / "tg.json", {**TG_SIM, "monitor": {"p_list": [4]}})
+        assert cli_main(argv + [str(first), "--method", "both"]) == 0
+        assert (out / "monitor_etdrk4.extra_lp.json").is_file()
+        second = write_json(tmp_path / "second.json", globals()[second])
+        assert cli_main(argv + [str(second), "--method", method]) == exit_code
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["runs"]) == {"picard"}
+        assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
+        assert sorted(map(str, (out / "snapshots" / "picard").iterdir())) == (
+            report["runs"]["picard"]["snapshots"])
+        assert sorted(p.name for p in out.glob("monitor_*")) == ["monitor_picard.csv"]
+
 # a random 2D/16 run that converges and cross-validates, with the sidecar on
 OVERLAP_SIM = {"dim": 2, "res": 16, "nu": 0.7, "horizon": 0.2,
                "picard": {"node_count": 8}, "etdrk4": {"dt": 0.005},
@@ -704,6 +726,33 @@ class TestSimulateOverlap:
         assert int(held.read_text()) != os.getpid()
         # the child staged u0's snapshot before its solve; the staging
         # directory is gone with it
+        assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
+
+    def test_a_killed_child_ends_the_run(self, tmp_path, monkeypatch, capsys):
+        # the forked ETDRK4 route dies of SIGKILL, as under the OOM killer,
+        # after staging u0's snapshot
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        here = os.getpid()
+
+        def rows(u0, cfg):
+            for m, row in enumerate(etdrk4_rows(u0, cfg)):
+                if m == 1 and os.getpid() != here:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield row
+
+        monkeypatch.setattr(cli, "etdrk4_rows", rows)
+        monkeypatch.setattr(littlewood_paley, "_BATCH_BYTES", 1)
+        cfg = write_json(tmp_path / "cfg.json", OVERLAP_SIM)
+        out = tmp_path / "out"
+        threads = threading.active_count()
+        start = time.monotonic()
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--method", "both"]) == 1
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "OSError", "message": "a forked child ended without a result"}
         assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
 
     @pytest.mark.parametrize("cpus, left", [(2, []), (1, ["picard"])])
@@ -1018,10 +1067,10 @@ VERIFY_SMALL = {
 }
 
 
-def refuse_process_pools(monkeypatch):
+def refuse_forks(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("verify started a process pool")
-    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+        raise AssertionError("the command forked a child")
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 def fake_check(tmp_path, name, delay=0.0, error=None):
@@ -1088,7 +1137,7 @@ class TestVerifyWorkers:
         want_sim, in_child, *_ = TestSimulateOverlap.run(tmp_path / "sim-forked", monkeypatch,
                                                          capsys, OVERLAP_SIM, 2)
         assert in_child != [os.getpid()]
-        refuse_process_pools(monkeypatch)
+        refuse_forks(monkeypatch)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
         if case == "rebound-transforms":
@@ -1155,7 +1204,7 @@ class TestVerifyWorkers:
             "paraproduct_s3", "paraproduct_s1.5", "paraproduct_s2"]
 
     def test_single_check_stays_in_process(self, tmp_path, monkeypatch, capsys):
-        refuse_process_pools(monkeypatch)
+        refuse_forks(monkeypatch)
         code, err, files = self.run(tmp_path, monkeypatch, capsys, 2,
                                     argv=("--checks", "embedding"))
         assert (code, err, sorted(files)) == (0, "", ["embedding.json", "summary.csv"])
@@ -1220,6 +1269,28 @@ class TestVerifyWorkers:
         code, err, files = self.run(tmp_path, monkeypatch, capsys, 2)
         assert time.monotonic() - begin < 30
         assert code == 1 and json.loads(err)["error"]["message"] == "no" and files == {}
+        assert int(started.read_text()) != os.getpid()
+
+    def test_a_killed_check_ends_the_checks_running(self, tmp_path, monkeypatch, capsys):
+        # the first check dies of SIGKILL once the second, which sleeps for
+        # 60 s, runs
+        first, second, *rest = CHECKS
+        started = tmp_path / f"{second}.pid"
+
+        def killed(**sizes):
+            assert wait_for(started.exists)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setitem(CHECKS, first, killed)
+        monkeypatch.setitem(CHECKS, second, fake_check(tmp_path, second, 60.0))
+        for name in rest:
+            monkeypatch.setitem(CHECKS, name, fake_check(tmp_path, name))
+        begin = time.monotonic()
+        code, err, files = self.run(tmp_path, monkeypatch, capsys, 2)
+        assert time.monotonic() - begin < 30
+        assert code == 1 and files == {}
+        assert json.loads(err)["error"] == {"type": "OSError",
+                                            "message": "a forked child ended without a result"}
         assert int(started.read_text()) != os.getpid()
 
     def test_an_interrupt_ends_the_checks_running(self, tmp_path, monkeypatch):

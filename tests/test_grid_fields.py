@@ -1,7 +1,6 @@
 """Grid tables, transforms, norms, and the dealiased tensor product."""
 
 import math
-import pickle
 import re
 from pathlib import Path
 
@@ -80,20 +79,6 @@ class TestGrid:
         for t in (g.kinf, g.box_rows(5), table):
             with pytest.raises(ValueError):
                 t.flat[0] = 1
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_pickle_carries_no_tables(self, dim):
-        # a warmed grid once pickled its cached tables with it: 2.93 MB of a
-        # forked ETDRK4 route's 3D/32 call item, against 0.84 MB of coefficients
-        g = Grid(dim, 16)
-        tables = (g.ksq, g.mirror_weights, g.projected_divergence(5))
-        raw = pickle.dumps(g)
-        assert len(raw) < 200
-        back = pickle.loads(raw)
-        assert back == g and back is not g
-        for mine, theirs in zip(tables, (back.ksq, back.mirror_weights,
-                                         back.projected_divergence(5))):
-            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
 
 def test_fft_calls_only_in_fields():
