@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands:
-    simulate   run the mild solver on a configured profile, writing state
-               snapshots and monitor records as the solve makes the states,
-               a monitor CSV, and report.json; one rename per route publishes
-               its snapshots as snapshots/<method>, replacing an earlier run's;
-               --method both runs the ETDRK4 route in a forked child beside
-               Picard's on two or more usable CPUs, and cross-validates
-               Picard's trajectory against ETDRK4's snapshots, read back one
-               at a time
+    simulate   run the mild solver on a configured profile. Once the config
+               has parsed, clear report.json, snapshots/<method> and
+               monitor_<method>.* in --out; stage snapshots and take monitor
+               records as the solve makes the states; per route, publish the
+               snapshots with one rename and write a monitor CSV; write
+               report.json last, so a run that dies leaves none, only the
+               routes it published (and a hidden stage if killed). --method
+               both forks ETDRK4's route beside Picard's on two or more usable
+               CPUs and cross-validates Picard's against ETDRK4's snapshots
     monitor    recompute monitor records from stored snapshots
     verify     run the estimate-verification suite, writing per-report JSON
                files and a deterministic summary.csv; each check runs in its
@@ -47,7 +48,7 @@ from . import __version__
 from .config import (ConfigError, load_json, monitor_options_from_dict,
                      solver_config_from_dict, verify_config_from_dict)
 from .fields import SpectralVectorField, _transforms_rebound
-from .monitor import MonitorRecord, monitor, monitor_rows, write_monitor_csv
+from .monitor import monitor, monitor_rows, write_monitor_csv
 from .semigroup import TimeGrid
 from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
 from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
@@ -140,20 +141,6 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
     return run_info, error, code, records, traj
 
 
-def _write_trajectory_artifacts(outdir: Path, stage: Path, method: str,
-                                records: list[MonitorRecord], echo: dict) -> dict:
-    """Publish a route's staged snapshots as snapshots/<method>, replacing
-    what an earlier run left there, with one rename, and write its monitor CSV."""
-    snapdir = outdir / "snapshots" / method
-    shutil.rmtree(snapdir, ignore_errors=True)
-    os.replace(stage, snapdir)
-    paths = [snapdir / f"state_{m:04d}.snap" for m in range(len(records))]
-    csv_path = outdir / f"monitor_{method}.csv"
-    write_monitor_csv(records, csv_path, config_echo=echo)
-    return {"snapshots": list(map(str, paths)), "monitor_csv": str(csv_path),
-            "states": len(records)}
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -161,21 +148,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int) -> int:
-    """How many cores a command spreads its independent jobs over: one per
-    job, capped by the usable CPUs, and 1 while numpy's transforms are
-    rebound, since a profiler's wrappers attribute each transform to one
-    call stack."""
-    return 1 if _transforms_rebound() else max(1, min(jobs, _usable_cpus()))
-
-
 def _fork_count(jobs: int) -> int:
-    """How many forked children run ``jobs`` at a time: one per core that
-    _worker_count spreads them over; 0 where the jobs stay in this process:
-    on one core, without os.fork, or beside another live thread, whose locks
-    would stay held in a forked child."""
-    cores = _worker_count(jobs)
-    return 0 if cores < 2 or not hasattr(os, "fork") or threading.active_count() > 1 else cores
+    """How many forked children run ``jobs`` at a time: one per job, capped
+    by the usable CPUs; 0 where the jobs stay in this process: on one core,
+    while numpy's transforms are rebound, since a profiler's wrappers
+    attribute each transform to one call stack, without os.fork, or beside
+    another live thread, whose locks would stay held in a forked child."""
+    cores = min(jobs, _usable_cpus())
+    return 0 if (cores < 2 or _transforms_rebound() or not hasattr(os, "fork")
+                 or threading.active_count() > 1) else cores
 
 
 def _send_outcome(send, call: Callable) -> None:
@@ -240,7 +221,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     echo = {"solver": cfg.to_dict(), "monitor": mon_opts, "method": args.method}
     u0 = profile_from_spec(cfg.grid(), cfg.profile)
 
+    # an earlier run's files go once the config and u0 stand, so a bad config
+    # leaves them, and nothing later removes any: a run that dies leaves no report.json
     outdir = Path(args.out)
+    (outdir / "report.json").unlink(missing_ok=True)
+    for method in ("picard", "etdrk4"):
+        shutil.rmtree(outdir / "snapshots" / method, ignore_errors=True)
+        for path in outdir.glob(f"monitor_{method}.*"):
+            path.unlink()
     (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
 
     report: dict = {"config": echo, "runs": {}, "cross_validation": None, "error": None}
@@ -263,15 +251,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             routes[1] = partial(_result, _fork(stack, routes[1]))
         for method, stage, route in zip(methods, stages, routes):
             run_info, report["error"], code, records, trajs[method] = route()
-            run_info.update(_write_trajectory_artifacts(outdir, stage, method, records, echo))
+            snapdir = outdir / "snapshots" / method
+            os.replace(stage, snapdir)
+            csv_path = outdir / f"monitor_{method}.csv"
+            write_monitor_csv(records, csv_path, config_echo=echo)
+            run_info.update(snapshots=[str(snapdir / f"state_{m:04d}.snap")
+                                       for m in range(len(records))],
+                            monitor_csv=str(csv_path), states=len(records))
             report["runs"][method] = run_info
             if code != EXIT_OK:
                 break
-        # an earlier run's artifacts of the routes report.json does not list
-        for method in {"picard", "etdrk4"} - report["runs"].keys():
-            shutil.rmtree(outdir / "snapshots" / method, ignore_errors=True)
-            for path in outdir.glob(f"monitor_{method}.*"):
-                path.unlink()
 
     if code == EXIT_OK and len(trajs) == 2:
         # ETDRK4's route ran last: its states are read back from its

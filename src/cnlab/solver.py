@@ -58,7 +58,7 @@ class BlowupSuspected(RuntimeError):
     """Time stepping hit NaN/overflow at trajectory.meta["blowup_time"]; the
     trajectory holds finite states before it, the last one last_state: all
     of them from etdrk4_integrate, only that last one from etdrk4_rows. It
-    pickles with its trajectory, as a forked worker sends it back."""
+    pickles with its trajectory, as a forked verify check sends it back."""
 
     def __init__(self, trajectory: "Trajectory"):
         super().__init__(f"non-finite state at t = {trajectory.meta['blowup_time']:.6g}")

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import stat
 import subprocess
@@ -542,6 +543,29 @@ class TestSimulateCommand:
             report["runs"]["picard"]["snapshots"])
         assert sorted(p.name for p in out.glob("monitor_*")) == ["monitor_picard.csv"]
 
+    @pytest.mark.parametrize("second, error", [
+        ({**TG_SIM, "dim": 4}, "ConfigError"), (None, "ConfigError"),
+        # parses, but a Taylor-Green 2D profile on a 3D grid raises
+        ({**TG_SIM, "dim": 3}, "ValueError")])
+    def test_a_rerun_that_fails_before_its_solve_leaves_the_earlier_run(
+            self, tmp_path, capsys, second, error):
+        out = tmp_path / "out"
+        first = write_json(tmp_path / "tg.json", {**TG_SIM, "monitor": {"p_list": [4]}})
+        argv = ["simulate", "--out", str(out), "--method", "both", "--config"]
+        assert cli_main(argv + [str(first)]) == 0
+
+        def tree():
+            return {p.relative_to(out).as_posix(): p.read_bytes() if p.is_file() else None
+                    for p in sorted(out.rglob("*"))}
+
+        before = tree()
+        capsys.readouterr()
+        bad = tmp_path / "missing.json" if second is None else write_json(
+            tmp_path / "bad.json", second)
+        assert cli_main(argv + [str(bad)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == error
+        assert tree() == before
+
 # a random 2D/16 run that converges and cross-validates, with the sidecar on
 OVERLAP_SIM = {"dim": 2, "res": 16, "nu": 0.7, "horizon": 0.2,
                "picard": {"node_count": 8}, "etdrk4": {"dt": 0.005},
@@ -550,6 +574,22 @@ OVERLAP_SIM = {"dim": 2, "res": 16, "nu": 0.7, "horizon": 0.2,
 BLOWUP_SIM = {"dim": 2, "res": 16, "nu": 1e-3, "horizon": 1.0,
               "picard": {"node_count": 10}, "etdrk4": {"dt": 0.05},
               "profile": {"kind": "random_divfree", "amplitude": 1e3, "seed": 1}}
+
+
+def test_nonconvergence_pickles_with_its_trajectory_and_report():
+    # composite_bound runs picard_solve in a forked verify check, whose
+    # NonConvergence crosses a pipe back to the calling process
+    cfg = solver_config_from_dict(BLOWUP_SIM)
+    with pytest.raises(solver.NonConvergence) as caught:
+        solver.picard_solve(solver.profile_from_spec(cfg.grid(), cfg.profile), cfg)
+    exc = caught.value
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is solver.NonConvergence and str(back) == str(exc)
+    assert back.trajectory.grid == exc.trajectory.grid
+    assert back.trajectory.times.tolist() == exc.trajectory.times.tolist()
+    assert np.array_equal(back.trajectory.coeffs, exc.trajectory.coeffs, equal_nan=True)
+    # as JSON, so that a nan increment matches itself
+    assert json.dumps(back.report.to_dict()) == json.dumps(exc.report.to_dict())
 
 
 def wait_for(ready, seconds=60.0):
@@ -754,6 +794,35 @@ class TestSimulateOverlap:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "OSError", "message": "a forked child ended without a result"}
         assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
+
+    def test_a_rerun_whose_child_is_killed_leaves_no_report(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # the first run's report.json (9 Picard states) and snapshots/etdrk4
+        # once outlived a rerun with 4 Picard intervals that died after
+        # publishing its 5 Picard snapshots
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        argv = ["simulate", "--out", str(out), "--method", "both", "--config"]
+        assert cli_main(argv + [str(write_json(tmp_path / "8.json", TG_SIM))]) == 0
+        assert len(list((out / "snapshots" / "etdrk4").iterdir())) == 9
+        here = os.getpid()
+
+        def rows(u0, cfg):
+            for m, row in enumerate(etdrk4_rows(u0, cfg)):
+                if m == 1 and os.getpid() != here:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield row
+
+        monkeypatch.setattr(cli, "etdrk4_rows", rows)
+        capsys.readouterr()
+        cfg = write_json(tmp_path / "4.json", {**TG_SIM, "picard": {"node_count": 4}})
+        assert cli_main(argv + [str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "OSError"
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in out.iterdir()) == ["monitor_picard.csv", "snapshots"]
+        assert [p.name for p in (out / "snapshots").iterdir()] == ["picard"]
+        assert sorted(p.name for p in (out / "snapshots" / "picard").iterdir()) == [
+            f"state_{m:04d}.snap" for m in range(5)]
 
     @pytest.mark.parametrize("cpus, left", [(2, []), (1, ["picard"])])
     def test_an_interrupt_leaves_no_etdrk4_snapshots(self, tmp_path, monkeypatch, cpus, left):
@@ -1322,11 +1391,11 @@ class TestVerifyWorkers:
         assert int(started.read_text()) != os.getpid()
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("jobs, cpus, workers", [
-        (0, 4, 1), (1, 4, 1), (7, 1, 1), (7, 2, 2), (2, 8, 2), (7, 64, 7), (11, 64, 11)])
-    def test_worker_count(self, monkeypatch, jobs, cpus, workers):
+    @pytest.mark.parametrize("jobs, cpus, forks", [
+        (0, 4, 0), (1, 4, 0), (7, 1, 0), (7, 2, 2), (2, 8, 2), (7, 64, 7), (11, 64, 11)])
+    def test_fork_count(self, monkeypatch, jobs, cpus, forks):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        assert cli._worker_count(jobs) == workers
+        assert cli._fork_count(jobs) == forks
 
 
 class TestProfileCommand:
