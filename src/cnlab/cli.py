@@ -50,10 +50,10 @@ from .config import (ConfigError, load_json, monitor_options_from_dict,
 from .fields import SpectralVectorField, _transforms_rebound
 from .monitor import monitor, monitor_rows, write_monitor_csv
 from .semigroup import TimeGrid
-from .snapshots import SnapshotError, atomic_write, read_snapshot, write_snapshot
-from .solver import (BlowupSuspected, NonConvergence, SolverConfig, Trajectory,
-                     _etdrk4_meta, compare_trajectories, etdrk4_rows, picard_solve,
-                     profile_from_spec)
+from .snapshots import SnapshotError, atomic_write, read_snapshot, read_snapshot_header, write_snapshot
+from .solver import (BlowupSuspected, NonConvergence, PicardPath, SolverConfig,
+                     Trajectory, _etdrk4_meta, compare_trajectories, etdrk4_rows,
+                     picard_path, profile_from_spec)
 from .verification import run_checks, summary_csv
 
 EXIT_OK = 0
@@ -102,20 +102,20 @@ def _dump_json(path: Path, obj: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: dict,
-           stage: Path) -> tuple[dict, dict | None, int, list, Trajectory | None]:
+           stage: Path) -> tuple[dict, dict | None, int, list, PicardPath | None]:
     """Solve by one method and monitor the states as they come, writing
     their snapshots into ``stage`` as state_<m>.snap. Returns
     the run info for report.json, the error (None if the solve succeeded),
-    the exit code, the monitor records and Picard's trajectory (None for
-    ETDRK4, which streams)."""
-    error, code, traj = None, EXIT_OK, None
+    the exit code, the monitor records and Picard's converged path (None
+    for ETDRK4 and for a failed solve)."""
+    error, code, path = None, EXIT_OK, None
     if method == "picard":
         try:
-            traj, conv = picard_solve(u0, cfg)
+            path = picard_path(u0, cfg)
+            conv, rows = path.report, path.rows()
         except NonConvergence as exc:
-            traj, conv, (error, code) = exc.trajectory, exc.report, _failure(exc)
+            conv, rows, (error, code) = exc.report, exc.trajectory.coeffs, _failure(exc)
         run_info = {"convergence": conv.to_dict()}
-        rows = traj.coeffs
     else:
         run_info = {"meta": _etdrk4_meta(cfg)}
         rows = etdrk4_rows(u0, cfg)
@@ -138,7 +138,7 @@ def _route(method: str, u0: SpectralVectorField, cfg: SolverConfig, mon_opts: di
                            on_batch=write)
     if blowups:
         run_info, (error, code) = {"blowup_time": blowups[0].time}, _failure(blowups[0])
-    return run_info, error, code, records, traj
+    return run_info, error, code, records, path
 
 
 def _usable_cpus() -> int:
@@ -233,7 +233,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     report: dict = {"config": echo, "runs": {}, "cross_validation": None, "error": None}
     methods = ["picard", "etdrk4"] if args.method == "both" else [args.method]
-    trajs: dict[str, Trajectory | None] = {}
+    picard = None  # Picard's converged path, which cross-validation reads again
     with ExitStack() as stack:
         # a hidden staging directory per route, with the mode of snapshots/
         # (mkdtemp's is 0o700), removed after the child is ended: a failed
@@ -250,7 +250,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if _fork_count(len(routes)):
             routes[1] = partial(_result, _fork(stack, routes[1]))
         for method, stage, route in zip(methods, stages, routes):
-            run_info, report["error"], code, records, trajs[method] = route()
+            run_info, report["error"], code, records, path = route()
+            picard = picard or path
             snapdir = outdir / "snapshots" / method
             os.replace(stage, snapdir)
             csv_path = outdir / f"monitor_{method}.csv"
@@ -262,12 +263,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             if code != EXIT_OK:
                 break
 
-    if code == EXIT_OK and len(trajs) == 2:
-        # ETDRK4's route ran last: its states are read back from its
-        # snapshots one at a time, and its records hold their sup norms
+    if code == EXIT_OK and len(methods) == 2:
+        # one state at a time: ETDRK4's, read back from the snapshots of the route
+        # that ran last, whose records hold their sup norms, and Picard's, formed
         etdrk4 = (read_snapshot(p)[0] for p in report["runs"]["etdrk4"]["snapshots"])
-        cross = compare_trajectories(trajs["picard"].states, etdrk4,
-                                     [r.lp_inf for r in records], cfg.cross_tol)
+        cross = compare_trajectories((SpectralVectorField(u0.grid, c) for c in picard.rows()),
+                                     etdrk4, [r.lp_inf for r in records], cfg.cross_tol)
         report["cross_validation"] = cross
         if not cross["passed"]:
             report["error"] = {"type": "CrossValidationFailed",
@@ -302,17 +303,13 @@ def _collect_snapshot_paths(items: list[str]) -> list[Path]:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    loaded = []
-    for p in _collect_snapshot_paths(args.snapshots):
-        f, t = read_snapshot(p)
-        loaded.append((t, f, p))
-    # order by header time, not file name: state_10000.snap sorts before state_1001.snap
-    loaded.sort(key=lambda item: item[0])
-    times, states, paths = map(list, zip(*loaded))
-    del loaded
-    grid = states[0].grid
-    if any(f.grid != grid for f in states):
+    # all headers checked in path order, then each body read as the batch takes it, in time order
+    heads = sorted(((*read_snapshot_header(p)[:2], p) for p in _collect_snapshot_paths(args.snapshots)),
+                   key=lambda head: head[1])
+    grid = heads[0][0]
+    if any(g != grid for g, _, _ in heads):
         raise UsageError("snapshots mix different grids")
+    times = [t for _, t, _ in heads]
     if len(times) < 2:
         raise UsageError("need at least two snapshots to form a trajectory")
     try:
@@ -322,13 +319,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     omega = read_snapshot(args.omega)[0] if args.omega else None
     kh = None if args.kato_horizon == "none" else (
         "default" if args.kato_horizon == "default" else float(args.kato_horizon))
-    # each state is dropped once the monitor has copied it into its batch
-    states.reverse()
-    records = monitor_rows((states.pop().coeffs for _ in times), grid, times, tgrid.horizon,
-                           args.nu, p_list=tuple(args.p), omega=omega, kato_horizon=kh,
-                           cutoff=args.cutoff)
+    records = monitor_rows((read_snapshot(p)[0].coeffs for _, _, p in heads), grid, times,
+                           tgrid.horizon, args.nu, p_list=tuple(args.p), omega=omega,
+                           kato_horizon=kh, cutoff=args.cutoff)
     echo = {"nu": args.nu, "cutoff": args.cutoff, "kato_horizon": args.kato_horizon,
-            "p_list": args.p, "snapshots": [str(p) for p in paths]}
+            "p_list": args.p, "snapshots": [str(p) for _, _, p in heads]}
     write_monitor_csv(records, args.out, config_echo=echo)
     return EXIT_OK
 

@@ -13,9 +13,9 @@ z = -lam h,
 
 accumulated by the recursion L(t_{m+1}) = e^{-lam h} L(t_m) - integral_m.
 duhamel_rows runs the recursion as a generator, one row per node, reading
-the forcing path no further ahead than the row it yields; duhamel_L
-collects its rows into one array, and the Picard sweep consumes them
-directly (solver.picard_solve).
+the forcing path, on its layout, no further ahead than the row it yields;
+duhamel_L collects its rows into one array, and the Picard sweep consumes
+them on the 2/3 box (solver.picard_path).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import numpy as np
 
 from .fields import (_BOUND_MARGIN, SpectralVectorField, TensorField, _box_of,
                      _box_phys_values, _divergence_bound, _from_box,
-                     _product_radius, _products, _same_grid, divergence_sup,
-                     linf)
+                     _product_radius, _products, divergence_sup, linf)
 from .phi import phi1, phi2
 
 DIV_FREE_TOL = 1e-8
@@ -139,17 +138,18 @@ def nonlinearity(u: SpectralVectorField, use_dealias: bool = True) -> SpectralVe
     return SpectralVectorField(grid, _from_box(grid, acc, radius))
 
 
-def duhamel_rows(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
+def duhamel_rows(path: Iterable[np.ndarray], tgrid: TimeGrid, ksq: np.ndarray,
                  nu: float = 1.0) -> Iterator[np.ndarray]:
     """Yield the rows L(f)(t_0), L(f)(t_1), ... of the (negative-signed)
     Duhamel integral along a forcing path, starting with L(f)(t_0) = 0.
 
-    path supplies f(t_m) for every node of tgrid, in order, and is read one
-    field at a time: row m is yielded right after f(t_m) is read, and f(t_m)
-    is read only when row m is asked for, so neither the forcing nor the
-    result is ever held whole. Each row is a fresh array, which the next
-    step of the recursion reads, so callers must not write to it. Exact for
-    paths that are piecewise linear in time between nodes.
+    path supplies the coefficients of f(t_m) for every node of tgrid, in
+    order, on the layout of ksq (the half's Grid.ksq, or its _box_of: the
+    weights are elementwise, so rows on a box are the box of the rows on the
+    half, bit for bit). Row m is yielded right after f(t_m) is read, and
+    f(t_m) is read only when row m is asked for. Each row is a fresh array,
+    which the next step of the recursion reads, so callers must not write
+    to it. Exact for paths that are piecewise linear in time between nodes.
     """
     if not nu > 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
@@ -158,11 +158,9 @@ def duhamel_rows(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
         f_prev = next(it)
     except StopIteration:
         raise ValueError("empty forcing path") from None
-    grid = f_prev.grid
-    ksq = grid.ksq
     nodes = tgrid.nodes
 
-    row = np.zeros(f_prev.coeffs.shape, dtype=np.complex128)
+    row = np.zeros(f_prev.shape, dtype=np.complex128)
     yield row
     decay = w_left = w_right = None
     h_cached = None
@@ -171,7 +169,6 @@ def duhamel_rows(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
             f_next = next(it)
         except StopIteration:
             raise ValueError(f"forcing path has fewer fields than time nodes ({m + 1} < {nodes.size})") from None
-        _same_grid(grid, f_next.grid)
         h = float(nodes[m + 1] - nodes[m])
         if h != h_cached:  # uniform grids reuse one set of weights
             z = -nu * h * ksq
@@ -180,20 +177,20 @@ def duhamel_rows(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
             w_left = h * (p1 - p2)
             w_right = h * p2
             h_cached = h
-        row = decay * row - (w_left * f_prev.coeffs + w_right * f_next.coeffs)
+        row = decay * row - (w_left * f_prev + w_right * f_next)
         yield row
         f_prev = f_next
 
 
 def duhamel_L(path: Iterable[SpectralVectorField], tgrid: TimeGrid,
               nu: float = 1.0) -> np.ndarray:
-    """The rows of duhamel_rows as one fresh (nodes, dim, *spectral_shape)
-    array: row m is L(f)(t_m)."""
-    rows = duhamel_rows(path, tgrid, nu)
+    """The rows of duhamel_rows along a path of fields on one grid, as one
+    fresh (nodes, dim, *spectral_shape) array: row m is L(f)(t_m)."""
+    fields = list(path)  # on one grid, or the recursion's shapes do not broadcast
+    rows = duhamel_rows([f.coeffs for f in fields], tgrid, fields[0].grid.ksq if fields else None, nu)
     first = next(rows)
     out = np.empty((tgrid.nodes.size,) + first.shape, dtype=np.complex128)
     out[0] = first
     for m, row in enumerate(rows, 1):
         out[m] = row
     return out
-

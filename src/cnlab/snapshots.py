@@ -70,8 +70,12 @@ def write_snapshot(path: str | Path, field: SpectralVectorField, time: float) ->
     atomic_write(path, header, np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes())
 
 
-def read_snapshot(path: str | Path) -> tuple[SpectralVectorField, float]:
-    raw = Path(path).read_bytes()
+def read_snapshot_header(path: str | Path) -> tuple[Grid, float, tuple[int, ...]]:
+    """(grid, time, body shape) of a snapshot, after every check on its
+    header and on its body size, taken from the file size; no body is read."""
+    with open(path, "rb") as fh:
+        raw = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
     if len(raw) < _HEADER.size:
         raise SnapshotError(f"{path}: truncated header")
     magic, version, dim, res, ncomp, time = _HEADER.unpack_from(raw)
@@ -84,8 +88,12 @@ def read_snapshot(path: str | Path) -> tuple[SpectralVectorField, float]:
         raise SnapshotError(f"{path}: expected {dim} components, header says {ncomp}")
     shape = (ncomp,) + (grid.shape if version == 1 else grid.spectral_shape)
     expect = 16 * math.prod(shape)
-    if len(raw) - _HEADER.size != expect:
-        raise SnapshotError(f"{path}: body size {len(raw) - _HEADER.size} != {expect}")
-    body = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
-    coeffs = body[..., :grid.half_len].astype(np.complex128)
-    return SpectralVectorField(grid, coeffs), float(time)
+    if size - _HEADER.size != expect:
+        raise SnapshotError(f"{path}: body size {size - _HEADER.size} != {expect}")
+    return grid, float(time), shape
+
+
+def read_snapshot(path: str | Path) -> tuple[SpectralVectorField, float]:
+    grid, time, shape = read_snapshot_header(path)
+    body = np.fromfile(path, dtype="<c16", offset=_HEADER.size).reshape(shape)
+    return SpectralVectorField(grid, body[..., :grid.half_len].astype(np.complex128)), time

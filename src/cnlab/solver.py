@@ -2,15 +2,14 @@
 
 Two routes to the same trajectory:
 
-* picard_solve iterates the integral fixed point
+* picard_path iterates the integral fixed point
       u^{m+1} = e^{t nu Lap} u0 + L(nonlinearity(u^m))
   on a time grid, stopping when the weighted increment
       sup_m sqrt(t_m) ||du(t_m)||_inf + sup_m ||du(t_m)||_n
-  falls below the contraction tolerance (n = spatial dimension). Each
-  iteration sweeps one trajectory array in place: row m is overwritten as
-  soon as the Duhamel recursion has read its forcing, and the increment
-  norms are taken row by row in the same pass, so the solve holds about one
-  trajectory.
+  falls below the contraction tolerance (n = spatial dimension). The
+  forcing, and so the Duhamel part, lives on the 2/3 box: the solve sweeps
+  its path there in place (0.28 to 0.45 of a trajectory), and each state,
+  row plus heat(u0, t), is formed where it is read (PicardPath.rows).
 
 * etdrk4_rows advances the spectral Galerkin system with the classical
   four-stage exponential time differencing scheme of Cox & Matthews (2002),
@@ -32,9 +31,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fields import (_BOUND_MARGIN, SpectralVectorField, _lp_norms,
-                     _squared_magnitudes, linf, lp_norm, project_mean_zero,
-                     random_field, to_spectral)
+from .fields import (_BOUND_MARGIN, SpectralVectorField, _box_of, _from_box,
+                     _lp_norms, _product_radius, _squared_magnitudes, linf,
+                     lp_norm, project_mean_zero, random_field, to_spectral)
 from .grid import Grid
 from .phi import phi1, phi2, phi3
 from .semigroup import TimeGrid, duhamel_rows, heat, leray_project, nonlinearity
@@ -303,40 +302,76 @@ def _kato_increment(nodes: np.ndarray, norms: Sequence[tuple[float, float]]) -> 
     return sup_w + sup_n
 
 
-def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory, ConvergenceReport]:
-    """Iterate the mild fixed point to convergence on the configured time grid.
+def _full(grid: Grid, radius: int, box: np.ndarray, heated: np.ndarray) -> np.ndarray:
+    """The state of Duhamel row box plus heat term heated, bit for bit the
+    whole-half sum (box is copied: _from_box writes a whole-half box)."""
+    return _from_box(grid, box.copy(), radius) + heated
 
-    Each iteration is one in-place sweep over a single trajectory array:
-    duhamel_rows reads row m's forcing, then row m is overwritten with the
-    Duhamel row plus heat(u0, t_m), formed per node, and the increment norms
-    of the node are taken from the old and new row on the way. Raises NonConvergence (with the partial trajectory attached)
-    when the increment fails to drop below the tolerance within max_iters or
-    grows without bound.
-    """
+
+@dataclass
+class PicardPath:
+    """A Picard solve: its report and its Duhamel rows on the box of the
+    product radius, (nodes, dim, *box shape), None while no sweep has run."""
+
+    u0: SpectralVectorField
+    cfg: SolverConfig
+    duhamel: np.ndarray | None = None
+    report: ConvergenceReport | None = None
+
+    def states(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(heat(u0, t_m), state at t_m) per node, formed when asked for."""
+        grid, radius = self.u0.grid, _product_radius(self.u0.grid, self.cfg.dealias)
+        for m, t in enumerate(self.cfg.time_grid().nodes):
+            heated = heat(self.u0, t, self.cfg.nu).coeffs
+            yield heated, heated if self.duhamel is None else _full(grid, radius, self.duhamel[m], heated)
+
+    def rows(self) -> Iterator[np.ndarray]:
+        return (state for _, state in self.states())
+
+    def trajectory(self) -> Trajectory:
+        tg = self.cfg.time_grid()
+        coeffs = np.fromiter(self.rows(), (np.complex128, self.u0.coeffs.shape), tg.nodes.size)
+        return Trajectory(self.u0.grid, tg, coeffs, "picard",
+                          {"nu": self.cfg.nu, "converged": self.report.converged})
+
+
+def picard_path(u0: SpectralVectorField, cfg: SolverConfig) -> PicardPath:
+    """Iterate the mild fixed point to convergence on the configured time
+    grid, sweeping the Duhamel rows in place. Raises NonConvergence (with
+    the partial trajectory collected) when the increment fails to drop
+    below the tolerance within max_iters or grows without bound."""
     grid = u0.grid
     if (grid.dim, grid.res) != (cfg.dim, cfg.res):
         raise ValueError(f"initial data on {grid}, config says ({cfg.dim}, {cfg.res})")
     tg = cfg.time_grid()
-    nodes = tg.nodes
+    radius = _product_radius(grid, cfg.dealias)
+    ksq = _box_of(grid, grid.ksq, radius)
     t0 = time.perf_counter()
-    coeffs = np.empty((nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
-    for row, t in zip(coeffs, nodes):
-        row[...] = heat(u0, t, cfg.nu).coeffs
+    path = PicardPath(u0, cfg)
+    duhamel = np.empty((tg.nodes.size, grid.dim) + ksq.shape, dtype=np.complex128)
     increments: list[float] = []
-    converged = False
-    blew_up = False
+    converged = blew_up = False
+    formed = []  # (heat term, state) of the node whose forcing was read last
+
+    def forcing():
+        for heated, state in path.states():
+            formed.append((heated, state))
+            yield _box_of(grid, nonlinearity(SpectralVectorField(grid, state), cfg.dealias).coeffs, radius)
+
     # divergence is detected from the increments, so let inf/nan flow
     # through the arithmetic silently instead of spraying warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.picard.max_iters):
-            forcing = (nonlinearity(SpectralVectorField(grid, c), cfg.dealias) for c in coeffs)
             norms = []
-            # duhamel_rows has read row m's forcing when it yields row m
-            for row, t, duhamel in zip(coeffs, nodes, duhamel_rows(forcing, tg, cfg.nu)):
-                new = duhamel + heat(u0, t, cfg.nu).coeffs
-                norms.append(_lp_norms(grid, new - row, (math.inf, float(grid.dim))))
-                row[...] = new
-            inc = _kato_increment(nodes, norms)
+            # duhamel_rows has read row m's forcing, made from the old row m,
+            # when it yields the new one
+            for m, row in enumerate(duhamel_rows(forcing(), tg, ksq, cfg.nu)):
+                heated, old = formed.pop()
+                new = _full(grid, radius, row, heated)
+                norms.append(_lp_norms(grid, new - old, (math.inf, float(grid.dim))))
+                duhamel[m] = row
+            path.duhamel = duhamel
+            inc = _kato_increment(tg.nodes, norms)
             increments.append(inc)
             if inc < cfg.picard.contraction_tol:
                 converged = True
@@ -349,14 +384,19 @@ def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory
     ratios = [increments[i] / increments[i - 1] for i in range(1, len(increments))
               if increments[i - 1] > floor]
     contraction = max(ratios) if ratios else None
-    report = ConvergenceReport(converged, len(increments), increments, ratios,
-                               contraction, cfg.picard.contraction_tol,
-                               time.perf_counter() - t0)
-    traj = Trajectory(grid, tg, coeffs, "picard", {"nu": cfg.nu, "converged": converged})
+    path.report = ConvergenceReport(converged, len(increments), increments, ratios,
+                                    contraction, cfg.picard.contraction_tol,
+                                    time.perf_counter() - t0)
     if not converged:
         reason = "increment diverged" if blew_up else f"no contraction within {cfg.picard.max_iters} iterations"
-        raise NonConvergence(reason, traj, report)
-    return traj, report
+        raise NonConvergence(reason, path.trajectory(), path.report)
+    return path
+
+
+def picard_solve(u0: SpectralVectorField, cfg: SolverConfig) -> tuple[Trajectory, ConvergenceReport]:
+    """picard_path's states collected into one Trajectory, with its report."""
+    path = picard_path(u0, cfg)
+    return path.trajectory(), path.report
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ full spectra (mirror entries by flip-and-roll reflection) and cut the result
 back to the half. The convolution oracle works on a doubled grid where
 products of band-limited inputs cannot alias; paraproduct oracles re-sum
 block pairs directly from the multiplier tables. Everything here trades speed
-for obviousness. The one exception is picard_reference: it is the
-whole-trajectory Picard iteration that the in-place sweep replaced, built
-from the library's own operators, so that the two can be compared bit for
-bit.
+for obviousness. The exceptions are the two Picard references, built from
+the library's own operators so that they can be compared with the solver bit
+for bit: picard_reference, the whole-trajectory iteration that the in-place
+sweep replaced, and picard_sweep_reference, that in-place sweep over
+whole-half rows, which the sweep over Duhamel rows on the 2/3 box replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from cnlab.fields import SpectralVectorField, TensorField, _lp_norms
 from cnlab.grid import Grid
-from cnlab.semigroup import duhamel_L, nonlinearity
+from cnlab.semigroup import duhamel_L, duhamel_rows, heat, nonlinearity
 
 
 def conj_reflect(grid: Grid, c: np.ndarray) -> np.ndarray:
@@ -174,3 +175,38 @@ def picard_reference(u0: SpectralVectorField, cfg) -> tuple[np.ndarray, list[flo
                     len(increments) > 1 and inc > 1e8 * (increments[0] + 1e-300)):
                 break
     return curr, increments
+
+
+def picard_sweep_reference(u0: SpectralVectorField, cfg) -> tuple[np.ndarray, list[float]]:
+    """(trajectory, increments) of the in-place Picard sweep over whole-half rows.
+
+    One trajectory array starts as heat(u0, t_m) per node; each sweep
+    overwrites row m with duhamel + heat(u0, t_m) once duhamel_rows has read
+    row m's forcing, taking the increment norms from the old and new row on
+    the way. It stops where solver.picard_path stops.
+    """
+    grid, tg, nu = u0.grid, cfg.time_grid(), cfg.nu
+    nodes = tg.nodes
+    coeffs = np.empty((nodes.size,) + u0.coeffs.shape, dtype=np.complex128)
+    for row, t in zip(coeffs, nodes):
+        row[...] = heat(u0, t, nu).coeffs
+    increments: list[float] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.picard.max_iters):
+            forcing = (nonlinearity(SpectralVectorField(grid, c), cfg.dealias).coeffs for c in coeffs)
+            sup_w = sup_n = 0.0
+            inc = None
+            for row, t, duhamel in zip(coeffs, nodes, duhamel_rows(forcing, tg, grid.ksq, nu)):
+                new = duhamel + heat(u0, t, nu).coeffs
+                sup, n_norm = _lp_norms(grid, new - row, (math.inf, float(grid.dim)))
+                if inc is None and not math.isfinite(sup + n_norm):
+                    inc = sup + n_norm
+                sup_w = max(sup_w, math.sqrt(float(t)) * sup)
+                sup_n = max(sup_n, n_norm)
+                row[...] = new
+            inc = sup_w + sup_n if inc is None else inc
+            increments.append(inc)
+            if inc < cfg.picard.contraction_tol or not math.isfinite(inc) or (
+                    len(increments) > 1 and inc > 1e8 * (increments[0] + 1e-300)):
+                break
+    return coeffs, increments

@@ -628,10 +628,10 @@ class TestSimulateOverlap:
             note("solved")
             yield from etdrk4_rows(*args, **kwargs)
 
-        def picard_solve(*args):
+        def picard_path(*args):
             # the forked child is alive from before Picard's route on
             assert not multiprocessing.active_children() or wait_for(lambda: noted("solved"))
-            return solver.picard_solve(*args)
+            return solver.picard_path(*args)
 
         def write_noting(path, *args):
             # each route stages its snapshots in its own snapshots/.<method>-XXXX
@@ -643,7 +643,7 @@ class TestSimulateOverlap:
             return besov_norm_states(*args)
 
         monkeypatch.setattr(cli, "etdrk4_rows", rows)
-        monkeypatch.setattr(cli, "picard_solve", picard_solve)
+        monkeypatch.setattr(cli, "picard_path", picard_path)
         monkeypatch.setattr(cli, "write_snapshot", write_noting)
         # the Besov column is taken once per monitor batch
         monkeypatch.setattr("cnlab.monitor.besov_norm_states", besov_noting)
@@ -750,12 +750,12 @@ class TestSimulateOverlap:
             time.sleep(60)
             yield from etdrk4_rows(u0, cfg)
 
-        def picard_solve(u0, cfg):
+        def picard_path(u0, cfg):
             assert wait_for(held.exists)
-            return solver.picard_solve(u0, cfg)
+            return solver.picard_path(u0, cfg)
 
         monkeypatch.setattr(cli, "etdrk4_rows", rows)
-        monkeypatch.setattr(cli, "picard_solve", picard_solve)
+        monkeypatch.setattr(cli, "picard_path", picard_path)
         cfg = write_json(tmp_path / "cfg.json", data)
         out = tmp_path / "out"
         start = time.monotonic()
@@ -844,14 +844,14 @@ class TestSimulateOverlap:
                     raise KeyboardInterrupt
                 yield row
 
-        def picard_solve(u0, cfg):
+        def picard_path(u0, cfg):
             if cpus == 2:
                 assert wait_for(lambda: staged() >= 3)
                 raise KeyboardInterrupt
-            return solver.picard_solve(u0, cfg)
+            return solver.picard_path(u0, cfg)
 
         monkeypatch.setattr(cli, "etdrk4_rows", rows)
-        monkeypatch.setattr(cli, "picard_solve", picard_solve)
+        monkeypatch.setattr(cli, "picard_path", picard_path)
         cfg = write_json(tmp_path / "cfg.json", OVERLAP_SIM)
         out = tmp_path / "out"
         threads = threading.active_count()
@@ -862,33 +862,68 @@ class TestSimulateOverlap:
         assert [p.name for p in (out / "snapshots").iterdir()] == left
 
 
-def test_etdrk4_route_holds_no_trajectory(tmp_path, monkeypatch):
-    # the route streams its states. At the default 2 MiB batches its peak
-    # stays below the 65 states (7.2 MB) a collected ETDRK4 trajectory would
-    # hold plus one batch; with batches of 4 states, below half of them
-    state_bytes = 3 * 16 * 16 * 9 * 16
-    trajectory_bytes = 65 * state_bytes
+# 65 states of 3D/16, 7.2 MB: a whole-half trajectory or a loaded set of snapshots
+STATE_3D16_BYTES = 3 * 16 * 16 * 9 * 16
+TRAJECTORY_3D16_BYTES = 65 * STATE_3D16_BYTES
+
+
+def _traced_peak(argv: list[str]) -> int:
+    """The tracemalloc peak of one cli_main(argv), which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert cli_main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _warm_run(tmp_path, method: str) -> list[str]:
+    """simulate --method <method> argv, but --out's value, of a 3D/16 config
+    with 64 nodes, run once into tmp_path/warm to fill the grid's tables
+    and the partition cache."""
     cfg = write_json(tmp_path / "cfg.json", {
         "dim": 3, "res": 16, "nu": 1.0, "horizon": 0.02,
         "picard": {"node_count": 64}, "etdrk4": {"dt": 0.02},
         "profile": {"kind": "random_divfree", "amplitude": 0.1, "seed": 0}})
-    argv = ["simulate", "--config", str(cfg), "--method", "etdrk4", "--out"]
-    # the first run fills the grid's tables and the partition cache
+    argv = ["simulate", "--config", str(cfg), "--method", method, "--out"]
     assert cli_main(argv + [str(tmp_path / "warm")]) == 0
+    return argv
 
-    def peak(out: Path) -> int:
-        tracemalloc.start()
-        try:
-            assert cli_main(argv + [str(out)]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(tmp_path / "default") < trajectory_bytes + littlewood_paley._BATCH_BYTES
-    monkeypatch.setattr(littlewood_paley, "_BATCH_BYTES", 4 * state_bytes)
-    assert peak(tmp_path / "out") < 0.5 * trajectory_bytes
+def test_etdrk4_route_holds_no_trajectory(tmp_path, monkeypatch):
+    # the route streams its states. At the default 2 MiB batches its peak
+    # stays below the 65 states (7.2 MB) a collected ETDRK4 trajectory would
+    # hold plus one batch; with batches of 4 states, below half of them
+    argv = _warm_run(tmp_path, "etdrk4")
+    peak = _traced_peak(argv + [str(tmp_path / "default")])
+    assert peak < TRAJECTORY_3D16_BYTES + littlewood_paley._BATCH_BYTES
+    monkeypatch.setattr(littlewood_paley, "_BATCH_BYTES", 4 * STATE_3D16_BYTES)
+    assert _traced_peak(argv + [str(tmp_path / "out")]) < 0.5 * TRAJECTORY_3D16_BYTES
     for out in ("default", "out"):
         assert len(list((tmp_path / out / "snapshots" / "etdrk4").glob("*.snap"))) == 65
+
+
+def test_picard_route_holds_no_trajectory(tmp_path, monkeypatch):
+    # the route holds Picard's Duhamel rows on the 2/3 box, 726 of the 2304
+    # entries of a 3D/16 half, and streams the states formed from them: with
+    # batches of 4 states it stays below the whole-half path
+    argv = _warm_run(tmp_path, "picard")
+    monkeypatch.setattr(littlewood_paley, "_BATCH_BYTES", 4 * STATE_3D16_BYTES)
+    assert _traced_peak(argv + [str(tmp_path / "out")]) < TRAJECTORY_3D16_BYTES
+    assert len(list((tmp_path / "out" / "snapshots" / "picard").glob("*.snap"))) == 65
+
+
+def test_monitor_holds_one_batch(tmp_path, monkeypatch):
+    # cnlab monitor reads each state as its batch takes it: below the 65
+    # snapshots at the default 2 MiB batches, below half of them at batches
+    # of 4 states
+    _warm_run(tmp_path, "picard")
+    argv = ["monitor", "--snapshots", str(tmp_path / "warm" / "snapshots" / "picard"),
+            "--out", str(tmp_path / "m.csv")]
+    assert _traced_peak(argv) < TRAJECTORY_3D16_BYTES
+    monkeypatch.setattr(littlewood_paley, "_BATCH_BYTES", 4 * STATE_3D16_BYTES)
+    assert _traced_peak(argv) < 0.5 * TRAJECTORY_3D16_BYTES
+    assert len(read_monitor_csv(tmp_path / "m.csv")) == 65
 
 
 def test_long_run_reaches_underflow_scale_states(tmp_path):

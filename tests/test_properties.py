@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnlab.fields import (_BOUND_MARGIN, SpectralVectorField, _box_of, _box_phys_values,
-                          _box_spectrum, _divergence_bound, _from_box,
+                          _box_spectrum, _divergence_bound, _from_box, _product_radius,
                           divergence_sup, linf, lp_norm, phys_values,
                           pointwise_tensor, random_field, random_tensor_field,
                           random_vector_field, spectral_values)
@@ -229,6 +229,18 @@ def test_nonlinearity_matches_full_transforms(grid, seed, use_dealias):
         ref += m * prod
     ref *= 1j
     assert_box_bits_and_equal(grid, got, hermitian_planes_reference(grid, ref), use_dealias)
+
+
+@PROPS
+@given(grids, seeds, st.booleans())
+def test_nonlinearity_is_its_box_spread_onto_the_half(grid, seed, use_dealias):
+    # so Picard's Duhamel rows, driven by it, live on the box (solver.picard_path)
+    u = leray_project(random_vector_field(grid, np.random.default_rng(seed)))
+    got = nonlinearity(u, use_dealias).coeffs
+    radius = _product_radius(grid, use_dealias)
+    # a copy: on the whole half the box is a view, which _from_box writes
+    spread = _from_box(grid, _box_of(grid, got, radius).copy(), radius)
+    assert np.array_equal(spread.view(np.uint8), got.view(np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from cnlab.grid import Grid
 from cnlab.monitor import monitor
 from cnlab.semigroup import TimeGrid, duhamel_L, heat
 from cnlab.solver import (BlowupSuspected, EtdrkOptions, NonConvergence,
-                          PicardOptions, SolverConfig, Trajectory, compare_trajectories,
-                          etdrk4_integrate, etdrk4_rows, kato_smallness, make_profile,
-                          picard_solve, probe_contraction_threshold)
+                          PicardOptions, ProfileSpec, SolverConfig, Trajectory,
+                          compare_trajectories, etdrk4_integrate, etdrk4_rows,
+                          kato_smallness, make_profile, picard_path, picard_solve,
+                          probe_contraction_threshold, profile_from_spec)
 
-from helpers import picard_reference, rel_err, single_mode_vector
+from helpers import picard_reference, picard_sweep_reference, rel_err, single_mode_vector
 
 PI_SQRT2 = 4.442882938158366  # L2 norm of a unit single-mode component in 2d
 
@@ -209,6 +210,67 @@ class TestPicard:
 
         assert not math.isfinite(increment(prev, curr, nodes))
         assert math.isfinite(increment(prev, curr[:1], nodes))
+
+
+# (config, negate u0): the benchmark's simulate-3d and session-2d configs at
+# seed 0; Taylor-Green, whose u0 carries roundoff outside the 2/3 box; the
+# whole half as the box; the blow-up config, whose increment diverges; no
+# sweep; graded nodes; and a negated banded u0, -0.0 at the empty box modes
+BOX_PATH_CASES = {
+    "simulate-3d": (SolverConfig(dim=3, res=32, horizon=0.5, picard=PicardOptions(node_count=64),
+                                 profile=ProfileSpec("random_divfree", amplitude=0.1)), False),
+    "session-2d": (SolverConfig(dim=2, res=64, horizon=1.0, picard=PicardOptions(node_count=64),
+                                profile=ProfileSpec("random_divfree", amplitude=0.25)), False),
+    "taylor-green": (SolverConfig(dim=2, res=32, horizon=1.0,
+                                  picard=PicardOptions(node_count=64)), False),
+    "no-dealias": (SolverConfig(dim=2, res=16, nu=0.7, horizon=0.2, dealias=False,
+                                picard=PicardOptions(node_count=8),
+                                profile=ProfileSpec("random_divfree", amplitude=0.3, seed=1)), False),
+    "blow-up": (SolverConfig(dim=2, res=16, nu=1e-3, horizon=1.0,
+                             picard=PicardOptions(node_count=10),
+                             profile=ProfileSpec("random_divfree", amplitude=1e3, seed=1)), False),
+    "max-iters-0": (SolverConfig(dim=3, res=16, horizon=0.2,
+                                 picard=PicardOptions(node_count=6, max_iters=0),
+                                 profile=ProfileSpec("random_divfree", amplitude=0.3)), False),
+    "graded": (SolverConfig(dim=3, res=16, nu=0.7, horizon=0.2,
+                            picard=PicardOptions(node_count=8, grading="graded"),
+                            profile=ProfileSpec("random_divfree", amplitude=0.3, seed=2)), False),
+    "negative-zeros": (SolverConfig(dim=2, res=32, nu=0.5, horizon=0.5,
+                                    picard=PicardOptions(node_count=16),
+                                    profile=ProfileSpec("random_divfree", amplitude=0.5,
+                                                        band=(2, 4))), True),
+}
+
+
+@pytest.mark.parametrize("case", BOX_PATH_CASES)
+def test_box_path_states_are_the_whole_half_sweeps(case):
+    # as bytes, so that a -0.0 or a nan payload shows: streamed as simulate
+    # reads them, collected by picard_solve, or carried by NonConvergence
+    cfg, negate = BOX_PATH_CASES[case]
+    u0 = profile_from_spec(cfg.grid(), cfg.profile)
+    if negate:
+        u0 = -u0
+        box = u0.coeffs[(Ellipsis,) + cfg.grid().box_index(cfg.grid().dealias_radius)]
+        assert np.any((box.real == 0) & np.signbit(box.real))
+    coeffs, increments = picard_sweep_reference(u0, cfg)
+    try:
+        path = picard_path(u0, cfg)
+        report, got = path.report, [np.array(list(path.rows())), path.trajectory().coeffs]
+    except NonConvergence as exc:
+        report, got = exc.report, [exc.trajectory.coeffs]
+    assert report.converged is (case not in ("blow-up", "max-iters-0"))
+    for rows in got:
+        assert rows.shape == coeffs.shape
+        assert np.array_equal(rows.view(np.uint8), coeffs.view(np.uint8))
+    assert np.array(report.increments).tobytes() == np.array(increments).tobytes()
+
+
+def test_box_path_holds_the_duhamel_rows_on_the_box():
+    cfg, _ = BOX_PATH_CASES["graded"]
+    grid = cfg.grid()
+    path = picard_path(profile_from_spec(grid, cfg.profile), cfg)
+    r = grid.dealias_radius
+    assert path.duhamel.shape == (9, 3, 2 * r + 1, 2 * r + 1, r + 1)
 
 
 class TestEtdrk4:
